@@ -9,16 +9,15 @@ then scores each row.  Majority vote needs no fitting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import NumericalError, ValidationError
-from .fa_core import FitReport
-from .labelling import ABSTAIN, LabelMatrix
+from .errors import ValidationError
+from .fa_core import FitReport, _fit_loop
+from .label_model import Predictions
+from .labelling import ABSTAIN, LabelMatrix, _dump_json, _fields, _read_json
 
 EMISSION_VALUES = (-1, 0, 1)
 PROB_FLOOR = 1e-6
@@ -91,56 +90,35 @@ def fit_ci_em(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
-    n, m = matrix.n, matrix.m
     E = _one_hot(matrix.values)
 
     rng = np.random.default_rng(seed)
     mv = majority_vote(matrix, tie_policy="negative")
-    r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=n)
+    r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
     r1 = np.clip(r1, 0.05, 0.95)
 
-    def m_step(resp1: np.ndarray) -> tuple[float, np.ndarray]:
+    def step(state):
+        # M-step from the responsibilities, then the likelihood of the new
+        # parameters and the responsibilities they imply (the next E-step)
+        resp1 = state[-1]
         resp = np.stack([1.0 - resp1, resp1], axis=1)  # (n, 2)
         prior = float(np.clip(resp1.mean(), PROB_FLOOR, 1.0 - PROB_FLOOR))
-        counts = np.einsum("ny,njv->jyv", resp, E)
-        totals = resp.sum(axis=0)[None, :, None]
-        emissions = counts / totals
+        emissions = np.einsum("ny,njv->jyv", resp, E) / resp.sum(axis=0)[None, :, None]
         # floor by mixing with uniform: keeps every probability >= PROB_FLOOR
         # and each distribution summing to exactly 1
         emissions = (1.0 - 3.0 * PROB_FLOOR) * emissions + PROB_FLOOR
-        return prior, emissions
-
-    prior, emissions = m_step(r1)
-    trace: list[float] = []
-    previous = -np.inf
-    converged = False
-    for it in range(max_iter):
         scores = _log_class_scores(E, prior, emissions)
-        ll = float(logsumexp(scores, axis=1).sum())
-        if not np.isfinite(ll):
-            raise NumericalError(f"non-finite likelihood at iteration {it + 1}")
-        trace.append(ll)
-        if ll - previous < tol and it > 0:
-            converged = True
-            break
-        previous = ll
-        r1 = np.exp(scores[:, 1] - logsumexp(scores, axis=1))
-        prior, emissions = m_step(r1)
+        row_ll = logsumexp(scores, axis=1)
+        return (prior, emissions, np.exp(scores[:, 1] - row_ll)), float(row_ll.sum())
+
+    (prior, emissions, _), report = _fit_loop(step, (r1,), max_iter, tol, "em", "likelihood")
 
     # canonicalize: class 1 = component with the higher mean P(emit 1 | class)
     if emissions[:, 0, 2].mean() > emissions[:, 1, 2].mean():
         prior = 1.0 - prior
         emissions = emissions[:, ::-1, :].copy()
 
-    params = CIParams(class_prior=prior, emissions=emissions)
-    report = FitReport(
-        iterations=len(trace),
-        final_log_likelihood=trace[-1],
-        ll_trace=tuple(trace),
-        converged=converged,
-        route="em",
-    )
-    return params, report
+    return CIParams(class_prior=prior, emissions=emissions), report
 
 
 def ci_posterior(params: CIParams, matrix: LabelMatrix) -> np.ndarray:
@@ -152,6 +130,15 @@ def ci_posterior(params: CIParams, matrix: LabelMatrix) -> np.ndarray:
     E = _one_hot(matrix.values)
     scores = _log_class_scores(E, params.class_prior, params.emissions)
     return np.exp(scores[:, 1] - logsumexp(scores, axis=1))
+
+
+def ci_predict(params: CIParams, matrix: LabelMatrix) -> Predictions:
+    """The CI decision rule: label 1 where P(y=1 | row) exceeds one half.
+
+    The posterior itself is the score.
+    """
+    posterior = ci_posterior(params, matrix)
+    return Predictions(labels=(posterior > 0.5).astype(np.int64), scores=posterior)
 
 
 def majority_vote(matrix: LabelMatrix, tie_policy: str = "negative") -> np.ndarray:
@@ -178,35 +165,20 @@ def save_ci_params(params: CIParams, path) -> None:
     payload = {
         "class_prior": float(params.class_prior),
         "emission_values": list(EMISSION_VALUES),
-        "emissions": [
-            [[float(p) for p in dist] for dist in lf_table] for lf_table in params.emissions
-        ],
+        "emissions": params.emissions.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _dump_json(payload, path)
 
 
 def ci_params_from_dict(payload: dict) -> CIParams:
-    if tuple(payload.get("emission_values", EMISSION_VALUES)) != EMISSION_VALUES:
-        raise ValidationError(f"emission_values must be {list(EMISSION_VALUES)}")
-    try:
+    with _fields("CI model file"):
+        if tuple(payload.get("emission_values", EMISSION_VALUES)) != EMISSION_VALUES:
+            raise ValidationError(f"emission_values must be {list(EMISSION_VALUES)}")
         return CIParams(
             class_prior=float(payload["class_prior"]),
             emissions=np.array(payload["emissions"], dtype=float),
         )
-    except KeyError as exc:
-        raise ValidationError(f"CI model file missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed CI model file: {exc}") from exc
 
 
 def load_ci_params(path) -> CIParams:
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"CI model file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return ci_params_from_dict(payload)
+    return ci_params_from_dict(_read_json(path, "CI model"))

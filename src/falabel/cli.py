@@ -9,31 +9,20 @@ bit-reproducible given identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .ci_baseline import (
-    ci_params_from_dict,
-    ci_posterior,
-    fit_ci_em,
-    majority_vote,
-    save_ci_params,
-)
+from .ci_baseline import ci_params_from_dict, ci_predict, save_ci_params
 from .errors import NumericalError, ValidationError
-from .fa_core import FitConfig, FitReport, fit_fa_em, fit_fa_vi
-from .label_model import (
-    Predictions,
-    build_label_model,
-    label_model_from_dict,
-    predict,
-    save_label_model,
-    save_predictions,
-    train_label_model,
-)
+from .fa_core import FitConfig
+from .label_model import label_model_from_dict, predict, save_label_model, save_predictions
 from .labelling import (
+    _csv_header,
+    _dump_json,
+    _read_json,
     apply_lfs,
     covariance_matrix,
     load_gold_labels,
@@ -43,26 +32,10 @@ from .labelling import (
     save_gold_labels,
     save_label_matrix,
 )
-from .metrics_eval import evaluate, robustness_sweep
+from .metrics_eval import METHODS, evaluate, robustness_sweep
 from .synthetic import SyntheticSpec, generate, load_spec
 
-FA_ROUTES = ("fa-em", "fa-vi")
-ALL_ROUTES = ("fa-em", "fa-vi", "ci-em", "majority")
 THRESHOLD_FLAGS = {"median": "median", "mean": "mean", "cdf-youden": "cdf_youden"}
-
-
-def _report_payload(report: FitReport) -> dict:
-    return {
-        "iterations": report.iterations,
-        "final_log_likelihood": report.final_log_likelihood,
-        "ll_trace": list(report.ll_trace),
-        "converged": report.converged,
-        "route": report.route,
-    }
-
-
-def _write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _fit_config(args) -> FitConfig:
@@ -95,15 +68,7 @@ def _parse_per_lf(text: str, m: int, what: str) -> tuple[float, ...]:
 
 def _load_model_file(path):
     """Return ('fa', LabelModel) or ('ci', CIParams) based on the JSON keys."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"model file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
+    payload = _read_json(path, "model")
     if "threshold_kind" in payload:
         return "fa", label_model_from_dict(payload)
     if "emissions" in payload:
@@ -121,42 +86,21 @@ def _dev_split(args):
 
 def cmd_fit(args) -> int:
     matrix = load_label_matrix(args.matrix)
-    if args.k > matrix.m:
-        raise ValidationError(
-            f"k exceeds number of labelling functions (k={args.k}, m={matrix.m})"
-        )
-    if args.route in FA_ROUTES:
-        cfg = _fit_config(args)
-        fitter = fit_fa_em if args.route == "fa-em" else fit_fa_vi
-        params, report = fitter(matrix, cfg)
-        model = build_label_model(
-            params,
-            matrix,
-            threshold_kind=THRESHOLD_FLAGS[args.threshold],
-            dev=_dev_split(args),
-        )
-        save_label_model(model, args.out)
-    elif args.route == "ci-em":
-        params, report = fit_ci_em(matrix, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
-        save_ci_params(params, args.out)
-    else:
+    if args.route == "majority":
         raise ValidationError("route 'majority' requires no fitting; use it with compare or sweep")
+    model, report, _ = METHODS[args.route](
+        matrix, _fit_config(args), THRESHOLD_FLAGS[args.threshold], _dev_split(args)
+    )
+    (save_ci_params if args.route == "ci-em" else save_label_model)(model, args.out)
     if args.report is not None:
-        _write_json(_report_payload(report), args.report)
+        _dump_json(asdict(report), args.report)
     return 0
 
 
 def cmd_predict(args) -> int:
     kind, model = _load_model_file(args.model)
     matrix = load_label_matrix(args.matrix)
-    if kind == "fa":
-        preds = predict(model, matrix)
-    else:
-        posterior = ci_posterior(model, matrix)
-        preds = Predictions(
-            labels=(posterior > 0.5).astype(np.int64), scores=posterior
-        )
-    save_predictions(preds, args.out)
+    save_predictions((predict if kind == "fa" else ci_predict)(model, matrix), args.out)
     return 0
 
 
@@ -204,22 +148,10 @@ def cmd_compare(args) -> int:
     cfg = _fit_config(args)
     threshold_kind = THRESHOLD_FLAGS[args.threshold]
     dev = _dev_split(args)
-    rows = []
-    for method in ALL_ROUTES:
-        if method in FA_ROUTES:
-            model = train_label_model(
-                train, cfg, threshold_kind=threshold_kind, dev=dev,
-                route=method.split("-")[1],
-            )
-            labels = predict(model, test).labels
-        elif method == "ci-em":
-            params, _ = fit_ci_em(train, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
-            labels = (ci_posterior(params, test) > 0.5).astype(np.int64)
-        else:
-            labels = majority_vote(test)
-        rows.append((method, evaluate(labels, gold)))
     lines = ["method,accuracy,precision,recall,f1,tp,fp,tn,fn,n"]
-    for method, r in rows:
+    for method, fit in METHODS.items():
+        _, _, labeller = fit(train, cfg, threshold_kind, dev)
+        r = evaluate(labeller(test), gold)
         lines.append(
             f"{method},{r.accuracy!r},{r.precision!r},{r.recall!r},{r.f1!r},"
             f"{r.tp},{r.fp},{r.tn},{r.fn},{r.n}"
@@ -274,10 +206,8 @@ def cmd_stats(args) -> int:
 def cmd_cov(args) -> int:
     matrix = load_label_matrix(args.matrix)
     cov = covariance_matrix(matrix)
-    lines = [",".join(matrix.lf_names)]
-    for row in cov:
-        lines.append(",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
+    lines = [",".join(repr(float(v)) for v in row) for row in cov]
+    text = _csv_header(matrix.lf_names) + "\n".join(lines) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -339,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a label model on a labelling matrix")
     p.add_argument("matrix", help="training labelling-matrix CSV")
-    p.add_argument("--route", choices=ALL_ROUTES, default="fa-em")
+    p.add_argument("--route", choices=tuple(METHODS), default="fa-em")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--report", default=None, help="optional fit-report JSON")
     _add_fit_flags(p)
@@ -433,3 +363,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -16,15 +16,13 @@ the reals -1.0/0.0/1.0) or any (n, m) float array.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .labelling import LabelMatrix
+from .labelling import LabelMatrix, _dump_json, _fields, _read_json
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -190,17 +188,81 @@ def _em_step(
     log-likelihood given the moments; psi picks up the residual diagonal
     variance and is clamped at ``psi_floor``.
     """
-    n, m = Xc.shape
+    n = Xc.shape[0]
     k = W.shape[1]
     precision = 1.0 / psi
     G = np.linalg.inv(np.eye(k) + (W.T * precision) @ W)
     M = Xc @ (precision[:, None] * W) @ G
+    return _m_step(Xc, M, n * G + M.T @ M, psi_floor)
+
+
+def _m_step(
+    Xc: np.ndarray, M: np.ndarray, Ezz: np.ndarray, psi_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (W, psi) update shared by EM and VI.
+
+    Given the posterior factor means M (n, k) and the summed second moment
+    Ezz = sum_i E[z_i z_i^T], W solves W Ezz = Xc^T M; psi is the residual
+    diagonal variance, clamped at ``psi_floor``.
+    """
+    n = Xc.shape[0]
     XtM = Xc.T @ M
-    Ezz = n * G + M.T @ M
-    W_new = np.linalg.solve(Ezz.T, XtM.T).T
-    psi_new = (Xc**2).sum(axis=0) / n - np.einsum("jk,jk->j", XtM, W_new) / n
-    psi_new = np.maximum(psi_new, psi_floor)
-    return W_new, psi_new
+    W = np.linalg.solve(Ezz.T, XtM.T).T
+    psi = (Xc**2).sum(axis=0) / n - np.einsum("jk,jk->j", XtM, W) / n
+    return W, np.maximum(psi, psi_floor)
+
+
+def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str):
+    """The iteration loop shared by every fitter.
+
+    ``step(state)`` returns the next state and the route's objective at it,
+    so the final objective always belongs to the returned state.  A
+    non-finite ``objective`` (named in the error) raises NumericalError;
+    the fit stops once an iteration after the first improves the
+    objective by less than ``tol``.
+
+    Returns
+    -------
+    (state, FitReport)
+    """
+    trace: list[float] = []
+    previous = -np.inf
+    converged = False
+    for it in range(max_iter):
+        state, value = step(state)
+        if not np.isfinite(value):
+            raise NumericalError(f"non-finite {objective} at iteration {it + 1}")
+        trace.append(value)
+        if value - previous < tol and it > 0:
+            converged = True
+            break
+        previous = value
+    report = FitReport(
+        iterations=len(trace),
+        final_log_likelihood=trace[-1],
+        ll_trace=tuple(trace),
+        converged=converged,
+        route=route,
+    )
+    return state, report
+
+
+def _fit_fa(data, cfg: FitConfig, step, route: str, objective: str) -> tuple[FAParams, FitReport]:
+    """Centre the data, initialize (W, psi) and iterate the route's
+    ``step(Xc, W, psi, psi_floor) -> ((W, psi), objective)``."""
+    X = _as_float_matrix(data)
+    _check_fit_input(X, cfg)
+    c = X.mean(axis=0)
+    Xc = X - c
+    (W, psi), report = _fit_loop(
+        lambda state: step(Xc, *state, cfg.psi_floor),
+        _init_params(Xc, cfg),
+        cfg.max_iter,
+        cfg.tol,
+        route,
+        objective,
+    )
+    return FAParams(W=W, c=c, psi=psi, k=cfg.k, m=X.shape[1]), report
 
 
 def _gaussian_ll(Xc: np.ndarray, W: np.ndarray, psi: np.ndarray) -> float:
@@ -246,34 +308,12 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
         Fitted parameters (c fixed at the column means) and the
         log-likelihood trace, which is non-decreasing up to the psi clamp.
     """
-    X = _as_float_matrix(data)
-    _check_fit_input(X, cfg)
-    n, m = X.shape
-    c = X.mean(axis=0)
-    Xc = X - c
-    W, psi = _init_params(Xc, cfg)
-    trace: list[float] = []
-    previous = -np.inf
-    converged = False
-    for it in range(cfg.max_iter):
-        W, psi = _em_step(Xc, W, psi, cfg.psi_floor)
-        ll = _gaussian_ll(Xc, W, psi)
-        if not np.isfinite(ll):
-            raise NumericalError(f"non-finite log-likelihood at iteration {it + 1}")
-        trace.append(ll)
-        if ll - previous < cfg.tol and it > 0:
-            converged = True
-            break
-        previous = ll
-    params = FAParams(W=W, c=c, psi=psi, k=cfg.k, m=m)
-    report = FitReport(
-        iterations=len(trace),
-        final_log_likelihood=trace[-1],
-        ll_trace=tuple(trace),
-        converged=converged,
-        route="em",
-    )
-    return params, report
+    return _fit_fa(data, cfg, _em_update, "em", "log-likelihood")
+
+
+def _em_update(Xc, W, psi, psi_floor):
+    W, psi = _em_step(Xc, W, psi, psi_floor)
+    return (W, psi), _gaussian_ll(Xc, W, psi)
 
 
 def _vi_estep(
@@ -318,39 +358,13 @@ def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     k = 1 the variational family contains the exact posterior and the
     final bound matches the marginal log-likelihood.
     """
-    X = _as_float_matrix(data)
-    _check_fit_input(X, cfg)
-    n, m = X.shape
-    c = X.mean(axis=0)
-    Xc = X - c
-    W, psi = _init_params(Xc, cfg)
-    trace: list[float] = []
-    previous = -np.inf
-    converged = False
-    for it in range(cfg.max_iter):
-        M, V = _vi_estep(Xc, W, psi)
-        XtM = Xc.T @ M
-        Ezz = np.diag(V.sum(axis=0)) + M.T @ M
-        W = np.linalg.solve(Ezz.T, XtM.T).T
-        psi = (Xc**2).sum(axis=0) / n - np.einsum("jk,jk->j", XtM, W) / n
-        psi = np.maximum(psi, cfg.psi_floor)
-        bound = _elbo(Xc, W, psi, M, V)
-        if not np.isfinite(bound):
-            raise NumericalError(f"non-finite evidence bound at iteration {it + 1}")
-        trace.append(bound)
-        if bound - previous < cfg.tol and it > 0:
-            converged = True
-            break
-        previous = bound
-    params = FAParams(W=W, c=c, psi=psi, k=cfg.k, m=m)
-    report = FitReport(
-        iterations=len(trace),
-        final_log_likelihood=trace[-1],
-        ll_trace=tuple(trace),
-        converged=converged,
-        route="vi",
-    )
-    return params, report
+    return _fit_fa(data, cfg, _vi_update, "vi", "evidence bound")
+
+
+def _vi_update(Xc, W, psi, psi_floor):
+    M, V = _vi_estep(Xc, W, psi)
+    W, psi = _m_step(Xc, M, np.diag(V.sum(axis=0)) + M.T @ M, psi_floor)
+    return (W, psi), _elbo(Xc, W, psi, M, V)
 
 
 def posterior_moments(params: FAParams, data) -> PosteriorMoments:
@@ -385,20 +399,24 @@ def log_likelihood(params: FAParams, data) -> float:
     return _gaussian_ll(X - params.c, params.W, params.psi)
 
 
-def save_params(params: FAParams, path) -> None:
-    """Serialize to JSON with full-precision floats."""
-    payload = {
+def params_to_dict(params: FAParams) -> dict:
+    """The JSON fields of the parameters, floats at full precision."""
+    return {
         "k": params.k,
         "m": params.m,
-        "W": [[float(v) for v in row] for row in params.W],
-        "c": [float(v) for v in params.c],
-        "psi": [float(v) for v in params.psi],
+        "W": params.W.tolist(),
+        "c": params.c.tolist(),
+        "psi": params.psi.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def save_params(params: FAParams, path) -> None:
+    """Serialize to JSON with full-precision floats."""
+    _dump_json(params_to_dict(params), path)
 
 
 def params_from_dict(payload: dict) -> FAParams:
-    try:
+    with _fields("model file"):
         return FAParams(
             W=np.array(payload["W"], dtype=float),
             c=np.array(payload["c"], dtype=float),
@@ -406,21 +424,8 @@ def params_from_dict(payload: dict) -> FAParams:
             k=int(payload["k"]),
             m=int(payload["m"]),
         )
-    except KeyError as exc:
-        raise ValidationError(f"model file missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed model file: {exc}") from exc
 
 
 def load_params(path) -> FAParams:
     """Load and re-validate parameters saved by :func:`save_params`."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"model file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return params_from_dict(payload)
+    return params_from_dict(_read_json(path, "model"))

@@ -9,7 +9,6 @@ class to the half of the factor that correlates with positive votes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,15 +16,8 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import ValidationError
-from .fa_core import (
-    FAParams,
-    FitConfig,
-    fit_fa_em,
-    fit_fa_vi,
-    params_from_dict,
-    posterior_moments,
-)
-from .labelling import ABSTAIN, GoldLabels, LabelMatrix
+from .fa_core import FAParams, FitConfig, params_from_dict, params_to_dict, posterior_moments
+from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _dump_json, _fields, _read_json
 
 THRESHOLD_KINDS = ("median", "mean", "cdf_youden")
 
@@ -191,13 +183,12 @@ def train_label_model(
     route: str = "em",
 ) -> LabelModel:
     """Fit the factor model ("em" or "vi" route) and build the pseudo-labeler."""
-    if route == "em":
-        params, _ = fit_fa_em(train, cfg)
-    elif route == "vi":
-        params, _ = fit_fa_vi(train, cfg)
-    else:
+    from .metrics_eval import METHODS  # imported here: metrics_eval imports this module
+
+    if route not in ("em", "vi"):
         raise ValidationError(f"route must be 'em' or 'vi', got {route!r}")
-    return build_label_model(params, train, threshold_kind=threshold_kind, dev=dev)
+    model, _, _ = METHODS[f"fa-{route}"](train, cfg, threshold_kind, dev)
+    return model
 
 
 def predict(model: LabelModel, matrix: LabelMatrix) -> Predictions:
@@ -264,23 +255,19 @@ def save_predictions(preds: Predictions, path) -> None:
 def save_label_model(model: LabelModel, path) -> None:
     """Serialize as the factor-parameter JSON plus the decision-rule fields."""
     payload = {
-        "k": model.params.k,
-        "m": model.params.m,
-        "W": [[float(v) for v in row] for row in model.params.W],
-        "c": [float(v) for v in model.params.c],
-        "psi": [float(v) for v in model.params.psi],
+        **params_to_dict(model.params),
         "threshold_kind": model.threshold_kind,
         "threshold_value": float(model.threshold_value),
         "orientation": int(model.orientation),
         "train_mean": float(model.train_factor_mean),
         "train_std": float(model.train_factor_std),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _dump_json(payload, path)
 
 
 def label_model_from_dict(payload: dict) -> LabelModel:
     params = params_from_dict(payload)
-    try:
+    with _fields("label model file"):
         return LabelModel(
             params=params,
             threshold_kind=payload["threshold_kind"],
@@ -289,18 +276,7 @@ def label_model_from_dict(payload: dict) -> LabelModel:
             train_factor_std=float(payload["train_std"]),
             orientation=int(payload["orientation"]),
         )
-    except KeyError as exc:
-        raise ValidationError(f"label model file missing field {exc}") from None
 
 
 def load_label_model(path) -> LabelModel:
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"label model file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return label_model_from_dict(payload)
+    return label_model_from_dict(_read_json(path, "label model"))

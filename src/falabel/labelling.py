@@ -10,8 +10,10 @@ by applying simple keyword/regex labelling functions to text records.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -163,27 +165,60 @@ class MatrixStats:
     n_all_abstain_rows: int = 0
     all_abstain_fraction: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "n_rows": self.n_rows,
-            "n_lfs": self.n_lfs,
-            "n_all_abstain_rows": self.n_all_abstain_rows,
-            "all_abstain_fraction": self.all_abstain_fraction,
-            "per_lf": {
-                name: {"abstain": int(a), "negative": int(neg), "positive": int(pos)}
-                for name, (a, neg, pos) in zip(self.lf_names, self.counts)
-            },
-        }
+
+def _read_json(path, what: str, kind: type = dict, kind_name: str = "a JSON object"):
+    """Parse the JSON file of a ``what`` (e.g. "model"), whose top level must be a ``kind``.
+
+    A missing file, invalid JSON or a wrong top-level type is a ValidationError.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"{what} file not found: {path}")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, kind):
+        raise ValidationError(f"{path}: expected {kind_name}")
+    return payload
 
 
-def load_label_matrix(path, format: str = "csv") -> LabelMatrix:
+@contextmanager
+def _fields(what: str):
+    """Report a missing or malformed field of a parsed ``what`` as a ValidationError.
+
+    Field values come from outside the program, so a conversion such as
+    ``float(payload["x"])`` can raise KeyError, TypeError or ValueError.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{what} missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def _dump_json(payload: dict, path=None) -> str:
+    """JSON text (2-space indent, trailing newline); also written to ``path`` when given."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
+def _csv_header(names) -> str:
+    """One CSV line of ``names``, quoting any name that holds a comma, quote or line break."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(names)
+    return buf.getvalue()
+
+
+def load_label_matrix(path) -> LabelMatrix:
     """Read a labelling matrix from CSV: header = LF names, body = integers.
 
     Raises ValidationError naming the offending cell for out-of-range or
     non-integer entries, and for ragged rows or duplicate LF names.
     """
-    if format != "csv":
-        raise ValidationError(f"unsupported format {format!r}, only 'csv'")
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"label matrix file not found: {path}")
@@ -223,10 +258,8 @@ def load_label_matrix(path, format: str = "csv") -> LabelMatrix:
 
 def save_label_matrix(matrix: LabelMatrix, path) -> None:
     """Write the canonical CSV form (UTF-8, '\\n' line endings)."""
-    lines = [",".join(matrix.lf_names)]
-    for row in matrix.values:
-        lines.append(",".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [",".join(str(int(v)) for v in row) for row in matrix.values]
+    Path(path).write_text(_csv_header(matrix.lf_names) + "\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_gold_labels(path) -> GoldLabels:
@@ -265,20 +298,12 @@ def save_gold_labels(gold: GoldLabels, path) -> None:
 
 def load_lf_specs(path) -> list[LFSpec]:
     """Read labelling functions from a JSON array of spec objects."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"LF spec file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path}: expected a JSON array of LF specs")
+    raw = _read_json(path, "LF spec", list, "a JSON array of LF specs")
     specs = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: spec {i} is not an object")
-        try:
+        with _fields(f"{path}: spec {i}"):
             specs.append(
                 LFSpec(
                     name=entry["name"],
@@ -287,8 +312,6 @@ def load_lf_specs(path) -> list[LFSpec]:
                     vote_on_match=entry["vote_on_match"],
                 )
             )
-        except KeyError as exc:
-            raise ValidationError(f"{path}: spec {i} missing field {exc}") from None
     return specs
 
 

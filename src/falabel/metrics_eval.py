@@ -1,22 +1,48 @@
-"""Binary classification metrics, the class-imbalance index, and the
-training-size robustness sweep."""
+"""The table of label methods, binary classification metrics, the
+class-imbalance index, and the training-size robustness sweep."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .ci_baseline import ci_posterior, fit_ci_em, majority_vote
+from .ci_baseline import ci_predict, fit_ci_em, majority_vote
 from .errors import ValidationError
-from .fa_core import FitConfig
-from .label_model import Predictions, predict, train_label_model
-from .labelling import GoldLabels, LabelMatrix
+from .fa_core import FitConfig, fit_fa_em, fit_fa_vi
+from .label_model import Predictions, build_label_model, predict
+from .labelling import GoldLabels, LabelMatrix, _dump_json
 
-SWEEP_METHODS = ("fa-em", "fa-vi", "ci-em", "majority")
 DEFAULT_SWEEP_SIZES = (10, 20, 30, 40, 50, 60)
+
+
+# Each method fits on a training matrix and returns (model, fit report,
+# labeller), where the labeller maps a matrix to 0/1 labels.  Fitters and
+# predictors are looked up by their global names in this module when a
+# method runs, so replacing one here (to trace or patch it) takes effect.
+def _fit_fa_em(train, cfg, threshold_kind, dev):
+    return _fa_labeller(*fit_fa_em(train, cfg), train, threshold_kind, dev)
+
+
+def _fit_fa_vi(train, cfg, threshold_kind, dev):
+    return _fa_labeller(*fit_fa_vi(train, cfg), train, threshold_kind, dev)
+
+
+def _fa_labeller(params, report, train, threshold_kind, dev):
+    model = build_label_model(params, train, threshold_kind=threshold_kind, dev=dev)
+    return model, report, lambda matrix: predict(model, matrix).labels
+
+
+def _fit_ci_em(train, cfg, threshold_kind, dev):
+    params, report = fit_ci_em(train, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
+    return params, report, lambda matrix: ci_predict(params, matrix).labels
+
+
+def _majority(train, cfg, threshold_kind, dev):
+    return None, None, majority_vote
+
+
+METHODS = {"fa-em": _fit_fa_em, "fa-vi": _fit_fa_vi, "ci-em": _fit_ci_em, "majority": _majority}
 
 
 @dataclass(frozen=True)
@@ -38,22 +64,8 @@ class MetricsReport:
     n: int
     undefined: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "n": self.n,
-            "undefined": list(self.undefined),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _dump_json(asdict(self))
 
 
 def _label_array(labels, what: str) -> np.ndarray:
@@ -189,27 +201,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_method(
-    method: str,
-    train: LabelMatrix,
-    test: LabelMatrix,
-    cfg: FitConfig,
-    threshold_kind: str,
-    seed: int,
-) -> np.ndarray:
-    if method in ("fa-em", "fa-vi"):
-        model = train_label_model(
-            train, cfg, threshold_kind=threshold_kind, route=method.split("-")[1]
-        )
-        return predict(model, test).labels
-    if method == "ci-em":
-        params, _ = fit_ci_em(train, max_iter=cfg.max_iter, tol=cfg.tol, seed=seed)
-        return (ci_posterior(params, test) > 0.5).astype(np.int64)
-    if method == "majority":
-        return majority_vote(test)
-    raise ValidationError(f"unknown method {method!r}, expected one of {SWEEP_METHODS}")
-
-
 def robustness_sweep(
     train: LabelMatrix,
     test: LabelMatrix,
@@ -238,8 +229,8 @@ def robustness_sweep(
         if size > train.n:
             raise ValidationError(f"size {size} exceeds available training rows ({train.n})")
     for method in methods:
-        if method not in SWEEP_METHODS:
-            raise ValidationError(f"unknown method {method!r}, expected one of {SWEEP_METHODS}")
+        if method not in METHODS:
+            raise ValidationError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
     if gold_test.n != test.n:
         raise ValidationError("test gold labels must match the test matrix row count")
     if cfg is None:
@@ -261,21 +252,14 @@ def robustness_sweep(
             for rep in range(repeats):
                 idx, cell_seed = subsamples[(size, rep)]
                 sub = LabelMatrix(values=train.values[idx], lf_names=train.lf_names)
-                cell_cfg = FitConfig(
-                    k=cfg.k,
-                    max_iter=cfg.max_iter,
-                    tol=cfg.tol,
-                    psi_floor=cfg.psi_floor,
-                    seed=cell_seed,
-                    init=cfg.init,
-                )
-                labels = _run_method(method, sub, test, cell_cfg, threshold_kind, cell_seed)
+                cell_cfg = replace(cfg, seed=cell_seed)
+                _, _, labeller = METHODS[method](sub, cell_cfg, threshold_kind, None)
                 records.append(
                     SweepRecord(
                         method=method,
                         size=size,
                         repeat=rep,
-                        metrics=evaluate(labels, gold_test),
+                        metrics=evaluate(labeller(test), gold_test),
                     )
                 )
     return SweepResult(
@@ -286,6 +270,3 @@ def robustness_sweep(
         seed=seed,
     )
 
-
-def save_report(report: MetricsReport, path) -> None:
-    Path(path).write_text(report.to_json(), encoding="utf-8")

@@ -9,14 +9,12 @@ generated data.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .labelling import ABSTAIN, GoldLabels, LabelMatrix
+from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _dump_json, _fields, _read_json
 
 
 @dataclass(frozen=True)
@@ -100,26 +98,12 @@ def bayes_oracle(spec: SyntheticSpec, matrix: LabelMatrix) -> np.ndarray:
 
 
 def save_spec(spec: SyntheticSpec, path) -> None:
-    payload = {
-        "n": spec.n,
-        "m": spec.m,
-        "class_prior": spec.class_prior,
-        "accuracies": list(spec.accuracies),
-        "propensities": list(spec.propensities),
-        "seed": spec.seed,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _dump_json(asdict(spec), path)
 
 
 def load_spec(path) -> SyntheticSpec:
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"synthetic spec file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    try:
+    payload = _read_json(path, "synthetic spec")
+    with _fields(f"synthetic spec {path}"):
         return SyntheticSpec(
             n=int(payload["n"]),
             m=int(payload["m"]),
@@ -128,7 +112,3 @@ def load_spec(path) -> SyntheticSpec:
             propensities=tuple(payload["propensities"]),
             seed=int(payload.get("seed", 123)),
         )
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed spec: {exc}") from exc

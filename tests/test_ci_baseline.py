@@ -217,3 +217,20 @@ class TestCIParamsIO:
         p.write_text('{"class_prior": 0.5, "emissions": [[[0.5, 0.5, 0.5], [0.4, 0.3, 0.3]]]}')
         with pytest.raises(ValidationError):
             load_ci_params(p)
+
+
+@pytest.mark.parametrize("max_iter", [2, 3, 5])
+def test_capped_fit_reports_likelihood_of_returned_params(max_iter):
+    from scipy.special import logsumexp
+
+    from falabel.ci_baseline import _log_class_scores, _one_hot
+
+    matrix = LabelMatrix(
+        values=np.random.default_rng(8).integers(-1, 2, size=(500, 5)),
+        lf_names=tuple(f"lf{i}" for i in range(5)),
+    )
+    params, report = fit_ci_em(matrix, max_iter=max_iter, seed=4)
+    assert not report.converged and report.iterations == max_iter
+    scores = _log_class_scores(_one_hot(matrix.values), params.class_prior, params.emissions)
+    recomputed = float(logsumexp(scores, axis=1).sum())
+    assert recomputed == pytest.approx(report.final_log_likelihood, rel=1e-12, abs=0.0)

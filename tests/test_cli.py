@@ -93,12 +93,12 @@ class TestFit:
 
     def test_numerical_failure_exits_3(self, world, capsys, monkeypatch):
         from falabel import NumericalError
-        import falabel.cli as cli_mod
+        import falabel.metrics_eval as methods_mod
 
         def boom(*args, **kwargs):
             raise NumericalError("synthetic breakdown at iteration 3")
 
-        monkeypatch.setattr(cli_mod, "fit_fa_em", boom)
+        monkeypatch.setattr(methods_mod, "fit_fa_em", boom)
         tmp, paths = world
         code = main(["fit", str(paths["train"]), "--out", str(tmp / "m.json")])
         assert code == 3
@@ -292,3 +292,58 @@ class TestApplyLFs:
         assert main(["apply-lfs", str(records), str(specs), "--out", str(out)]) == 0
         matrix = load_label_matrix(out)
         np.testing.assert_array_equal(matrix.values, [[1, -1], [-1, 0], [1, -1]])
+
+
+@pytest.mark.parametrize(
+    "route, field, value",
+    [
+        ("fa-em", "threshold_value", "abc"),
+        ("fa-em", "orientation", None),
+        ("ci-em", "emission_values", 5),
+    ],
+)
+def test_malformed_model_field_exits_2(world, capsys, route, field, value):
+    tmp, paths = world
+    model_path = tmp / "model.json"
+    assert main(["fit", str(paths["train"]), "--route", route, "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text())
+    payload[field] = value
+    model_path.write_text(json.dumps(payload))
+    code = main(["predict", str(model_path), str(paths["test"]), "--out", str(tmp / "p.csv")])
+    assert code == 2
+    assert "error: malformed" in capsys.readouterr().err
+
+
+def test_cov_header_quotes_lf_names(tmp_path):
+    import csv
+
+    from falabel import LabelMatrix
+
+    names = ("a,b", "c")
+    path = tmp_path / "m.csv"
+    save_label_matrix(LabelMatrix(values=[[1, 0], [0, 1], [1, 1]], lf_names=names), path)
+    out = tmp_path / "cov.csv"
+    assert main(["cov", str(path), "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert tuple(rows[0]) == names
+    assert all(len(row) == 2 for row in rows)
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import falabel
+
+    env = dict(os.environ, PYTHONPATH=str(Path(falabel.__file__).parent.parent))
+    mpath, gpath = tmp_path / "m.csv", tmp_path / "y.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "falabel.cli", "synth", "--n", "20", "--m", "3",
+         "--out-matrix", str(mpath), "--out-gold", str(gpath)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_label_matrix(mpath).n == 20
+    assert gpath.read_text().startswith("y\n")

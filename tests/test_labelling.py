@@ -225,3 +225,14 @@ class TestCovariance:
         cov = covariance_matrix(m)
         assert np.array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
+
+
+def test_lf_names_with_commas_and_quotes_roundtrip(tmp_path):
+    names = ("votes, strong", 'says "spam"', "plain")
+    matrix = LabelMatrix(values=[[1, 0, -1], [0, -1, 1]], lf_names=names)
+    p = tmp_path / "m.csv"
+    save_label_matrix(matrix, p)
+    assert load_label_matrix(p) == matrix
+    plain = tmp_path / "plain.csv"
+    save_label_matrix(LabelMatrix(values=[[1, 0]], lf_names=("lf1", "lf2")), plain)
+    assert plain.read_text() == "lf1,lf2\n1,0\n"
