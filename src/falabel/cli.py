@@ -18,11 +18,17 @@ import numpy as np
 from .ci_baseline import ci_params_from_dict, ci_predict, save_ci_params
 from .errors import NumericalError, ValidationError
 from .fa_core import FitConfig
-from .label_model import label_model_from_dict, predict, save_label_model, save_predictions
+from .label_model import (
+    _load_prediction_labels,
+    label_model_from_dict,
+    predict,
+    save_label_model,
+    save_predictions,
+)
 from .labelling import (
-    _csv_header,
     _dump_json,
     _read_json,
+    _write_csv,
     apply_lfs,
     covariance_matrix,
     load_gold_labels,
@@ -76,6 +82,14 @@ def _load_model_file(path):
     raise ValidationError(f"{path}: not a label-model or CI-model file")
 
 
+def _emit(text: str, out) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text, encoding="utf-8")
+
+
 def _dev_split(args):
     if args.dev_matrix is None and args.dev_gold is None:
         return None
@@ -104,36 +118,10 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_predictions_csv(path) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"predictions file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "index,score,label":
-        raise ValidationError(f"{path}: expected header 'index,score,label'")
-    labels = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValidationError(f"{path}: line {line_no} has {len(parts)} fields, expected 3")
-        try:
-            labels.append(int(parts[2]))
-        except ValueError:
-            raise ValidationError(f"{path}: non-integer label at line {line_no}") from None
-    if not labels:
-        raise ValidationError(f"{path}: no data rows")
-    return np.array(labels, dtype=np.int64)
-
-
 def cmd_evaluate(args) -> int:
-    pred = _load_predictions_csv(args.predictions)
+    pred = _load_prediction_labels(args.predictions)
     gold = load_gold_labels(args.gold)
-    report = evaluate(pred, gold)
-    text = report.to_json()
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(evaluate(pred, gold).to_json(), args.out)
     return 0
 
 
@@ -148,15 +136,12 @@ def cmd_compare(args) -> int:
     cfg = _fit_config(args)
     threshold_kind = THRESHOLD_FLAGS[args.threshold]
     dev = _dev_split(args)
-    lines = ["method,accuracy,precision,recall,f1,tp,fp,tn,fn,n"]
+    rows = [("method", "accuracy", "precision", "recall", "f1", "tp", "fp", "tn", "fn", "n")]
     for method, fit in METHODS.items():
         _, _, labeller = fit(train, cfg, threshold_kind, dev)
         r = evaluate(labeller(test), gold)
-        lines.append(
-            f"{method},{r.accuracy!r},{r.precision!r},{r.recall!r},{r.f1!r},"
-            f"{r.tp},{r.fp},{r.tn},{r.fn},{r.n}"
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append((method, r.accuracy, r.precision, r.recall, r.f1, r.tp, r.fp, r.tn, r.fn, r.n))
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -180,38 +165,25 @@ def cmd_sweep(args) -> int:
         cfg=_fit_config(args),
         threshold_kind=THRESHOLD_FLAGS[args.threshold],
     )
-    Path(args.out).write_text(result.to_csv(), encoding="utf-8")
+    _emit(result.to_csv(), args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
     stats = matrix_stats(load_label_matrix(args.matrix))
-    lines = ["metric,lf,value"]
-    lines.append(f"n_rows,,{stats.n_rows}")
-    lines.append(f"n_lfs,,{stats.n_lfs}")
-    lines.append(f"n_all_abstain_rows,,{stats.n_all_abstain_rows}")
-    lines.append(f"all_abstain_fraction,,{stats.all_abstain_fraction!r}")
-    for name, (n_abstain, n_neg, n_pos) in zip(stats.lf_names, stats.counts):
-        lines.append(f"count_abstain,{name},{int(n_abstain)}")
-        lines.append(f"count_negative,{name},{int(n_neg)}")
-        lines.append(f"count_positive,{name},{int(n_pos)}")
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    rows = [("metric", "lf", "value")]
+    for metric in ("n_rows", "n_lfs", "n_all_abstain_rows", "all_abstain_fraction"):
+        rows.append((metric, "", getattr(stats, metric)))
+    for name, counts in zip(stats.lf_names, stats.counts.tolist()):
+        for kind, count in zip(("abstain", "negative", "positive"), counts):
+            rows.append((f"count_{kind}", name, count))
+    _emit(_write_csv(rows), args.out)
     return 0
 
 
 def cmd_cov(args) -> int:
     matrix = load_label_matrix(args.matrix)
-    cov = covariance_matrix(matrix)
-    lines = [",".join(repr(float(v)) for v in row) for row in cov]
-    text = _csv_header(matrix.lf_names) + "\n".join(lines) + "\n"
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(_write_csv([matrix.lf_names, *covariance_matrix(matrix).tolist()]), args.out)
     return 0
 
 

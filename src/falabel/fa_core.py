@@ -156,13 +156,14 @@ class FitReport:
             raise ValidationError("iterations must equal the trace length")
 
 
-def _as_float_matrix(data, what: str = "data") -> np.ndarray:
-    if isinstance(data, LabelMatrix):
-        return data.values.astype(float)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"{what} must be a 2-d array, got shape {arr.shape}")
-    return arr
+def _as_float_matrix(data, m: int | None = None) -> np.ndarray:
+    """``data`` as a float matrix; given the model's ``m``, it must have m columns."""
+    X = np.asarray(data.values if isinstance(data, LabelMatrix) else data, dtype=float)
+    if X.ndim != 2:
+        raise ValidationError(f"data must be a 2-d array, got shape {X.shape}")
+    if m is not None and X.shape[1] != m:
+        raise ValidationError(f"matrix has {X.shape[1]} columns but the model expects {m}")
+    return X
 
 
 def _init_params(Xc: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -376,13 +377,7 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
         ``cov`` is G = (I + W^T Psi^-1 W)^-1, shared by all rows;
         ``mean`` row i is G W^T Psi^-1 (x_i - c).
     """
-    X = _as_float_matrix(data)
-    if X.shape[1] != params.m:
-        raise ValidationError(
-            f"matrix has {X.shape[1]} columns but the model expects {params.m}"
-        )
-    if not (params.psi > 0).all():
-        raise ValidationError("psi entries must be strictly positive")
+    X = _as_float_matrix(data, params.m)
     precision = 1.0 / params.psi
     G = np.linalg.inv(np.eye(params.k) + (params.W.T * precision) @ params.W)
     mean = (X - params.c) @ (precision[:, None] * params.W) @ G
@@ -391,11 +386,7 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
 
 def log_likelihood(params: FAParams, data) -> float:
     """Gaussian log-likelihood of the rows under N(c, W W^T + diag(psi))."""
-    X = _as_float_matrix(data)
-    if X.shape[1] != params.m:
-        raise ValidationError(
-            f"matrix has {X.shape[1]} columns but the model expects {params.m}"
-        )
+    X = _as_float_matrix(data, params.m)
     return _gaussian_ll(X - params.c, params.W, params.psi)
 
 

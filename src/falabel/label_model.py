@@ -13,11 +13,21 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr  # the normal CDF; the stats subpackage would slow every CLI start
 
 from .errors import ValidationError
 from .fa_core import FAParams, FitConfig, params_from_dict, params_to_dict, posterior_moments
-from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _dump_json, _fields, _read_json
+from .labelling import (
+    ABSTAIN,
+    GoldLabels,
+    LabelMatrix,
+    _dump_json,
+    _fields,
+    _int_cells,
+    _read_csv,
+    _read_json,
+    _write_csv,
+)
 
 THRESHOLD_KINDS = ("median", "mean", "cdf_youden")
 
@@ -87,12 +97,8 @@ def orient_factor(z_train: np.ndarray, matrix: LabelMatrix) -> int:
 
 
 def _latent_threshold(kind: str, z_raw: np.ndarray) -> float:
-    """Threshold on the raw training factor; even-count medians average the middle pair."""
-    if kind == "median":
-        return float(np.median(z_raw))
-    if kind == "mean":
-        return float(np.mean(z_raw))
-    raise ValidationError(f"no latent threshold for kind {kind!r}")
+    """Median (of an even count: the middle pair's mean) or mean of the raw training factor."""
+    return float(np.median(z_raw) if kind == "median" else np.mean(z_raw))
 
 
 def youden_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
@@ -158,7 +164,7 @@ def build_label_model(
         if dev_gold.n != dev_matrix.n:
             raise ValidationError("dev gold labels must match the dev matrix row count")
         dev_scores = orientation * posterior_moments(params, dev_matrix).mean[:, 0]
-        dev_cdf = norm.cdf((dev_scores - train_mean) / train_std)
+        dev_cdf = ndtr((dev_scores - train_mean) / train_std)
         if dev_gold.mask is not None:
             dev_cdf = dev_cdf[dev_gold.mask]
         threshold_value, _ = youden_threshold(dev_cdf, dev_gold.labelled_values())
@@ -199,10 +205,14 @@ def predict(model: LabelModel, matrix: LabelMatrix) -> Predictions:
     comparison; for cdf_youden the oriented score is first standardized by
     the training-factor moments and pushed through the normal CDF.
     """
-    moments = posterior_moments(model.params, matrix)
-    scores = model.orientation * moments.mean[:, 0]
+    return _label(model, posterior_moments(model.params, matrix).mean)
+
+
+def _label(model: LabelModel, factor_means: np.ndarray) -> Predictions:
+    """:func:`predict` on rows whose posterior factor means are ``factor_means``."""
+    scores = model.orientation * factor_means[:, 0]
     if model.threshold_kind == "cdf_youden":
-        u = norm.cdf((scores - model.train_factor_mean) / model.train_factor_std)
+        u = ndtr((scores - model.train_factor_mean) / model.train_factor_std)
         labels = u > model.threshold_value
     else:
         labels = scores > model.orientation * model.threshold_value
@@ -224,32 +234,29 @@ def export_factors(
         raise ValidationError(
             f"gold labels have {gold.n} rows but the matrix has {matrix.n}"
         )
-    moments = posterior_moments(model.params, matrix)
-    preds = predict(model, matrix)
+    means = posterior_moments(model.params, matrix).mean
+    preds = _label(model, means)
     n_factors = min(model.params.k, 2)
     header = [f"factor{i + 1}" for i in range(n_factors)] + ["score", "label_pred"]
+    columns = [*means[:, :n_factors].T.tolist(), preds.scores.tolist(), preds.labels.tolist()]
     if gold is not None:
         header.append("label_gold")
-    lines = [",".join(header)]
-    for i in range(matrix.n):
-        row = [repr(float(moments.mean[i, f])) for f in range(n_factors)]
-        row.append(repr(float(preds.scores[i])))
-        row.append(str(int(preds.labels[i])))
-        if gold is not None:
-            row.append(str(int(gold.values[i])))
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+        columns.append(gold.values.tolist())
+    return _write_csv([header, *zip(*columns)], path)
 
 
 def save_predictions(preds: Predictions, path) -> None:
     """Predictions CSV: columns index,score,label."""
-    lines = ["index,score,label"]
-    for i, (score, label) in enumerate(zip(preds.scores, preds.labels)):
-        lines.append(f"{i},{float(score)!r},{int(label)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = zip(range(len(preds.labels)), preds.scores.tolist(), preds.labels.tolist())
+    _write_csv([("index", "score", "label"), *rows], path)
+
+
+def _load_prediction_labels(path) -> np.ndarray:
+    """The label column, each in {0, 1}, of a CSV written by :func:`save_predictions`."""
+    header, rows = _read_csv(path, "predictions")
+    if header != ["index", "score", "label"]:
+        raise ValidationError(f"{Path(path)}: expected header 'index,score,label'")
+    return _int_cells(path, [row[2:] for row in rows], (0, 1), "label")[:, 0]
 
 
 def save_label_model(model: LabelModel, path) -> None:

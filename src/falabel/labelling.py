@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 from contextlib import contextmanager
@@ -206,11 +207,68 @@ def _dump_json(payload: dict, path=None) -> str:
     return text
 
 
-def _csv_header(names) -> str:
-    """One CSV line of ``names``, quoting any name that holds a comma, quote or line break."""
+def _read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the data rows of the CSV file of a ``what``.
+
+    A missing or empty file, a row with another field count than the header
+    (a blank line has 0 fields) or no data rows is a ValidationError.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"{what} file not found: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: line {line} has {len(row)} fields, expected {len(header)}"
+            )
+    if len(rows) == 1:
+        raise ValidationError(f"{path}: no data rows")
+    return header, rows[1:]
+
+
+def _int_cells(path, rows, allowed, noun: str, where=lambda i, j: f"line {i + 2}") -> np.ndarray:
+    """The cells of ``rows`` as an int64 array, each in ``allowed``.
+
+    Else a ValidationError names the first bad cell in row-major order as the
+    ``noun`` at ``where(i, j)`` (data row i, column j; by default its line).
+    """
+    try:
+        cells = map(int, map(str.strip, itertools.chain.from_iterable(rows)))
+        values = np.fromiter(cells, np.int64, len(rows) * len(rows[0])).reshape(len(rows), -1)
+        if np.isin(values, allowed).all():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    # The bulk parse failed, so one of these cells is at fault.
+    allowed_text = "{" + ", ".join(map(str, allowed)) + "}"
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                value = int(cell.strip())
+            except ValueError:
+                raise ValidationError(
+                    f"{Path(path)}: non-integer {noun} {cell!r} at {where(i, j)}"
+                ) from None
+            if value not in allowed:
+                raise ValidationError(
+                    f"{Path(path)}: {noun} {value} at {where(i, j)} is not in {allowed_text}"
+                )
+
+
+def _write_csv(rows, path=None) -> str:
+    """CSV text of ``rows`` ('\\n' line ends; a field is quoted only when it
+    holds a comma, quote or line break); also written to ``path`` when given."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(names)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def load_label_matrix(path) -> LabelMatrix:
@@ -219,81 +277,28 @@ def load_label_matrix(path) -> LabelMatrix:
     Raises ValidationError naming the offending cell for out-of-range or
     non-integer entries, and for ragged rows or duplicate LF names.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"label matrix file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(names):
-                raise ValidationError(
-                    f"{path}: line {line_no} has {len(row)} fields, expected {len(names)}"
-                )
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    value = int(cell.strip())
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: non-integer entry {cell!r} at row {line_no - 1}, "
-                        f"column '{names[j]}'"
-                    ) from None
-                if value not in VALID_ENTRIES:
-                    raise ValidationError(
-                        f"{path}: entry {value} at row {line_no - 1}, column '{names[j]}' "
-                        f"is not in {{-1, 0, 1}}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return LabelMatrix(values=np.array(rows, dtype=np.int64), lf_names=tuple(names))
+    names, rows = _read_csv(path, "label matrix")
+    values = _int_cells(
+        path, rows, VALID_ENTRIES, "entry", lambda i, j: f"row {i + 1}, column '{names[j]}'"
+    )
+    return LabelMatrix(values=values, lf_names=tuple(names))
 
 
 def save_label_matrix(matrix: LabelMatrix, path) -> None:
     """Write the canonical CSV form (UTF-8, '\\n' line endings)."""
-    lines = [",".join(str(int(v)) for v in row) for row in matrix.values]
-    Path(path).write_text(_csv_header(matrix.lf_names) + "\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv([matrix.lf_names, *matrix.values.tolist()], path)
 
 
 def load_gold_labels(path) -> GoldLabels:
     """Read gold labels from a single-column CSV with header 'y'."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"gold labels file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["y"]:
-            raise ValidationError(f"{path}: expected single header column 'y', got {header}")
-        values = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 1:
-                raise ValidationError(f"{path}: line {line_no} has {len(row)} fields, expected 1")
-            try:
-                value = int(row[0].strip())
-            except ValueError:
-                raise ValidationError(f"{path}: non-integer label {row[0]!r} at line {line_no}") from None
-            if value not in (0, 1):
-                raise ValidationError(f"{path}: label {value} at line {line_no} is not in {{0, 1}}")
-            values.append(value)
-    if not values:
-        raise ValidationError(f"{path}: no data rows")
-    return GoldLabels(values=np.array(values, dtype=np.int64))
+    header, rows = _read_csv(path, "gold labels")
+    if header != ["y"]:
+        raise ValidationError(f"{Path(path)}: expected single header column 'y', got {header}")
+    return GoldLabels(values=_int_cells(path, rows, (0, 1), "label")[:, 0])
 
 
 def save_gold_labels(gold: GoldLabels, path) -> None:
-    lines = ["y"] + [str(int(v)) for v in gold.values]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv([["y"], *gold.values[:, None].tolist()], path)
 
 
 def load_lf_specs(path) -> list[LFSpec]:

@@ -11,7 +11,7 @@ from .ci_baseline import ci_predict, fit_ci_em, majority_vote
 from .errors import ValidationError
 from .fa_core import FitConfig, fit_fa_em, fit_fa_vi
 from .label_model import Predictions, build_label_model, predict
-from .labelling import GoldLabels, LabelMatrix, _dump_json
+from .labelling import GoldLabels, LabelMatrix, _dump_json, _write_csv
 
 DEFAULT_SWEEP_SIZES = (10, 20, 30, 40, 50, 60)
 
@@ -191,14 +191,11 @@ class SweepResult:
         return rows
 
     def to_csv(self) -> str:
-        lines = ["method,size,repeat,accuracy,precision,recall,f1"]
+        rows = [("method", "size", "repeat", "accuracy", "precision", "recall", "f1")]
         for r in self.records:
             m = r.metrics
-            lines.append(
-                f"{r.method},{r.size},{r.repeat},"
-                f"{m.accuracy!r},{m.precision!r},{m.recall!r},{m.f1!r}"
-            )
-        return "\n".join(lines) + "\n"
+            rows.append((r.method, r.size, r.repeat, m.accuracy, m.precision, m.recall, m.f1))
+        return _write_csv(rows)
 
 
 def robustness_sweep(

@@ -347,3 +347,64 @@ def test_python_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert load_label_matrix(mpath).n == 20
     assert gpath.read_text().startswith("y\n")
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import falabel
+
+    env = dict(os.environ, PYTHONPATH=str(Path(falabel.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, falabel.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_stats_quotes_lf_names(tmp_path, capsys):
+    import csv
+    import io
+
+    records = tmp_path / "records.txt"
+    records.write_text("buy now\nhello there\nbuy, hello\n")
+    specs = tmp_path / "lfs.json"
+    specs.write_text(
+        json.dumps(
+            [
+                {"name": "kw,buy", "kind": "keyword", "pattern": "buy", "vote_on_match": 1},
+                {"name": 'say "hi"', "kind": "keyword", "pattern": "hello", "vote_on_match": 0},
+            ]
+        )
+    )
+    matrix = tmp_path / "m.csv"
+    assert main(["apply-lfs", str(records), str(specs), "--out", str(matrix)]) == 0
+    assert main(["stats", str(matrix)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert rows[0] == ["metric", "lf", "value"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[1] for row in rows if row[0] == "count_abstain"] == ["kw,buy", 'say "hi"']
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("index,score,label\n0,0.1,x\n", "non-integer label 'x' at line 2"),
+        ("", "empty file"),
+        ("index,score,label\n0,0.1,1\n1,0.2\n", "line 3 has 2 fields, expected 3"),
+        ("index,score,label\n0,0.1,2\n", "label 2 at line 2 is not in {0, 1}"),
+    ],
+    ids=["non-integer", "empty", "ragged", "label-2"],
+)
+def test_malformed_predictions_exit_2(tmp_path, capsys, content, message):
+    pred = tmp_path / "pred.csv"
+    pred.write_text(content)
+    gold = tmp_path / "gold.csv"
+    gold.write_text("y\n1\n")
+    assert main(["evaluate", str(pred), str(gold)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -1,5 +1,6 @@
 """Round-trip properties for every file format the package reads and writes."""
 
+import csv
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from falabel import (
     GoldLabels,
     LabelMatrix,
     LabelModel,
+    Predictions,
     SyntheticSpec,
     load_ci_params,
     load_gold_labels,
@@ -24,8 +26,11 @@ from falabel import (
     save_gold_labels,
     save_label_matrix,
     save_label_model,
+    save_predictions,
     save_spec,
 )
+from falabel.cli import main
+from falabel.label_model import _load_prediction_labels
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -139,3 +144,34 @@ def test_ci_params_json_roundtrip(params):
 @given(specs())
 def test_synthetic_spec_json_roundtrip(spec):
     assert roundtrip(spec, save_spec, load_spec) == spec
+
+
+@SETTINGS
+@given(
+    arrays(np.int64, st.integers(1, 20), elements=st.sampled_from([0, 1])),
+    st.data(),
+)
+def test_predictions_csv_roundtrip(labels, data):
+    scores = data.draw(arrays(float, labels.shape, elements=finite))
+    preds = Predictions(labels=labels, scores=scores)
+    np.testing.assert_array_equal(roundtrip(preds, save_predictions, _load_prediction_labels), labels)
+
+
+@SETTINGS
+@given(label_matrices().filter(lambda matrix: matrix.n >= 2))
+def test_stats_and_cov_csv_keep_lf_names(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, stats, cov = (Path(tmp) / name for name in ("m.csv", "stats.csv", "cov.csv"))
+        save_label_matrix(matrix, path)
+        assert main(["stats", str(path), "--out", str(stats)]) == 0
+        assert main(["cov", str(path), "--out", str(cov)]) == 0
+        with open(stats, newline="", encoding="utf-8") as fh:
+            stats_rows = list(csv.reader(fh))
+        with open(cov, newline="", encoding="utf-8") as fh:
+            cov_rows = list(csv.reader(fh))
+    assert all(len(row) == 3 for row in stats_rows)
+    names = [row[1] for row in stats_rows if row[0] == "count_abstain"]
+    assert tuple(names) == matrix.lf_names
+    assert tuple(cov_rows[0]) == matrix.lf_names
+    assert len(cov_rows) == matrix.m + 1
+    assert all(len(row) == matrix.m for row in cov_rows)
