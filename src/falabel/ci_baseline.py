@@ -3,8 +3,9 @@
 The CI model is a two-component mixture: a latent Bernoulli class y
 generates each LF's output independently through a per-LF categorical
 over the three emissions (-1 abstain, 0 negative, 1 positive).  It is
-fit by EM on the unlabelled matrix; the exact Bayes posterior over y
-then scores each row.  Majority vote needs no fitting.
+fit by EM on the count-weighted distinct rows of the unlabelled matrix
+(at most 3^m of them); the exact Bayes posterior over y then scores
+each row.  Majority vote needs no fitting.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ValidationError
 from .fa_core import FitReport, _fit_loop
@@ -59,15 +59,14 @@ class CIParams:
 
 
 def _one_hot(values: np.ndarray) -> np.ndarray:
-    """(n, m, 3) indicator of each entry's emission symbol."""
-    return np.stack([values == v for v in EMISSION_VALUES], axis=2).astype(float)
+    """(n, 3m) indicator: column 3j + v is 1 where LF j emits EMISSION_VALUES[v]."""
+    return (values[:, :, None] == np.array(EMISSION_VALUES)).reshape(len(values), -1).astype(float)
 
 
 def _log_class_scores(E: np.ndarray, class_prior: float, emissions: np.ndarray) -> np.ndarray:
-    """(n, 2) array of log P(y) + log P(row | y)."""
-    log_em = np.log(emissions)  # (m, 2, 3)
-    per_row = np.einsum("njv,jyv->ny", E, log_em)
-    return per_row + np.log([1.0 - class_prior, class_prior])
+    """(n, 2) array of log P(y) + log P(row | y) for the rows one-hot coded in E."""
+    log_em = np.log(emissions).transpose(0, 2, 1).reshape(-1, 2)  # (3m, 2), rows as in E
+    return E @ log_em + np.log([1.0 - class_prior, class_prior])
 
 
 def fit_ci_em(
@@ -90,28 +89,30 @@ def fit_ci_em(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
-    E = _one_hot(matrix.values)
+    patterns, inverse = np.unique(matrix.values, axis=0, return_inverse=True)
+    E, counts = _one_hot(patterns), np.bincount(inverse).astype(float)  # (u, 3m), (u,)
 
     rng = np.random.default_rng(seed)
     mv = majority_vote(matrix, tie_policy="negative")
     r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
-    r1 = np.clip(r1, 0.05, 0.95)
+    # the state: class-1 responsibility summed over each distinct row's copies
+    mass1 = np.bincount(inverse, weights=np.clip(r1, 0.05, 0.95))
 
     def step(state):
         # M-step from the responsibilities, then the likelihood of the new
         # parameters and the responsibilities they imply (the next E-step)
-        resp1 = state[-1]
-        resp = np.stack([1.0 - resp1, resp1], axis=1)  # (n, 2)
-        prior = float(np.clip(resp1.mean(), PROB_FLOOR, 1.0 - PROB_FLOOR))
-        emissions = np.einsum("ny,njv->jyv", resp, E) / resp.sum(axis=0)[None, :, None]
+        mass = np.column_stack([counts - state[-1], state[-1]])  # (u, 2) class mass per pattern
+        class_mass = mass.sum(axis=0)
+        prior = float(np.clip(class_mass[1] / matrix.n, PROB_FLOOR, 1.0 - PROB_FLOOR))
+        emissions = (E.T @ mass).reshape(matrix.m, 3, 2).transpose(0, 2, 1) / class_mass[:, None]
         # floor by mixing with uniform: keeps every probability >= PROB_FLOOR
         # and each distribution summing to exactly 1
         emissions = (1.0 - 3.0 * PROB_FLOOR) * emissions + PROB_FLOOR
         scores = _log_class_scores(E, prior, emissions)
-        row_ll = logsumexp(scores, axis=1)
-        return (prior, emissions, np.exp(scores[:, 1] - row_ll)), float(row_ll.sum())
+        row_ll = np.logaddexp(scores[:, 0], scores[:, 1])
+        return (prior, emissions, counts * np.exp(scores[:, 1] - row_ll)), float(counts @ row_ll)
 
-    (prior, emissions, _), report = _fit_loop(step, (r1,), max_iter, tol, "em", "likelihood")
+    (prior, emissions, _), report = _fit_loop(step, (mass1,), max_iter, tol, "em", "likelihood")
 
     # canonicalize: class 1 = component with the higher mean P(emit 1 | class)
     if emissions[:, 0, 2].mean() > emissions[:, 1, 2].mean():
@@ -127,9 +128,8 @@ def ci_posterior(params: CIParams, matrix: LabelMatrix) -> np.ndarray:
         raise ValidationError(
             f"matrix has {matrix.m} columns but the model expects {params.m}"
         )
-    E = _one_hot(matrix.values)
-    scores = _log_class_scores(E, params.class_prior, params.emissions)
-    return np.exp(scores[:, 1] - logsumexp(scores, axis=1))
+    scores = _log_class_scores(_one_hot(matrix.values), params.class_prior, params.emissions)
+    return np.exp(scores[:, 1] - np.logaddexp(scores[:, 0], scores[:, 1]))
 
 
 def ci_predict(params: CIParams, matrix: LabelMatrix) -> Predictions:

@@ -209,9 +209,9 @@ def cmd_apply_lfs(args) -> int:
     path = Path(args.records)
     if not path.is_file():
         raise ValidationError(f"records file not found: {path}")
-    records = path.read_text(encoding="utf-8").splitlines()
-    specs = load_lf_specs(args.specs)
-    matrix = apply_lfs(records, specs)
+    # text mode turns "\r\n" and "\r" into "\n"; splitlines() would also split at U+2028
+    lines = path.read_text(encoding="utf-8").split("\n")
+    matrix = apply_lfs(lines[:-1] if lines[-1] == "" else lines, load_lf_specs(args.specs))
     save_label_matrix(matrix, args.out)
     return 0
 

@@ -119,16 +119,16 @@ def youden_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float
     n_neg = int((gold == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("Youden threshold requires both classes in the dev labels")
-    candidates = np.concatenate([[scores.min() - 1.0], np.unique(scores)])
-    best_t, best_j = candidates[0], -np.inf
-    for t in candidates:
-        pred = scores > t
-        tpr = (pred & (gold == 1)).sum() / n_pos
-        fpr = (pred & (gold == 0)).sum() / n_neg
-        j = tpr - fpr
-        if j > best_j:
-            best_j, best_t = j, t
-    return float(best_t), float(best_j)
+    cuts, inverse = np.unique(scores, return_inverse=True)
+    candidates = np.concatenate([[scores.min() - 1.0], cuts])
+    # rows of each class scoring above each candidate: its total minus those at or below it
+    tp, fp = (
+        total - np.cumsum(np.bincount(inverse[gold == label] + 1, minlength=candidates.size))
+        for label, total in ((1, n_pos), (0, n_neg))
+    )
+    j = tp / n_pos - fp / n_neg
+    best = int(np.argmax(j))  # the first maximiser: the smallest cut
+    return float(candidates[best]), float(j[best])
 
 
 def build_label_model(

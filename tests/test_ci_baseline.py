@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from falabel import (
     CIParams,
@@ -11,7 +14,8 @@ from falabel import (
     majority_vote,
     save_ci_params,
 )
-from falabel.ci_baseline import EMISSION_VALUES
+from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR
+from falabel.fa_core import _fit_loop
 
 
 def brute_force_posterior(params: CIParams, matrix: LabelMatrix) -> np.ndarray:
@@ -234,3 +238,90 @@ def test_capped_fit_reports_likelihood_of_returned_params(max_iter):
     scores = _log_class_scores(_one_hot(matrix.values), params.class_prior, params.emissions)
     recomputed = float(logsumexp(scores, axis=1).sum())
     assert recomputed == pytest.approx(report.final_log_likelihood, rel=1e-12, abs=0.0)
+
+
+def row_wise_fit_ci_em(matrix: LabelMatrix, max_iter=1000, tol=1e-4, seed=123):
+    """Reference: the same EM over every row, with an (n, m, 3) one-hot and
+    one einsum for each of the M-step and the E-step."""
+    E = np.stack([matrix.values == v for v in EMISSION_VALUES], axis=2).astype(float)
+    rng = np.random.default_rng(seed)
+    mv = majority_vote(matrix, tie_policy="negative")
+    r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
+    r1 = np.clip(r1, 0.05, 0.95)
+
+    def step(state):
+        resp1 = state[-1]
+        resp = np.stack([1.0 - resp1, resp1], axis=1)
+        prior = float(np.clip(resp1.mean(), PROB_FLOOR, 1.0 - PROB_FLOOR))
+        emissions = np.einsum("ny,njv->jyv", resp, E) / resp.sum(axis=0)[None, :, None]
+        emissions = (1.0 - 3.0 * PROB_FLOOR) * emissions + PROB_FLOOR
+        scores = np.einsum("njv,jyv->ny", E, np.log(emissions)) + np.log([1.0 - prior, prior])
+        row_ll = logsumexp(scores, axis=1)
+        return (prior, emissions, np.exp(scores[:, 1] - row_ll)), float(row_ll.sum())
+
+    (prior, emissions, _), report = _fit_loop(step, (r1,), max_iter, tol, "em", "likelihood")
+    if emissions[:, 0, 2].mean() > emissions[:, 1, 2].mean():
+        prior, emissions = 1.0 - prior, emissions[:, ::-1, :]
+    return prior, emissions, report
+
+
+def assert_fit_matches_row_wise(matrix: LabelMatrix, **kwargs):
+    params, report = fit_ci_em(matrix, **kwargs)
+    prior, emissions, expected = row_wise_fit_ci_em(matrix, **kwargs)
+    assert (report.iterations, report.converged) == (expected.iterations, expected.converged)
+    tied = abs(emissions[:, 0, 2].mean() - emissions[:, 1, 2].mean()) < 1e-9
+    if tied and not np.allclose(params.emissions, emissions, rtol=0.0, atol=1e-9):
+        # both classes match vote value 1 equally well, so rounding decides the
+        # canonical orientation: either labelling of the classes is the fit
+        prior, emissions = 1.0 - prior, emissions[:, ::-1, :]
+    np.testing.assert_allclose(report.ll_trace, expected.ll_trace, rtol=1e-9, atol=0.0)
+    assert params.class_prior == pytest.approx(prior, abs=1e-9)
+    np.testing.assert_allclose(params.emissions, emissions, rtol=0.0, atol=1e-9)
+
+
+def lf_matrix(values) -> LabelMatrix:
+    values = np.asarray(values)
+    return LabelMatrix(values=values, lf_names=tuple(f"lf{j}" for j in range(values.shape[1])))
+
+
+@st.composite
+def vote_matrices(draw, max_m=8):
+    n, m = draw(st.integers(2, 300)), draw(st.integers(1, max_m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rows drawn from a pool of patterns: a small pool repeats rows, a large one rarely does
+    pool = rng.choice([-1, 0, 1], p=rng.dirichlet(np.ones(3)), size=(draw(st.integers(1, 300)), m))
+    return lf_matrix(pool[rng.integers(0, len(pool), size=n)])
+
+
+@given(vote_matrices(), st.integers(0, 2**16))
+def test_compressed_fit_matches_row_wise_em(matrix, seed):
+    assert_fit_matches_row_wise(matrix, seed=seed)
+
+
+@given(vote_matrices(max_m=6), st.data())
+def test_posterior_matches_enumeration(matrix, data):
+    tables = st.lists(st.floats(0.01, 1.0), min_size=6 * matrix.m, max_size=6 * matrix.m)
+    raw = np.array(data.draw(tables)).reshape(matrix.m, 2, 3)
+    emissions = raw / raw.sum(axis=2, keepdims=True)
+    params = CIParams(class_prior=data.draw(st.floats(0.01, 0.99)), emissions=emissions)
+    np.testing.assert_allclose(
+        ci_posterior(params, matrix), brute_force_posterior(params, matrix), rtol=0.0, atol=1e-12
+    )
+
+
+class TestCompressedFitEdgeCases:
+    @pytest.mark.parametrize("row", [[1, 0, -1], [-1, -1, -1], [1, 1, 1]])
+    def test_every_row_the_same_pattern(self, row):
+        matrix = lf_matrix(np.tile(row, (50, 1)))
+        assert_fit_matches_row_wise(matrix, seed=6)
+        posterior = ci_posterior(fit_ci_em(matrix, seed=6)[0], matrix)
+        assert np.isfinite(posterior).all() and np.ptp(posterior) == 0.0
+
+    def test_every_row_distinct(self):
+        matrix = lf_matrix(np.random.default_rng(10).integers(-1, 2, size=(300, 50)))
+        assert len(np.unique(matrix.values, axis=0)) == matrix.n
+        assert_fit_matches_row_wise(matrix, seed=7)
+
+    @pytest.mark.parametrize("values", [[[1, 0], [0, 1]], [[1, -1], [1, -1]], [[-1, -1], [0, 1]]])
+    def test_two_rows(self, values):
+        assert_fit_matches_row_wise(lf_matrix(values), seed=8)

@@ -293,6 +293,33 @@ class TestApplyLFs:
         matrix = load_label_matrix(out)
         np.testing.assert_array_equal(matrix.values, [[1, -1], [-1, 0], [1, -1]])
 
+    @pytest.mark.parametrize(
+        "content, rows",
+        [
+            # U+2028, U+0085 and \x1c-\x1e end a line for str.splitlines, not for a records file
+            ("cheap\u2028deal\nnormal\n", [[1, -1], [-1, 0]]),
+            ("a\x85b\x1ccheap\x1dc\x1ed\nnormal", [[1, -1], [-1, 0]]),
+            ("cheap\r\nnormal\r\n\r\ncheap normal\r\n", [[1, -1], [-1, 0], [-1, -1], [1, 0]]),
+            ("cheap\rnormal\r", [[1, -1], [-1, 0]]),
+        ],
+        ids=["u2028", "u0085-x1c-x1e", "crlf", "cr"],
+    )
+    def test_apply_lfs_one_row_per_line(self, tmp_path, content, rows):
+        records = tmp_path / "records.txt"
+        records.write_bytes(content.encode("utf-8"))
+        specs = tmp_path / "lfs.json"
+        specs.write_text(
+            json.dumps(
+                [
+                    {"name": "kw_cheap", "kind": "keyword", "pattern": "cheap", "vote_on_match": 1},
+                    {"name": "re_normal", "kind": "regex", "pattern": "normal", "vote_on_match": 0},
+                ]
+            )
+        )
+        out = tmp_path / "matrix.csv"
+        assert main(["apply-lfs", str(records), str(specs), "--out", str(out)]) == 0
+        np.testing.assert_array_equal(load_label_matrix(out).values, rows)
+
 
 @pytest.mark.parametrize(
     "route, field, value",

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,8 +31,6 @@ from falabel import (
 )
 from falabel.cli import main
 from falabel.label_model import _load_prediction_labels
-
-SETTINGS = settings(max_examples=30, deadline=None)
 
 lf_names = st.lists(
     st.text(
@@ -107,20 +105,17 @@ def specs(draw):
     )
 
 
-@SETTINGS
 @given(label_matrices())
 def test_label_matrix_csv_roundtrip(matrix):
     assert roundtrip(matrix, save_label_matrix, load_label_matrix) == matrix
 
 
-@SETTINGS
 @given(arrays(np.int64, st.integers(1, 20), elements=st.sampled_from([0, 1])))
 def test_gold_csv_roundtrip(values):
     loaded = roundtrip(GoldLabels(values=values), save_gold_labels, load_gold_labels)
     np.testing.assert_array_equal(loaded.values, values)
 
 
-@SETTINGS
 @given(label_models())
 def test_label_model_json_roundtrip(model):
     loaded = roundtrip(model, save_label_model, load_label_model)
@@ -132,7 +127,6 @@ def test_label_model_json_roundtrip(model):
         assert getattr(loaded, name) == getattr(model, name)
 
 
-@SETTINGS
 @given(ci_params())
 def test_ci_params_json_roundtrip(params):
     loaded = roundtrip(params, save_ci_params, load_ci_params)
@@ -140,13 +134,11 @@ def test_ci_params_json_roundtrip(params):
     np.testing.assert_array_equal(loaded.emissions, params.emissions)
 
 
-@SETTINGS
 @given(specs())
 def test_synthetic_spec_json_roundtrip(spec):
     assert roundtrip(spec, save_spec, load_spec) == spec
 
 
-@SETTINGS
 @given(
     arrays(np.int64, st.integers(1, 20), elements=st.sampled_from([0, 1])),
     st.data(),
@@ -157,7 +149,6 @@ def test_predictions_csv_roundtrip(labels, data):
     np.testing.assert_array_equal(roundtrip(preds, save_predictions, _load_prediction_labels), labels)
 
 
-@SETTINGS
 @given(label_matrices().filter(lambda matrix: matrix.n >= 2))
 def test_stats_and_cov_csv_keep_lf_names(matrix):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from falabel import (
     FAParams,
@@ -257,3 +259,28 @@ class TestLabelModelIO:
         p.write_text('{"k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [1.0]}')
         with pytest.raises(ValidationError, match="missing field"):
             load_label_model(p)
+
+
+def youden_by_scan(scores, gold):
+    """Reference: one full pass per candidate cut, ascending; the first strict
+    improvement wins, so ties go to the smallest cut."""
+    n_pos, n_neg = int((gold == 1).sum()), int((gold == 0).sum())
+    candidates = np.concatenate([[scores.min() - 1.0], np.unique(scores)])
+    best_t, best_j = candidates[0], -np.inf
+    for t in candidates:
+        pred = scores > t
+        j = (pred & (gold == 1)).sum() / n_pos - (pred & (gold == 0)).sum() / n_neg
+        if j > best_j:
+            best_j, best_t = j, t
+    return float(best_t), float(best_j)
+
+
+@given(st.data())
+def test_youden_equals_the_per_cut_scan_on_tied_scores(data):
+    n = data.draw(st.integers(2, 200))
+    # few distinct values, so most scores are tied with others
+    levels = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
+    scores = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    gold = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    gold[:2] = data.draw(st.permutations([0, 1]))
+    assert youden_threshold(scores, gold) == youden_by_scan(scores, gold)
