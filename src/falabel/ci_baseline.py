@@ -80,8 +80,8 @@ def fit_ci_em(
     Responsibilities start from a majority-vote soft assignment plus a
     seeded jitter to break symmetry; probabilities are floored at
     PROB_FLOOR and renormalized after every M-step.  After convergence
-    the classes are canonicalized so the component whose emissions better
-    match vote value 1 (higher average P(emit 1 | class)) is class 1.
+    the classes are canonicalized so class 1 better matches vote value 1: by
+    mean P(emit 1 | class), then LF by LF, with gaps of 1e-9 or less tying.
     """
     if matrix.n < 2:
         raise ValidationError(f"CI fitting requires n >= 2 rows, got {matrix.n}")
@@ -89,7 +89,10 @@ def fit_ci_em(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
-    patterns, inverse = np.unique(matrix.values, axis=0, return_inverse=True)
+    # rows as m-byte keys; votes + 1 makes byte order the order of np.unique(axis=0)
+    codes = np.ascontiguousarray(matrix.values, dtype=np.int8) + 1
+    keys, inverse = np.unique(codes.view(np.dtype((np.void, matrix.m))).ravel(), return_inverse=True)
+    patterns = keys.view(np.int8).reshape(-1, matrix.m) - 1
     E, counts = _one_hot(patterns), np.bincount(inverse).astype(float)  # (u, 3m), (u,)
 
     rng = np.random.default_rng(seed)
@@ -114,8 +117,10 @@ def fit_ci_em(
 
     (prior, emissions, _), report = _fit_loop(step, (mass1,), max_iter, tol, "em", "likelihood")
 
-    # canonicalize: class 1 = component with the higher mean P(emit 1 | class)
-    if emissions[:, 0, 2].mean() > emissions[:, 1, 2].mean():
+    # canonicalize by the first gap above 1e-9, so rounding cannot decide
+    gap = emissions[:, 1, 2] - emissions[:, 0, 2]
+    decisive = [d for d in (gap.mean(), *gap) if abs(d) > 1e-9]
+    if decisive and decisive[0] < 0:
         prior = 1.0 - prior
         emissions = emissions[:, ::-1, :].copy()
 

@@ -10,6 +10,10 @@ The bias c is fixed at the column means (its closed-form maximum-likelihood
 value); W and psi are fitted either by expectation-maximization or by
 coordinate-ascent variational inference on the evidence lower bound.
 
+Both fits see the rows only through n, c and S = (X - c)^T (X - c) / n:
+a centred row x has posterior factor mean A^T x, so every step and objective
+is a quadratic form in S, O(m^3) per iteration after one O(n m^2) pass.
+
 Fitting accepts a :class:`~falabel.labelling.LabelMatrix` (entries cast to
 the reals -1.0/0.0/1.0) or any (n, m) float array.
 """
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .labelling import LabelMatrix, _dump_json, _fields, _read_json
@@ -46,8 +49,10 @@ class FitConfig:
     seed : int
         Drives the random initialization route only.
     init : str
-        "svd" seeds W from the top-k singular vectors of the centered data
-        scaled by their singular values; "random" draws W from N(0, 0.01).
+        "svd" seeds W from the top-k eigenvectors of S scaled by the square
+        roots of their eigenvalues; "random" draws W from N(0, 0.01).  Each
+        column of the initial W is then flipped to sum to >= 0, which fixes
+        the sign of the fitted W.
     """
 
     k: int = 1
@@ -166,50 +171,50 @@ def _as_float_matrix(data, m: int | None = None) -> np.ndarray:
     return X
 
 
-def _init_params(Xc: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    n, m = Xc.shape
-    col_var = (Xc**2).mean(axis=0)
+def _second_moment(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """S = (X - c)^T (X - c) / n, the second moment of the rows about c (0 if none)."""
+    Xc = X - c
+    return Xc.T @ Xc / max(len(Xc), 1)
+
+
+def _init_params(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
     if cfg.init == "svd":
-        _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-        W = Vt[: cfg.k].T * (s[: cfg.k] / np.sqrt(n))
+        eigval, eigvec = np.linalg.eigh(S)  # ascending
+        W = eigvec[:, ::-1][:, : cfg.k] * np.sqrt(np.maximum(eigval[::-1][: cfg.k], 0.0))
     else:
         rng = np.random.default_rng(cfg.seed)
-        W = rng.normal(0.0, 0.1, size=(m, cfg.k))
-    psi = np.maximum(col_var - (W**2).sum(axis=1), cfg.psi_floor)
+        W = rng.normal(0.0, 0.1, size=(len(S), cfg.k))
+    # the sign rule; EM and VI map -W to -W exactly, so it fixes the fitted sign
+    W = np.where(W.sum(axis=0) < 0.0, -W, W)
+    psi = np.maximum(np.diag(S) - (W**2).sum(axis=1), cfg.psi_floor)
     return W, psi
 
 
 def _em_step(
-    Xc: np.ndarray, W: np.ndarray, psi: np.ndarray, psi_floor: float
+    S: np.ndarray, W: np.ndarray, psi: np.ndarray, psi_floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One EM update of (W, psi) on centered data.
+    """One EM update of (W, psi) from S.
 
-    E-step: G = (I + W^T Psi^-1 W)^-1 and per-row posterior means
-    M = Xc Psi^-1 W G.  M-step: W maximizes the expected complete-data
-    log-likelihood given the moments; psi picks up the residual diagonal
-    variance and is clamped at ``psi_floor``.
+    E-step: G = (I + W^T Psi^-1 W)^-1 and posterior means A^T x with
+    A = Psi^-1 W G, so the average E[z z^T] is G + A^T S A.
     """
-    n = Xc.shape[0]
-    k = W.shape[1]
     precision = 1.0 / psi
-    G = np.linalg.inv(np.eye(k) + (W.T * precision) @ W)
-    M = Xc @ (precision[:, None] * W) @ G
-    return _m_step(Xc, M, n * G + M.T @ M, psi_floor)
+    G = np.linalg.inv(np.eye(W.shape[1]) + (W.T * precision) @ W)
+    A = (precision[:, None] * W) @ G
+    SA = S @ A
+    return _m_step(S, SA, G + A.T @ SA, psi_floor)
 
 
 def _m_step(
-    Xc: np.ndarray, M: np.ndarray, Ezz: np.ndarray, psi_floor: float
+    S: np.ndarray, SA: np.ndarray, Ezz: np.ndarray, psi_floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (W, psi) update shared by EM and VI.
 
-    Given the posterior factor means M (n, k) and the summed second moment
-    Ezz = sum_i E[z_i z_i^T], W solves W Ezz = Xc^T M; psi is the residual
-    diagonal variance, clamped at ``psi_floor``.
+    Given SA = S A (the average x E[z]^T) and the average E[z z^T], W solves
+    W Ezz = S A; psi = diag(S) - rowsum(S A * W), clamped at ``psi_floor``.
     """
-    n = Xc.shape[0]
-    XtM = Xc.T @ M
-    W = np.linalg.solve(Ezz.T, XtM.T).T
-    psi = (Xc**2).sum(axis=0) / n - np.einsum("jk,jk->j", XtM, W) / n
+    W = np.linalg.solve(Ezz.T, SA.T).T
+    psi = np.diag(S) - np.einsum("jk,jk->j", SA, W)
     return W, np.maximum(psi, psi_floor)
 
 
@@ -249,48 +254,39 @@ def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str
 
 
 def _fit_fa(data, cfg: FitConfig, step, route: str, objective: str) -> tuple[FAParams, FitReport]:
-    """Centre the data, initialize (W, psi) and iterate the route's
-    ``step(Xc, W, psi, psi_floor) -> ((W, psi), objective)``."""
+    """Check the rows, reduce them to (n, c, S), initialize (W, psi) and iterate
+    the route's ``step(S, n, W, psi, psi_floor) -> ((W, psi), objective)``."""
     X = _as_float_matrix(data)
-    _check_fit_input(X, cfg)
-    c = X.mean(axis=0)
-    Xc = X - c
-    (W, psi), report = _fit_loop(
-        lambda state: step(Xc, *state, cfg.psi_floor),
-        _init_params(Xc, cfg),
-        cfg.max_iter,
-        cfg.tol,
-        route,
-        objective,
-    )
-    return FAParams(W=W, c=c, psi=psi, k=cfg.k, m=X.shape[1]), report
-
-
-def _gaussian_ll(Xc: np.ndarray, W: np.ndarray, psi: np.ndarray) -> float:
-    n, m = Xc.shape
-    sigma = W @ W.T + np.diag(psi)
-    try:
-        L = scipy.linalg.cholesky(sigma, lower=True)
-    except scipy.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(sigma).min())
-        raise NumericalError(
-            f"covariance not positive definite (smallest eigenvalue {smallest:.6e})"
-        ) from None
-    z = scipy.linalg.solve_triangular(L, Xc.T, lower=True)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    return float(-0.5 * np.sum(z**2) - 0.5 * n * (m * LOG_2PI + logdet))
-
-
-def _check_fit_input(X: np.ndarray, cfg: FitConfig) -> None:
     n, m = X.shape
     if n < 2:
         raise ValidationError(f"fitting requires n >= 2 rows, got {n}")
     if cfg.k > m:
-        raise ValidationError(
-            f"k exceeds number of labelling functions (k={cfg.k}, m={m})"
-        )
+        raise ValidationError(f"k exceeds number of labelling functions (k={cfg.k}, m={m})")
     if not np.isfinite(X).all():
         raise ValidationError("input matrix contains non-finite values")
+    c = X.mean(axis=0)
+    S = _second_moment(X, c)
+    del X  # no step sees a row
+    (W, psi), report = _fit_loop(
+        lambda state: step(S, n, *state, cfg.psi_floor), _init_params(S, cfg),
+        cfg.max_iter, cfg.tol, route, objective,
+    )
+    return FAParams(W=W, c=c, psi=psi, k=cfg.k, m=m), report
+
+
+def _gaussian_ll(S: np.ndarray, n: int, W: np.ndarray, psi: np.ndarray) -> float:
+    """Log-likelihood of n rows with second moment S: -n/2 (m log 2pi + log|Sigma| + tr(Sigma^-1 S))."""
+    sigma = W @ W.T + np.diag(psi)
+    try:
+        L = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(sigma).min())
+        raise NumericalError(
+            f"covariance not positive definite (smallest eigenvalue {smallest:.6e})"
+        ) from None
+    logdet = 2.0 * float(np.log(np.diag(L)).sum())
+    quad = float(np.trace(np.linalg.solve(sigma, S)))
+    return -0.5 * n * (len(psi) * LOG_2PI + logdet + quad)
 
 
 def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -312,42 +308,38 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     return _fit_fa(data, cfg, _em_update, "em", "log-likelihood")
 
 
-def _em_update(Xc, W, psi, psi_floor):
-    W, psi = _em_step(Xc, W, psi, psi_floor)
-    return (W, psi), _gaussian_ll(Xc, W, psi)
+def _em_update(S, n, W, psi, psi_floor):
+    W, psi = _em_step(S, W, psi, psi_floor)
+    return (W, psi), _gaussian_ll(S, n, W, psi)
 
 
-def _vi_estep(
-    Xc: np.ndarray, W: np.ndarray, psi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal mean-field Gaussian posterior given (W, psi).
+def _vi_estep(W: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal mean-field Gaussian posterior given (W, psi), as (A, v).
 
-    Means coincide with the exact posterior means; the diagonal variances
-    are 1 / diag(I + W^T Psi^-1 W), shared across rows.  With k = 1 the
-    family contains the exact posterior, so no variational gap remains.
+    A centred row x has posterior mean A^T x, the exact posterior mean; the
+    diagonal variances v = 1 / diag(I + W^T Psi^-1 W) are shared by all
+    rows.  With k = 1 the family contains the exact posterior, so no
+    variational gap remains.
     """
-    n, m = Xc.shape
-    k = W.shape[1]
     precision = 1.0 / psi
-    H = np.eye(k) + (W.T * precision) @ W  # posterior precision
-    M = np.linalg.solve(H, (Xc @ (precision[:, None] * W)).T).T
-    v_row = 1.0 / np.diag(H)
-    V = np.broadcast_to(v_row, (n, k)).copy()
-    return M, V
+    H = np.eye(W.shape[1]) + (W.T * precision) @ W  # posterior precision
+    A = np.linalg.solve(H, (precision[:, None] * W).T).T
+    return A, 1.0 / np.diag(H)
 
 
 def _elbo(
-    Xc: np.ndarray, W: np.ndarray, psi: np.ndarray, M: np.ndarray, V: np.ndarray
+    S: np.ndarray, n: int, W: np.ndarray, psi: np.ndarray, A: np.ndarray, v: np.ndarray
 ) -> float:
-    n, m = Xc.shape
+    """The bound for n rows with second moment S under the posterior (A, v)."""
+    m, k = W.shape
     precision = 1.0 / psi
-    R = Xc - M @ W.T
-    fit_term = -0.5 * float((R**2 @ precision).sum())
-    smear_term = -0.5 * float(V.sum(axis=0) @ ((W**2).T @ precision))
-    noise_term = -0.5 * n * float((LOG_2PI + np.log(psi)).sum())
-    prior_term = -0.5 * float((M**2).sum() + V.sum())
-    entropy_term = 0.5 * float(np.log(V).sum()) + 0.5 * M.size
-    return fit_term + smear_term + noise_term + prior_term + entropy_term
+    R = np.eye(m) - A @ W.T  # a centred row x leaves the residual R^T x
+    fit_term = float(precision @ np.einsum("ij,ij->j", R, S @ R))
+    smear_term = float(v @ ((W**2).T @ precision))
+    noise_term = float((LOG_2PI + np.log(psi)).sum())
+    prior_term = float(np.einsum("ij,ij->", A, S @ A) + v.sum())
+    entropy_term = float(np.log(v).sum()) + k
+    return -0.5 * n * (fit_term + smear_term + noise_term + prior_term - entropy_term)
 
 
 def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -362,10 +354,11 @@ def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     return _fit_fa(data, cfg, _vi_update, "vi", "evidence bound")
 
 
-def _vi_update(Xc, W, psi, psi_floor):
-    M, V = _vi_estep(Xc, W, psi)
-    W, psi = _m_step(Xc, M, np.diag(V.sum(axis=0)) + M.T @ M, psi_floor)
-    return (W, psi), _elbo(Xc, W, psi, M, V)
+def _vi_update(S, n, W, psi, psi_floor):
+    A, v = _vi_estep(W, psi)
+    SA = S @ A
+    W, psi = _m_step(S, SA, np.diag(v) + A.T @ SA, psi_floor)
+    return (W, psi), _elbo(S, n, W, psi, A, v)
 
 
 def posterior_moments(params: FAParams, data) -> PosteriorMoments:
@@ -387,7 +380,7 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
 def log_likelihood(params: FAParams, data) -> float:
     """Gaussian log-likelihood of the rows under N(c, W W^T + diag(psi))."""
     X = _as_float_matrix(data, params.m)
-    return _gaussian_ll(X - params.c, params.W, params.psi)
+    return _gaussian_ll(_second_moment(X, params.c), len(X), params.W, params.psi)
 
 
 def params_to_dict(params: FAParams) -> dict:

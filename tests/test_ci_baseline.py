@@ -14,7 +14,7 @@ from falabel import (
     majority_vote,
     save_ci_params,
 )
-from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR
+from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR, ci_predict
 from falabel.fa_core import _fit_loop
 
 
@@ -150,6 +150,21 @@ class TestFitCIEM:
         posterior = ci_posterior(params, matrix)
         acc = ((posterior > 0.5).astype(int) == y).mean()
         assert acc > 0.9
+
+    @pytest.mark.parametrize("copies, seed", [(5, 3), (10, 123), (20, 1)])
+    def test_tied_classes_orient_the_same_in_any_row_order(self, copies, seed):
+        # both classes have mean P(emit 1) = 1/2, so only the per-LF tie rule,
+        # not the summation order, may decide which class is 1
+        rows = np.array([[1, 0], [-1, 1]])
+        interleaved = LabelMatrix(values=np.tile(rows, (copies, 1)), lf_names=("a", "b"))
+        blocked = LabelMatrix(values=np.repeat(rows, copies, axis=0), lf_names=("a", "b"))
+        p1, _ = fit_ci_em(interleaved, seed=seed)
+        p2, _ = fit_ci_em(blocked, seed=seed)
+        assert p1.class_prior == pytest.approx(p2.class_prior, abs=1e-9)
+        np.testing.assert_allclose(p1.emissions, p2.emissions, rtol=0.0, atol=1e-9)
+        np.testing.assert_array_equal(
+            ci_predict(p1, interleaved).labels, ci_predict(p2, interleaved).labels
+        )
 
     def test_rejects_single_row(self):
         with pytest.raises(ValidationError):

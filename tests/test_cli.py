@@ -393,6 +393,23 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import falabel
+
+    env = dict(os.environ, PYTHONPATH=str(Path(falabel.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, falabel.cli; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_stats_quotes_lf_names(tmp_path, capsys):
     import csv
     import io
