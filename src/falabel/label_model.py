@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr  # the normal CDF; the stats subpackage would slow every CLI start
 
 from .errors import ValidationError
 from .fa_core import FAParams, FitConfig, params_from_dict, params_to_dict, posterior_moments
@@ -160,6 +159,8 @@ def build_label_model(
         train_std = 1.0  # degenerate factor; CDF transform collapses to 0.5
 
     if threshold_kind == "cdf_youden":
+        from scipy.special import ndtr  # the normal CDF; imported here so only cdf_youden loads scipy
+
         dev_matrix, dev_gold = dev
         if dev_gold.n != dev_matrix.n:
             raise ValidationError("dev gold labels must match the dev matrix row count")
@@ -212,6 +213,8 @@ def _label(model: LabelModel, factor_means: np.ndarray) -> Predictions:
     """:func:`predict` on rows whose posterior factor means are ``factor_means``."""
     scores = model.orientation * factor_means[:, 0]
     if model.threshold_kind == "cdf_youden":
+        from scipy.special import ndtr
+
         u = ndtr((scores - model.train_factor_mean) / model.train_factor_std)
         labels = u > model.threshold_value
     else:

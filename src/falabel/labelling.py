@@ -260,6 +260,46 @@ def _int_cells(path, rows, allowed, noun: str, where=lambda i, j: f"line {i + 2}
                 )
 
 
+_CELL_BYTES = {-1: ord("2"), 0: ord("0"), 1: ord("1")}  # "-1" is read after its rewrite to "2"
+
+
+def _canonical_cells(path, allowed) -> tuple[list[str], np.ndarray] | None:
+    """The stripped header and int64 cells of a CSV file in the form the
+    writers produce, or None for any other file.
+
+    That form is a header line with no quote or carriage return, no longer
+    than the csv module's field size limit, then lines of as many cells as
+    header fields, each cell spelled exactly as one of ``allowed`` (a subset
+    of -1, 0, 1), separated by ',' and each line ended by '\\n'.  It decodes
+    with numpy alone; every other file, including each malformed one, is left
+    to ``_read_csv`` and ``_int_cells``.
+    """
+    path = Path(path)
+    if not path.is_file():
+        return None
+    data = path.read_bytes()
+    end = data.find(b"\n")
+    head, body = data[:end], data[end + 1 :]
+    if not 0 < end <= csv.field_size_limit() or b'"' in head or b"\r" in head or b"2" in body:
+        return None
+    try:
+        header = [h.strip() for h in head.decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        return None
+    # With each "-1" written as "2", the body alternates one cell byte and one separator.
+    chars = np.frombuffer(body.replace(b"-1", b"2"), np.uint8)
+    m = len(header)
+    if chars.size == 0 or chars.size % (2 * m):
+        return None
+    seps = chars[1::2].reshape(-1, m)
+    decode = np.full(256, 2, np.int64)  # 2 marks a byte that is no allowed cell
+    decode[[_CELL_BYTES[v] for v in allowed]] = allowed
+    values = decode[chars[::2]].reshape(-1, m)
+    if (values == 2).any() or (seps[:, :-1] != ord(",")).any() or (seps[:, -1] != ord("\n")).any():
+        return None
+    return header, values
+
+
 def _write_csv(rows, path=None) -> str:
     """CSV text of ``rows`` ('\\n' line ends; a field is quoted only when it
     holds a comma, quote or line break); also written to ``path`` when given."""
@@ -277,9 +317,10 @@ def load_label_matrix(path) -> LabelMatrix:
     Raises ValidationError naming the offending cell for out-of-range or
     non-integer entries, and for ragged rows or duplicate LF names.
     """
-    names, rows = _read_csv(path, "label matrix")
-    values = _int_cells(
-        path, rows, VALID_ENTRIES, "entry", lambda i, j: f"row {i + 1}, column '{names[j]}'"
+    canonical = _canonical_cells(path, VALID_ENTRIES)
+    names, cells = canonical or _read_csv(path, "label matrix")
+    values = cells if canonical else _int_cells(
+        path, cells, VALID_ENTRIES, "entry", lambda i, j: f"row {i + 1}, column '{names[j]}'"
     )
     return LabelMatrix(values=values, lf_names=tuple(names))
 
@@ -291,10 +332,12 @@ def save_label_matrix(matrix: LabelMatrix, path) -> None:
 
 def load_gold_labels(path) -> GoldLabels:
     """Read gold labels from a single-column CSV with header 'y'."""
-    header, rows = _read_csv(path, "gold labels")
+    canonical = _canonical_cells(path, (0, 1))
+    header, cells = canonical or _read_csv(path, "gold labels")
     if header != ["y"]:
         raise ValidationError(f"{Path(path)}: expected single header column 'y', got {header}")
-    return GoldLabels(values=_int_cells(path, rows, (0, 1), "label")[:, 0])
+    values = cells if canonical else _int_cells(path, cells, (0, 1), "label")
+    return GoldLabels(values=values[:, 0])
 
 
 def save_gold_labels(gold: GoldLabels, path) -> None:

@@ -410,6 +410,45 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_default_commands_leave_scipy_unloaded(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import falabel
+
+    script = """
+import sys
+from falabel.cli import main
+
+d = sys.argv[1]
+commands = [
+    ["synth", "--n", "80", "--m", "4", "--seed", "1",
+     "--out-matrix", f"{d}/train.csv", "--out-gold", f"{d}/train_gold.csv"],
+    ["synth", "--n", "40", "--m", "4", "--seed", "2",
+     "--out-matrix", f"{d}/test.csv", "--out-gold", f"{d}/gold.csv"],
+    ["fit", f"{d}/train.csv", "--route", "fa-em", "--out", f"{d}/fa.json"],
+    ["fit", f"{d}/train.csv", "--route", "ci-em", "--out", f"{d}/ci.json"],
+    ["predict", f"{d}/fa.json", f"{d}/test.csv", "--out", f"{d}/pred.csv"],
+    ["evaluate", f"{d}/pred.csv", f"{d}/gold.csv", "--out", f"{d}/eval.json"],
+    ["compare", f"{d}/train.csv", f"{d}/test.csv", f"{d}/gold.csv", "--out", f"{d}/compare.csv"],
+    ["sweep", f"{d}/train.csv", f"{d}/test.csv", f"{d}/gold.csv",
+     "--sizes", "10,20", "--repeats", "1", "--out", f"{d}/sweep.csv"],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(falabel.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_stats_quotes_lf_names(tmp_path, capsys):
     import csv
     import io

@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,6 +18,7 @@ from falabel import (
     LabelModel,
     Predictions,
     SyntheticSpec,
+    ValidationError,
     load_ci_params,
     load_gold_labels,
     load_label_matrix,
@@ -31,6 +33,7 @@ from falabel import (
 )
 from falabel.cli import main
 from falabel.label_model import _load_prediction_labels
+from falabel.labelling import VALID_ENTRIES, _canonical_cells, _int_cells, _read_csv
 
 lf_names = st.lists(
     st.text(
@@ -114,6 +117,119 @@ def test_label_matrix_csv_roundtrip(matrix):
 def test_gold_csv_roundtrip(values):
     loaded = roundtrip(GoldLabels(values=values), save_gold_labels, load_gold_labels)
     np.testing.assert_array_equal(loaded.values, values)
+
+
+def general_label_matrix(path) -> LabelMatrix:
+    """The general CSV reader alone, without the canonical decode."""
+    names, rows = _read_csv(path, "label matrix")
+    values = _int_cells(
+        path, rows, VALID_ENTRIES, "entry", lambda i, j: f"row {i + 1}, column '{names[j]}'"
+    )
+    return LabelMatrix(values=values, lf_names=tuple(names))
+
+
+def general_gold_labels(path) -> GoldLabels:
+    """The general CSV reader alone, as :func:`load_gold_labels` applies it."""
+    header, rows = _read_csv(path, "gold labels")
+    if header != ["y"]:
+        raise ValidationError(f"{path}: expected single header column 'y', got {header}")
+    return GoldLabels(values=_int_cells(path, rows, (0, 1), "label")[:, 0])
+
+
+def outcome(load, path):
+    """The object ``load`` reads from ``path`` (gold labels as a list), or the
+    message of the ValidationError or csv.Error it raises."""
+    try:
+        loaded = load(path)
+    except (ValidationError, csv.Error) as exc:
+        return str(exc)
+    return loaded.values.tolist() if isinstance(loaded, GoldLabels) else loaded
+
+
+@given(label_matrices())
+def test_canonical_decode_of_written_matrix_matches_general_reader(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        save_label_matrix(matrix, path)
+        quoted = b'"' in path.read_bytes().split(b"\n")[0]
+        canonical = _canonical_cells(path, VALID_ENTRIES)
+        header, rows = _read_csv(path, "label matrix")
+        values = _int_cells(path, rows, VALID_ENTRIES, "entry")
+    # The writer quotes a name holding a comma or a quote; only then is the
+    # header left to the general reader.
+    assert (canonical is None) == quoted
+    if canonical is not None:
+        assert canonical[0] == header
+        assert canonical[1].dtype == np.int64
+        np.testing.assert_array_equal(canonical[1], values)
+
+
+@given(arrays(np.int64, st.integers(1, 20), elements=st.sampled_from([0, 1])))
+def test_canonical_decode_of_written_gold_matches_general_reader(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "y.csv"
+        save_gold_labels(GoldLabels(values=values), path)
+        canonical = _canonical_cells(path, (0, 1))
+        header, rows = _read_csv(path, "gold labels")
+        general = _int_cells(path, rows, (0, 1), "label")
+    assert canonical is not None
+    assert canonical[0] == header == ["y"]
+    np.testing.assert_array_equal(canonical[1], general)
+
+
+@given(label_matrices(), st.data())
+def test_mutated_matrix_file_reads_as_the_general_reader_reads_it(matrix, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        save_label_matrix(matrix, path)
+        lines = path.read_bytes().split(b"\n")[:-1]  # the header, then one line per row
+        ends = [b"\n"] * len(lines)
+        kind = data.draw(st.sampled_from(
+            ["cell", "crlf", "cr", "no final newline", "add field", "drop field", "split line"]
+        ))
+        i = data.draw(st.integers(0 if kind in ("crlf", "cr") else 1, matrix.n))
+        cells = lines[i].split(b",")
+        if kind == "cell":
+            j = data.draw(st.integers(0, matrix.m - 1))
+            cells[j] = data.draw(st.sampled_from([b"2", b"x", b"", b"01", b"+1", b"-0", b" 1", b"1 "]))
+        elif kind == "add field":
+            cells.append(data.draw(st.sampled_from([b"-1", b"0", b"1"])))
+        elif kind == "drop field":
+            cells.pop()
+        elif kind == "split line" and len(cells) > 1:
+            cells[:2] = [cells[0] + b"\n" + cells[1]]
+        elif kind in ("crlf", "cr"):
+            ends[i] = b"\r\n" if kind == "crlf" else b"\r"
+        elif kind == "no final newline":
+            ends[-1] = b""
+        lines[i] = b",".join(cells)
+        path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+        assert outcome(load_label_matrix, path) == outcome(general_label_matrix, path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"a\n",  # no data rows
+        b"\n1\n",  # an empty header line
+        b"a\rb\n0\n",  # a lone carriage return in the header
+        b'"a""b"\n1\n',  # a quoted header
+        b"a,b\n0\n1\n",  # a line break where a comma belongs
+        b"a\n0,1\n",  # a comma where a line break belongs
+        b"a,b\n-1,-\n",
+        b"a,b\n1-1,0\n",
+        b"a,b\n0,1",
+        b"a" * (csv.field_size_limit() + 1) + b"\n1\n",  # a name the csv module rejects
+        b"y\n0\n1\n",
+        b"y\n-1\n",  # an abstention is no gold label
+        b"x\n0\n",
+    ],
+)
+def test_edge_files_read_as_the_general_reader_reads_them(tmp_path, content):
+    path = tmp_path / "m.csv"
+    path.write_bytes(content)
+    assert outcome(load_label_matrix, path) == outcome(general_label_matrix, path)
+    assert outcome(load_gold_labels, path) == outcome(general_gold_labels, path)
 
 
 @given(label_models())
