@@ -4,122 +4,89 @@ Fits a Factor Analysis latent-variable model to the votes of heuristic
 labelling functions, dichotomizes the latent factor into binary
 pseudo-labels, and evaluates the result against a conditionally-independent
 generative baseline and majority vote.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first use (PEP 562), so a caller pays only for
+the modules it touches.
 """
 
-from .ci_baseline import (
-    CIParams,
-    ci_posterior,
-    fit_ci_em,
-    load_ci_params,
-    majority_vote,
-    save_ci_params,
-)
-from .errors import FalabelError, NumericalError, ValidationError
-from .fa_core import (
-    FAParams,
-    FitConfig,
-    FitReport,
-    PosteriorMoments,
-    fit_fa_em,
-    fit_fa_vi,
-    load_params,
-    log_likelihood,
-    posterior_moments,
-    save_params,
-)
-from .label_model import (
-    LabelModel,
-    Predictions,
-    build_label_model,
-    export_factors,
-    load_label_model,
-    orient_factor,
-    predict,
-    save_label_model,
-    save_predictions,
-    train_label_model,
-    youden_threshold,
-)
-from .labelling import (
-    ABSTAIN,
-    GoldLabels,
-    LabelMatrix,
-    LFSpec,
-    MatrixStats,
-    apply_lfs,
-    covariance_matrix,
-    load_gold_labels,
-    load_label_matrix,
-    load_lf_specs,
-    matrix_stats,
-    save_gold_labels,
-    save_label_matrix,
-)
-from .metrics_eval import (
-    MetricsReport,
-    SweepRecord,
-    SweepResult,
-    evaluate,
-    imbalance_index,
-    robustness_sweep,
-)
-from .synthetic import SyntheticSpec, bayes_oracle, generate, load_spec, save_spec
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABSTAIN",
-    "CIParams",
-    "FAParams",
-    "FalabelError",
-    "FitConfig",
-    "FitReport",
-    "GoldLabels",
-    "LFSpec",
-    "LabelMatrix",
-    "LabelModel",
-    "MatrixStats",
-    "MetricsReport",
-    "NumericalError",
-    "PosteriorMoments",
-    "Predictions",
-    "SweepRecord",
-    "SweepResult",
-    "SyntheticSpec",
-    "ValidationError",
-    "apply_lfs",
-    "bayes_oracle",
-    "build_label_model",
-    "ci_posterior",
-    "covariance_matrix",
-    "evaluate",
-    "export_factors",
-    "fit_ci_em",
-    "fit_fa_em",
-    "fit_fa_vi",
-    "generate",
-    "imbalance_index",
-    "load_ci_params",
-    "load_gold_labels",
-    "load_label_matrix",
-    "load_label_model",
-    "load_lf_specs",
-    "load_params",
-    "load_spec",
-    "log_likelihood",
-    "majority_vote",
-    "matrix_stats",
-    "orient_factor",
-    "posterior_moments",
-    "predict",
-    "robustness_sweep",
-    "save_ci_params",
-    "save_gold_labels",
-    "save_label_matrix",
-    "save_label_model",
-    "save_params",
-    "save_predictions",
-    "save_spec",
-    "train_label_model",
-    "youden_threshold",
-]
+_EXPORTS = {
+    "ci_baseline": (
+        "CIParams",
+        "ci_posterior",
+        "fit_ci_em",
+        "load_ci_params",
+        "majority_vote",
+        "save_ci_params",
+    ),
+    "errors": ("FalabelError", "NumericalError", "ValidationError"),
+    "fa_core": (
+        "FAParams",
+        "FitConfig",
+        "FitReport",
+        "PosteriorMoments",
+        "fit_fa_em",
+        "fit_fa_vi",
+        "load_params",
+        "log_likelihood",
+        "posterior_moments",
+        "save_params",
+    ),
+    "label_model": (
+        "LabelModel",
+        "Predictions",
+        "build_label_model",
+        "export_factors",
+        "load_label_model",
+        "orient_factor",
+        "predict",
+        "save_label_model",
+        "save_predictions",
+        "train_label_model",
+        "youden_threshold",
+    ),
+    "labelling": (
+        "ABSTAIN",
+        "GoldLabels",
+        "LabelMatrix",
+        "LFSpec",
+        "MatrixStats",
+        "apply_lfs",
+        "covariance_matrix",
+        "load_gold_labels",
+        "load_label_matrix",
+        "load_lf_specs",
+        "matrix_stats",
+        "save_gold_labels",
+        "save_label_matrix",
+    ),
+    "metrics_eval": (
+        "MetricsReport",
+        "SweepRecord",
+        "SweepResult",
+        "evaluate",
+        "imbalance_index",
+        "robustness_sweep",
+    ),
+    "synthetic": ("SyntheticSpec", "bayes_oracle", "generate", "load_spec", "save_spec"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,41 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
-from .ci_baseline import ci_params_from_dict, ci_predict, save_ci_params
 from .errors import NumericalError, ValidationError
-from .fa_core import FitConfig
-from .label_model import (
-    _load_prediction_labels,
-    label_model_from_dict,
-    predict,
-    save_label_model,
-    save_predictions,
-)
-from .labelling import (
-    _dump_json,
-    _read_json,
-    _write_csv,
-    apply_lfs,
-    covariance_matrix,
-    load_gold_labels,
-    load_label_matrix,
-    load_lf_specs,
-    matrix_stats,
-    save_gold_labels,
-    save_label_matrix,
-)
-from .metrics_eval import METHODS, evaluate, robustness_sweep
-from .synthetic import SyntheticSpec, generate, load_spec
 
 THRESHOLD_FLAGS = {"median": "median", "mean": "mean", "cdf-youden": "cdf_youden"}
 
 
-def _fit_config(args) -> FitConfig:
+def _fit_config(args):
+    from .fa_core import FitConfig
+
     return FitConfig(
         k=args.k,
         max_iter=args.max_iter,
@@ -73,12 +49,19 @@ def _parse_per_lf(text: str, m: int, what: str) -> tuple[float, ...]:
 
 
 def _load_model_file(path):
-    """Return ('fa', LabelModel) or ('ci', CIParams) based on the JSON keys."""
+    """Return (LabelModel, predict) or (CIParams, ci_predict), by the JSON keys;
+    only the modules that kind of model needs are imported."""
+    from .labelling import _read_json
+
     payload = _read_json(path, "model")
     if "threshold_kind" in payload:
-        return "fa", label_model_from_dict(payload)
+        from .label_model import label_model_from_dict, predict
+
+        return label_model_from_dict(payload), predict
     if "emissions" in payload:
-        return "ci", ci_params_from_dict(payload)
+        from .ci_baseline import ci_params_from_dict, ci_predict
+
+        return ci_params_from_dict(payload), ci_predict
     raise ValidationError(f"{path}: not a label-model or CI-model file")
 
 
@@ -87,10 +70,13 @@ def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _dev_split(args):
+    from .labelling import load_gold_labels, load_label_matrix
+
     if args.dev_matrix is None and args.dev_gold is None:
         return None
     if args.dev_matrix is None or args.dev_gold is None:
@@ -99,6 +85,15 @@ def _dev_split(args):
 
 
 def cmd_fit(args) -> int:
+    from dataclasses import asdict
+
+    from .ci_baseline import save_ci_params
+    from .label_model import save_label_model
+    from .labelling import _dump_json, load_label_matrix
+    from .metrics_eval import METHODS
+
+    if args.route not in METHODS:
+        raise ValidationError(f"unknown route {args.route!r}, expected one of {tuple(METHODS)}")
     matrix = load_label_matrix(args.matrix)
     if args.route == "majority":
         raise ValidationError("route 'majority' requires no fitting; use it with compare or sweep")
@@ -112,13 +107,19 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    kind, model = _load_model_file(args.model)
-    matrix = load_label_matrix(args.matrix)
-    save_predictions((predict if kind == "fa" else ci_predict)(model, matrix), args.out)
+    from .label_model import save_predictions
+    from .labelling import load_label_matrix
+
+    model, predictor = _load_model_file(args.model)
+    save_predictions(predictor(model, load_label_matrix(args.matrix)), args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    from .label_model import _load_prediction_labels
+    from .labelling import load_gold_labels
+    from .metrics_eval import evaluate
+
     pred = _load_prediction_labels(args.predictions)
     gold = load_gold_labels(args.gold)
     _emit(evaluate(pred, gold).to_json(), args.out)
@@ -126,6 +127,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .labelling import _write_csv, load_gold_labels, load_label_matrix
+    from .metrics_eval import METHODS, evaluate
+
     train = load_label_matrix(args.train)
     test = load_label_matrix(args.test)
     gold = load_gold_labels(args.gold)
@@ -146,6 +150,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .labelling import load_gold_labels, load_label_matrix
+    from .metrics_eval import robustness_sweep
+
     train = load_label_matrix(args.train)
     test = load_label_matrix(args.test)
     gold = load_gold_labels(args.gold)
@@ -170,6 +177,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .labelling import _write_csv, load_label_matrix, matrix_stats
+
     stats = matrix_stats(load_label_matrix(args.matrix))
     rows = [("metric", "lf", "value")]
     for metric in ("n_rows", "n_lfs", "n_all_abstain_rows", "all_abstain_fraction"):
@@ -182,12 +191,17 @@ def cmd_stats(args) -> int:
 
 
 def cmd_cov(args) -> int:
+    from .labelling import _write_csv, covariance_matrix, load_label_matrix
+
     matrix = load_label_matrix(args.matrix)
     _emit(_write_csv([matrix.lf_names, *covariance_matrix(matrix).tolist()]), args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
+    from .labelling import save_gold_labels, save_label_matrix
+    from .synthetic import SyntheticSpec, generate, load_spec
+
     if args.spec is not None:
         spec = load_spec(args.spec)
     else:
@@ -206,6 +220,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_apply_lfs(args) -> int:
+    from pathlib import Path
+
+    from .labelling import apply_lfs, load_lf_specs, save_label_matrix
+
     path = Path(args.records)
     if not path.is_file():
         raise ValidationError(f"records file not found: {path}")
@@ -241,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a label model on a labelling matrix")
     p.add_argument("matrix", help="training labelling-matrix CSV")
-    p.add_argument("--route", choices=tuple(METHODS), default="fa-em")
+    p.add_argument(
+        "--route", default="fa-em", help="label method (default fa-em); see the README's table"
+    )
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--report", default=None, help="optional fit-report JSON")
     _add_fit_flags(p)

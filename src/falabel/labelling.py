@@ -31,7 +31,7 @@ def _frozen_array(values, dtype) -> np.ndarray:
     if dtype is np.int64 and raw.dtype.kind == "f":
         if not np.isfinite(raw).all() or not (raw == np.rint(raw)).all():
             raise ValidationError("entries must be integers")
-    arr = raw.astype(dtype).copy()
+    arr = raw.astype(dtype)  # a new array, never a view of the caller's
     arr.flags.writeable = False
     return arr
 
@@ -98,6 +98,7 @@ class LFSpec:
     kind: str  # "keyword" | "regex"
     pattern: str
     vote_on_match: int
+    _regex: re.Pattern | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.name:
@@ -110,14 +111,21 @@ class LFSpec:
             raise ValidationError(f"LF '{self.name}': vote_on_match must be 0 or 1")
         if self.kind == "regex":
             try:
-                re.compile(self.pattern)
+                object.__setattr__(self, "_regex", re.compile(self.pattern))
             except re.error as exc:
                 raise ValidationError(f"LF '{self.name}': invalid regex: {exc}") from exc
 
     def matches(self, record: str) -> bool:
+        return self._hits([record], [record.lower()])[0]
+
+    def _hits(self, records: list[str], lowered: list[str]) -> list[bool]:
+        """Whether this LF fires on each record; ``lowered`` holds the records
+        lowercased, so a caller with many LFs lowercases each record once."""
         if self.kind == "keyword":
-            return self.pattern.lower() in record.lower()
-        return re.search(self.pattern, record) is not None
+            keyword = self.pattern.lower()
+            return [keyword in text for text in lowered]
+        search = self._regex.search
+        return [search(text) is not None for text in records]
 
 
 @dataclass(frozen=True)
@@ -311,6 +319,27 @@ def _write_csv(rows, path=None) -> str:
     return text
 
 
+_VOTE_BYTES = np.frombuffer(b"-01", np.uint8)  # first byte of the cells -1, 0, 1
+
+
+def _write_votes(names, values: np.ndarray, path) -> None:
+    """Write the CSV form ``_write_csv([names, *values.tolist()], path)`` gives,
+    for an (n, m) array of cells in {-1, 0, 1}, with numpy alone.
+
+    Each cell becomes three bytes: its first character, then '1' for -1 or a
+    NUL pad byte, then ',' or, in the last column, '\\n'; the pads are dropped.
+    """
+    cells = np.empty((*values.shape, 3), np.uint8)
+    cells[..., 0] = _VOTE_BYTES[values + 1]
+    cells[..., 1] = np.where(values < 0, ord("1"), 0)
+    cells[..., 2] = ord(",")
+    cells[:, -1, 2] = ord("\n")
+    flat = cells.reshape(-1)
+    with open(path, "wb") as fh:
+        fh.write(_write_csv([names]).encode("utf-8"))
+        fh.write(flat[flat != 0].tobytes())
+
+
 def load_label_matrix(path) -> LabelMatrix:
     """Read a labelling matrix from CSV: header = LF names, body = integers.
 
@@ -327,7 +356,7 @@ def load_label_matrix(path) -> LabelMatrix:
 
 def save_label_matrix(matrix: LabelMatrix, path) -> None:
     """Write the canonical CSV form (UTF-8, '\\n' line endings)."""
-    _write_csv([matrix.lf_names, *matrix.values.tolist()], path)
+    _write_votes(matrix.lf_names, matrix.values, path)
 
 
 def load_gold_labels(path) -> GoldLabels:
@@ -341,7 +370,7 @@ def load_gold_labels(path) -> GoldLabels:
 
 
 def save_gold_labels(gold: GoldLabels, path) -> None:
-    _write_csv([["y"], *gold.values[:, None].tolist()], path)
+    _write_votes(["y"], gold.values[:, None], path)
 
 
 def load_lf_specs(path) -> list[LFSpec]:
@@ -378,10 +407,9 @@ def apply_lfs(records: list[str], specs: list[LFSpec]) -> LabelMatrix:
     if len(set(names)) != len(names):
         raise ValidationError("LF spec names must be unique")
     values = np.full((len(records), len(specs)), ABSTAIN, dtype=np.int64)
+    lowered = [record.lower() for record in records]
     for j, spec in enumerate(specs):
-        for i, record in enumerate(records):
-            if spec.matches(record):
-                values[i, j] = spec.vote_on_match
+        values[np.array(spec._hits(records, lowered), bool), j] = spec.vote_on_match
     return LabelMatrix(values=values, lf_names=names)
 
 

@@ -449,6 +449,75 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
     assert proc.stdout.strip() == "[]"
 
 
+def test_each_command_imports_only_the_modules_it_runs(world):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import falabel
+
+    tmp, paths = world
+    train, test, gold = (str(paths[k]) for k in ("train", "test", "gold"))
+    (tmp / "records.txt").write_text("buy now\nhello\n")
+    (tmp / "lfs.json").write_text(
+        json.dumps([{"name": "buy", "kind": "keyword", "pattern": "buy", "vote_on_match": 1}])
+    )
+    for route in ("fa-em", "ci-em"):
+        assert main(["fit", train, "--route", route, "--out", str(tmp / f"{route}.json")]) == 0
+    assert main(["predict", str(tmp / "fa-em.json"), test, "--out", str(tmp / "pred.csv")]) == 0
+    commands = {
+        "synth": ["synth", "--n", "20", "--m", "3", "--out-matrix", str(tmp / "s.csv"),
+                  "--out-gold", str(tmp / "s_gold.csv")],
+        "apply-lfs": ["apply-lfs", str(tmp / "records.txt"), str(tmp / "lfs.json"),
+                      "--out", str(tmp / "lf.csv")],
+        "stats": ["stats", train, "--out", str(tmp / "stats.csv")],
+        "cov": ["cov", train, "--out", str(tmp / "cov.csv")],
+        "predict.fa": ["predict", str(tmp / "fa-em.json"), test, "--out", str(tmp / "p_fa.csv")],
+        "predict.ci": ["predict", str(tmp / "ci-em.json"), test, "--out", str(tmp / "p_ci.csv")],
+        "evaluate": ["evaluate", str(tmp / "pred.csv"), gold, "--out", str(tmp / "eval.json")],
+        "fit": ["fit", train, "--out", str(tmp / "fit.json")],
+        "compare": ["compare", train, test, gold, "--out", str(tmp / "compare.csv")],
+        "sweep": ["sweep", train, test, gold, "--sizes", "10", "--repeats", "1",
+                  "--out", str(tmp / "sweep.csv")],
+    }
+    script = (
+        "import sys\n"
+        "from falabel.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(' '.join(sorted(n[8:] for n in sys.modules if n.startswith('falabel.'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(falabel.__file__).parent.parent))
+    loaded = {}
+    for name, argv in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        loaded[name] = set(proc.stdout.split()) - {"cli", "errors"}
+    fitters = {"labelling", "fa_core", "label_model", "ci_baseline", "metrics_eval"}
+    assert loaded == {
+        "synth": {"labelling", "synthetic"},
+        "apply-lfs": {"labelling"},
+        "stats": {"labelling"},
+        "cov": {"labelling"},
+        "predict.fa": {"labelling", "fa_core", "label_model"},
+        "predict.ci": {"labelling", "fa_core", "label_model", "ci_baseline"},
+        "evaluate": fitters,
+        "fit": fitters,
+        "compare": fitters,
+        "sweep": fitters,
+    }
+
+
+def test_unknown_route_exits_2_naming_the_routes(world, capsys):
+    tmp, paths = world
+    assert main(["fit", str(paths["train"]), "--route", "nope", "--out", str(tmp / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown route 'nope'" in err
+    assert all(route in err for route in ("fa-em", "fa-vi", "ci-em", "majority"))
+
+
 def test_stats_quotes_lf_names(tmp_path, capsys):
     import csv
     import io

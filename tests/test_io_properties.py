@@ -33,7 +33,14 @@ from falabel import (
 )
 from falabel.cli import main
 from falabel.label_model import _load_prediction_labels
-from falabel.labelling import VALID_ENTRIES, _canonical_cells, _int_cells, _read_csv
+from falabel.labelling import (
+    VALID_ENTRIES,
+    _canonical_cells,
+    _int_cells,
+    _read_csv,
+    _write_csv,
+    _write_votes,
+)
 
 lf_names = st.lists(
     st.text(
@@ -144,6 +151,23 @@ def outcome(load, path):
     except (ValidationError, csv.Error) as exc:
         return str(exc)
     return loaded.values.tolist() if isinstance(loaded, GoldLabels) else loaded
+
+
+@given(
+    st.lists(
+        st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from(',"\r\n'))),  # quoted names too
+        min_size=1,
+        max_size=5,
+    ),
+    st.data(),
+)
+def test_vote_writer_writes_the_bytes_of_the_csv_writer(names, data):
+    shape = (data.draw(st.integers(1, 20)), len(names))
+    values = data.draw(arrays(np.int64, shape, elements=st.sampled_from([-1, 0, 1])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "votes.csv"
+        _write_votes(names, values, path)
+        assert path.read_bytes() == _write_csv([names, *values.tolist()]).encode("utf-8")
 
 
 @given(label_matrices())

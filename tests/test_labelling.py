@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from falabel import (
     LFSpec,
@@ -154,6 +158,40 @@ class TestApplyLFs:
         for j, spec in enumerate(specs):
             col = set(m.values[:, j].tolist())
             assert col <= {spec.vote_on_match, -1}
+
+    @given(
+        st.lists(st.text("aAbBxX1 9äÄßİı\u00e9\t", max_size=12), min_size=1, max_size=8),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("keyword"), st.text("aAbBxXäÄßİı9 ", min_size=1, max_size=3)),
+                st.tuples(
+                    st.just("regex"),
+                    st.sampled_from(
+                        ["^a", "^X", r"\ba", r"b\b", r"\bab\b", "(?i)ä", "(?i)^x", r"\d", r"\d\s", "ß$"]
+                    ),
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.data(),
+    )
+    def test_matches_a_per_cell_reference_loop(self, records, kinds_patterns, data):
+        specs = [
+            LFSpec(name=f"lf{j}", kind=kind, pattern=pattern, vote_on_match=data.draw(st.integers(0, 1)))
+            for j, (kind, pattern) in enumerate(kinds_patterns)
+        ]
+        expected = np.full((len(records), len(specs)), -1)
+        for i, record in enumerate(records):
+            for j, spec in enumerate(specs):
+                if spec.kind == "keyword":
+                    hit = spec.pattern.lower() in record.lower()
+                else:
+                    hit = re.search(spec.pattern, record) is not None
+                if hit:
+                    expected[i, j] = spec.vote_on_match
+                assert spec.matches(record) == hit
+        assert np.array_equal(apply_lfs(records, specs).values, expected)
 
     def test_lf_specs_json(self, tmp_path):
         p = tmp_path / "specs.json"
