@@ -12,7 +12,7 @@ coordinate-ascent variational inference on the evidence lower bound.
 
 Both fits see the rows only through n, c and S = (X - c)^T (X - c) / n:
 a centred row x has posterior factor mean A^T x, so every step and objective
-is a quadratic form in S, O(m^3) per iteration after one O(n m^2) pass.
+needs only S A and k x k matrices: O(m^2 k) per iteration after one O(n m^2) pass.
 
 Fitting accepts a :class:`~falabel.labelling.LabelMatrix` (entries cast to
 the reals -1.0/0.0/1.0) or any (n, m) float array.
@@ -190,32 +190,51 @@ def _init_params(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]
     return W, psi
 
 
-def _em_step(
-    S: np.ndarray, W: np.ndarray, psi: np.ndarray, psi_floor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One EM update of (W, psi) from S.
+def _em_estep(S: np.ndarray, W: np.ndarray, psi: np.ndarray) -> tuple[tuple, float]:
+    """The EM state (W, psi, S A, average E[z z^T]) at (W, psi), and the mean
+    log-likelihood per row there.
 
-    E-step: G = (I + W^T Psi^-1 W)^-1 and posterior means A^T x with
-    A = Psi^-1 W G, so the average E[z z^T] is G + A^T S A.
+    With posterior precision H = I + W^T Psi^-1 W, G = H^-1 and A = Psi^-1 W G,
+    a centred row x has posterior mean A^T x, and the average E[z z^T] is
+    G + A^T S A.  The log-likelihood -1/2 (m log 2pi + log|Sigma| + tr(Sigma^-1 S))
+    takes log|Sigma| = sum log psi + log|H| and, from x^T Sigma^-1 x =
+    |x - W A^T x|^2_Psi^-1 + |A^T x|^2, tr(Sigma^-1 S) = tr(A^T S A) +
+    sum_j (S - 2 S A W^T + W A^T S A W^T)_jj / psi_j.  That form is stationary
+    in A, so the rounding of G enters it at second order; the equal
+    diag(S) . psi^-1 - sum(Psi^-1 W * S A) takes it at first order and drifts
+    by up to 1e-5 relative where psi sits at the floor.
     """
     precision = 1.0 / psi
-    G = np.linalg.inv(np.eye(W.shape[1]) + (W.T * precision) @ W)
-    A = (precision[:, None] * W) @ G
+    PW = precision[:, None] * W
+    H = np.eye(W.shape[1]) + (W.T * precision) @ W
+    sign, logdet_H = np.linalg.slogdet(H)
+    if not sign > 0:
+        raise NumericalError(f"posterior precision not positive definite (determinant sign {sign})")
+    G = np.linalg.inv(H)
+    A = PW @ G
     SA = S @ A
-    return _m_step(S, SA, G + A.T @ SA, psi_floor)
+    AtSA = A.T @ SA
+    quad = S.diagonal() @ precision + np.vdot(PW, W @ AtSA - 2.0 * SA) + np.vdot(A, SA)
+    logdet = np.log(psi).sum() + logdet_H
+    return (W, psi, SA, G + AtSA), -0.5 * float(len(psi) * LOG_2PI + logdet + quad)
+
+
+def _em_step(S, W, psi, psi_floor):
+    """One EM update of (W, psi) from S: the map that the EM fit iterates."""
+    return _m_step(S, *_em_estep(S, W, psi)[0][2:], psi_floor)[:2]
 
 
 def _m_step(
     S: np.ndarray, SA: np.ndarray, Ezz: np.ndarray, psi_floor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (W, psi) update shared by EM and VI.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (W, psi, psi_fit) update shared by EM and VI.
 
     Given SA = S A (the average x E[z]^T) and the average E[z z^T], W solves
-    W Ezz = S A; psi = diag(S) - rowsum(S A * W), clamped at ``psi_floor``.
+    W Ezz = S A; psi_fit = diag(S) - rowsum(S A * W), and psi clamps it at ``psi_floor``.
     """
     W = np.linalg.solve(Ezz.T, SA.T).T
-    psi = np.diag(S) - np.einsum("jk,jk->j", SA, W)
-    return W, np.maximum(psi, psi_floor)
+    psi_fit = np.diag(S) - np.einsum("jk,jk->j", SA, W)
+    return W, np.maximum(psi_fit, psi_floor), psi_fit
 
 
 def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str):
@@ -253,9 +272,9 @@ def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str
     return state, report
 
 
-def _fit_fa(data, cfg: FitConfig, step, route: str, objective: str) -> tuple[FAParams, FitReport]:
-    """Check the rows, reduce them to (n, c, S), initialize (W, psi) and iterate
-    the route's ``step(S, n, W, psi, psi_floor) -> ((W, psi), objective)``."""
+def _fit_fa(data, cfg: FitConfig, start, step, route: str, objective: str):
+    """Check the rows, reduce them to (n, c, S), then from ``start(S, W, psi)`` at the
+    initial (W, psi) iterate ``step(S, n, *state, psi_floor) -> (state, objective)``."""
     X = _as_float_matrix(data)
     n, m = X.shape
     if n < 2:
@@ -267,26 +286,11 @@ def _fit_fa(data, cfg: FitConfig, step, route: str, objective: str) -> tuple[FAP
     c = X.mean(axis=0)
     S = _second_moment(X, c)
     del X  # no step sees a row
-    (W, psi), report = _fit_loop(
-        lambda state: step(S, n, *state, cfg.psi_floor), _init_params(S, cfg),
+    (W, psi, *_), report = _fit_loop(
+        lambda state: step(S, n, *state, cfg.psi_floor), start(S, *_init_params(S, cfg)),
         cfg.max_iter, cfg.tol, route, objective,
     )
     return FAParams(W=W, c=c, psi=psi, k=cfg.k, m=m), report
-
-
-def _gaussian_ll(S: np.ndarray, n: int, W: np.ndarray, psi: np.ndarray) -> float:
-    """Log-likelihood of n rows with second moment S: -n/2 (m log 2pi + log|Sigma| + tr(Sigma^-1 S))."""
-    sigma = W @ W.T + np.diag(psi)
-    try:
-        L = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(sigma).min())
-        raise NumericalError(
-            f"covariance not positive definite (smallest eigenvalue {smallest:.6e})"
-        ) from None
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    quad = float(np.trace(np.linalg.solve(sigma, S)))
-    return -0.5 * n * (len(psi) * LOG_2PI + logdet + quad)
 
 
 def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -305,12 +309,13 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
         Fitted parameters (c fixed at the column means) and the
         log-likelihood trace, which is non-decreasing up to the psi clamp.
     """
-    return _fit_fa(data, cfg, _em_update, "em", "log-likelihood")
+    return _fit_fa(data, cfg, lambda S, W, p: _em_estep(S, W, p)[0], _em_update, "em", "log-likelihood")
 
 
-def _em_update(S, n, W, psi, psi_floor):
-    W, psi = _em_step(S, W, psi, psi_floor)
-    return (W, psi), _gaussian_ll(S, n, W, psi)
+def _em_update(S, n, W, psi, SA, Ezz, psi_floor):
+    """M-step from the carried E-step, then the state and log-likelihood at the new (W, psi)."""
+    state, row_ll = _em_estep(S, *_m_step(S, SA, Ezz, psi_floor)[:2])
+    return state, n * row_ll
 
 
 def _vi_estep(W: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,21 +332,6 @@ def _vi_estep(W: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, 1.0 / np.diag(H)
 
 
-def _elbo(
-    S: np.ndarray, n: int, W: np.ndarray, psi: np.ndarray, A: np.ndarray, v: np.ndarray
-) -> float:
-    """The bound for n rows with second moment S under the posterior (A, v)."""
-    m, k = W.shape
-    precision = 1.0 / psi
-    R = np.eye(m) - A @ W.T  # a centred row x leaves the residual R^T x
-    fit_term = float(precision @ np.einsum("ij,ij->j", R, S @ R))
-    smear_term = float(v @ ((W**2).T @ precision))
-    noise_term = float((LOG_2PI + np.log(psi)).sum())
-    prior_term = float(np.einsum("ij,ij->", A, S @ A) + v.sum())
-    entropy_term = float(np.log(v).sum()) + k
-    return -0.5 * n * (fit_term + smear_term + noise_term + prior_term - entropy_term)
-
-
 def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     """Fit the Factor Analysis model by maximizing the evidence lower bound.
 
@@ -351,14 +341,22 @@ def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     k = 1 the variational family contains the exact posterior and the
     final bound matches the marginal log-likelihood.
     """
-    return _fit_fa(data, cfg, _vi_update, "vi", "evidence bound")
+    return _fit_fa(data, cfg, lambda S, W, psi: (W, psi), _vi_update, "vi", "evidence bound")
 
 
 def _vi_update(S, n, W, psi, psi_floor):
+    """E-step, M-step, and the bound -n/2 (fit + smear + sum(log 2pi + log psi) +
+    tr E[z z^T] - sum log v - k) under the old posterior and the new (W, psi).
+
+    Fit plus smear, the residual x - W A^T x and the posterior variance through W
+    weighted by psi^-1, averages sum_j (S - 2 S A W^T + W Ezz W^T)_jj / psi_j;
+    as the M-step's W solves W Ezz = S A, that is sum_j psi_fit_j / psi_j."""
     A, v = _vi_estep(W, psi)
     SA = S @ A
-    W, psi = _m_step(S, SA, np.diag(v) + A.T @ SA, psi_floor)
-    return (W, psi), _elbo(S, n, W, psi, A, v)
+    Ezz = np.diag(v) + A.T @ SA
+    W, psi, psi_fit = _m_step(S, SA, Ezz, psi_floor)
+    terms = (psi_fit / psi).sum() + (LOG_2PI + np.log(psi)).sum() + Ezz.trace() - np.log(v).sum()
+    return (W, psi), -0.5 * n * (float(terms) - len(v))
 
 
 def posterior_moments(params: FAParams, data) -> PosteriorMoments:
@@ -380,7 +378,7 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
 def log_likelihood(params: FAParams, data) -> float:
     """Gaussian log-likelihood of the rows under N(c, W W^T + diag(psi))."""
     X = _as_float_matrix(data, params.m)
-    return _gaussian_ll(_second_moment(X, params.c), len(X), params.W, params.psi)
+    return len(X) * _em_estep(_second_moment(X, params.c), params.W, params.psi)[1]
 
 
 def params_to_dict(params: FAParams) -> dict:

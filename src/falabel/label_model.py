@@ -9,6 +9,7 @@ class to the half of the factor that correlates with positive votes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +96,11 @@ def orient_factor(z_train: np.ndarray, matrix: LabelMatrix) -> int:
     return 1 if corr >= 0 else -1
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of a 1-d array, Phi(x) = erfc(-x / sqrt 2) / 2."""
+    return 0.5 * np.fromiter(map(math.erfc, (x * -math.sqrt(0.5)).tolist()), float, len(x))
+
+
 def _latent_threshold(kind: str, z_raw: np.ndarray) -> float:
     """Median (of an even count: the middle pair's mean) or mean of the raw training factor."""
     return float(np.median(z_raw) if kind == "median" else np.mean(z_raw))
@@ -159,13 +165,11 @@ def build_label_model(
         train_std = 1.0  # degenerate factor; CDF transform collapses to 0.5
 
     if threshold_kind == "cdf_youden":
-        from scipy.special import ndtr  # the normal CDF; imported here so only cdf_youden loads scipy
-
         dev_matrix, dev_gold = dev
         if dev_gold.n != dev_matrix.n:
             raise ValidationError("dev gold labels must match the dev matrix row count")
         dev_scores = orientation * posterior_moments(params, dev_matrix).mean[:, 0]
-        dev_cdf = ndtr((dev_scores - train_mean) / train_std)
+        dev_cdf = _normal_cdf((dev_scores - train_mean) / train_std)
         if dev_gold.mask is not None:
             dev_cdf = dev_cdf[dev_gold.mask]
         threshold_value, _ = youden_threshold(dev_cdf, dev_gold.labelled_values())
@@ -213,9 +217,7 @@ def _label(model: LabelModel, factor_means: np.ndarray) -> Predictions:
     """:func:`predict` on rows whose posterior factor means are ``factor_means``."""
     scores = model.orientation * factor_means[:, 0]
     if model.threshold_kind == "cdf_youden":
-        from scipy.special import ndtr
-
-        u = ndtr((scores - model.train_factor_mean) / model.train_factor_std)
+        u = _normal_cdf((scores - model.train_factor_mean) / model.train_factor_std)
         labels = u > model.threshold_value
     else:
         labels = scores > model.orientation * model.threshold_value

@@ -449,6 +449,35 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
     assert proc.stdout.strip() == "[]"
 
 
+def test_cdf_youden_fit_and_predict_leave_scipy_unloaded(world):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import falabel
+
+    tmp, paths = world
+    script = """
+import sys
+from falabel.cli import main
+
+train, train_gold, test, d = sys.argv[1:]
+assert main(["fit", train, "--threshold", "cdf-youden", "--dev-matrix", train,
+             "--dev-gold", train_gold, "--out", f"{d}/youden.json"]) == 0
+assert main(["predict", f"{d}/youden.json", test, "--out", f"{d}/pred.csv"]) == 0
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(falabel.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(paths["train"]), str(paths["train_gold"]),
+         str(paths["test"]), str(tmp)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_each_command_imports_only_the_modules_it_runs(world):
     import os
     import subprocess

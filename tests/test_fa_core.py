@@ -11,6 +11,7 @@ from falabel import (
     FAParams,
     FitConfig,
     LabelMatrix,
+    NumericalError,
     ValidationError,
     fit_fa_em,
     fit_fa_vi,
@@ -21,6 +22,7 @@ from falabel import (
 )
 from falabel.fa_core import (
     LOG_2PI,
+    _em_estep,
     _em_step,
     _em_update,
     _fit_loop,
@@ -231,6 +233,20 @@ class TestFitEM:
             W, _ = _init_params(Xc.T @ Xc / len(Xc), FitConfig(k=2, init=init, seed=seed))
             assert (W.sum(axis=0) >= 0.0).all()
 
+    @pytest.mark.parametrize("fit", [fit_fa_em, fit_fa_vi])
+    @pytest.mark.parametrize("init", ["svd", "random"])
+    def test_overflowing_second_moment_raises_numerical_error(self, fit, init):
+        # finite rows whose squares overflow: S holds inf
+        X = np.array([[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0], [1e200, 1.0, 0.0], [-1e200, 0.0, 0.0]])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            fit(X, FitConfig(init=init))
+
+    @pytest.mark.parametrize("psi", [-1.0, -4.0])
+    def test_posterior_precision_without_positive_determinant_raises(self, psi):
+        # H = 1 + 4 / psi is 0 or negative
+        with pytest.raises(NumericalError, match="posterior precision"):
+            _em_estep(np.eye(1), np.array([[2.0]]), np.array([psi]))
+
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((50, 3))
@@ -265,14 +281,12 @@ class TestFitVI:
 
     def test_elbo_equals_ll_at_k1(self):
         # mean-field family contains the exact posterior when k = 1
-        from falabel.fa_core import _elbo
-
         rng = np.random.default_rng(44)
         params = random_params(rng, 3)
         X = sample_rows(rng, params, 20)
         Xc = X - X.mean(axis=0)
         A, v = _vi_estep(params.W, params.psi)
-        bound = _elbo(Xc.T @ Xc / len(Xc), len(Xc), params.W, params.psi, A, v)
+        bound = reference_elbo(Xc.T @ Xc / len(Xc), len(Xc), params.W, params.psi, A, v)
         centered = FAParams(W=params.W, c=np.zeros(3), psi=params.psi, k=1, m=3)
         assert bound == pytest.approx(log_likelihood(centered, Xc), abs=1e-8)
 
@@ -374,14 +388,15 @@ def row_wise_fit_fa(X, cfg, route):
     """
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / len(Xc)
-    row_wise, second_moment = {
-        "em": (row_wise_em_update, _em_update), "vi": (row_wise_vi_update, _vi_update)
+    row_wise, second_moment, start = {
+        "em": (row_wise_em_update, _em_update, lambda S, W, psi: _em_estep(S, W, psi)[0]),
+        "vi": (row_wise_vi_update, _vi_update, lambda S, W, psi: (W, psi)),
     }[route]
     steps = []
 
     def step(state):
-        steps.append((second_moment(S, len(Xc), *state, cfg.psi_floor),
-                      row_wise(Xc, *state, cfg.psi_floor)))
+        new_state, value = second_moment(S, len(Xc), *start(S, *state), cfg.psi_floor)
+        steps.append(((new_state[:2], value), row_wise(Xc, *state, cfg.psi_floor)))
         return steps[-1][1]
 
     state, report = _fit_loop(step, _init_params(S, cfg), cfg.max_iter, cfg.tol, route, "objective")
@@ -423,3 +438,69 @@ def test_second_moment_fit_matches_row_wise_fit(data, route):
     np.testing.assert_allclose(report.ll_trace, expected.ll_trace, rtol=0.0, atol=atol)
     np.testing.assert_allclose(params.W, W, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(params.psi, psi, rtol=0.0, atol=1e-9)
+
+
+# Reference: the log-likelihood from an m x m Cholesky factor and solve of
+# Sigma, and the bound from the residual map R = I - A W^T, as the fits
+# computed them before their objectives came from k x k terms.
+
+
+def reference_gaussian_ll(S, n, W, psi):
+    sigma = W @ W.T + np.diag(psi)
+    L = np.linalg.cholesky(sigma)
+    logdet = 2.0 * float(np.log(np.diag(L)).sum())
+    quad = float(np.trace(np.linalg.solve(sigma, S)))
+    return -0.5 * n * (len(psi) * LOG_2PI + logdet + quad)
+
+
+def reference_elbo(S, n, W, psi, A, v):
+    m, k = W.shape
+    precision = 1.0 / psi
+    R = np.eye(m) - A @ W.T  # a centred row x leaves the residual R^T x
+    fit_term = float(precision @ np.einsum("ij,ij->j", R, S @ R))
+    smear_term = float(v @ ((W**2).T @ precision))
+    noise_term = float((LOG_2PI + np.log(psi)).sum())
+    prior_term = float(np.einsum("ij,ij->", A, S @ A) + v.sum())
+    entropy_term = float(np.log(v).sum()) + k
+    return -0.5 * n * (fit_term + smear_term + noise_term + prior_term - entropy_term)
+
+
+@st.composite
+def fit_states(draw):
+    """(X, W, psi, psi_floor): LF-like rows, some columns constant so that the
+    M-step clamps their psi, and a random state with some psi at the floor.
+
+    Loadings stay at most about 1: with loadings of 3 and psi at 1e-6, Sigma is
+    so ill-conditioned that the Cholesky reference itself drifts by more than
+    1e-9 (mpmath put it 1.2e-9 off and the k x k form 2e-16 off in one case)."""
+    n, m = draw(st.integers(2, 200)), draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(2, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.choice([-1.0, 0.0, 1.0], p=rng.dirichlet(np.ones(3)), size=(n, m))
+    X[:, rng.random(m) < 0.2] = 1.0
+    psi_floor = draw(st.sampled_from([1e-6, 1e-3]))
+    psi = np.where(rng.random(m) < 0.3, psi_floor, rng.uniform(0.05, 2.0, size=m))
+    return X, rng.normal(0.0, draw(st.sampled_from([0.1, 0.5, 1.0])), size=(m, k)), psi, psi_floor
+
+
+@given(fit_states())
+def test_objectives_match_the_m_by_m_references(state):
+    X, W, psi, psi_floor = state
+    n = len(X)
+    Xc = X - X.mean(axis=0)
+    S = Xc.T @ Xc / n
+
+    def close(value, expected, psi):
+        # within 1e-9 of the magnitude of the terms the objectives add up: with
+        # psi near the floor they cancel, and the sum itself can be near zero
+        magnitude = 0.5 * n * (len(psi) * LOG_2PI + np.abs(np.log(psi)).sum() + (np.diag(S) / psi).sum())
+        assert abs(value - expected) <= 1e-9 * magnitude, (value, expected, magnitude)
+
+    (W1, psi1, *_), value = _em_update(S, n, *_em_estep(S, W, psi)[0], psi_floor)
+    assert (psi1 == psi_floor).any() or not (np.diag(S) == 0).any()
+    close(value, reference_gaussian_ll(S, n, W1, psi1), psi1)
+    A, v = _vi_estep(W, psi)
+    (W1, psi1), value = _vi_update(S, n, W, psi, psi_floor)
+    close(value, reference_elbo(S, n, W1, psi1, A, v), psi1)
+    params = FAParams(W=W, c=X.mean(axis=0), psi=psi, k=W.shape[1], m=W.shape[0])
+    close(log_likelihood(params, X), reference_gaussian_ll(S, n, W, psi), psi)

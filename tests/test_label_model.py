@@ -1,7 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtr
+
+from falabel import label_model
 
 from falabel import (
     FAParams,
@@ -13,6 +18,7 @@ from falabel import (
     ValidationError,
     build_label_model,
     export_factors,
+    fit_fa_em,
     generate,
     load_label_model,
     orient_factor,
@@ -21,7 +27,7 @@ from falabel import (
     train_label_model,
     youden_threshold,
 )
-from falabel.label_model import _latent_threshold
+from falabel.label_model import _latent_threshold, _normal_cdf
 
 
 def make_model(threshold=0.0, orientation=1, kind="median"):
@@ -284,3 +290,39 @@ def test_youden_equals_the_per_cut_scan_on_tied_scores(data):
     gold = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
     gold[:2] = data.draw(st.permutations([0, 1]))
     assert youden_threshold(scores, gold) == youden_by_scan(scores, gold)
+
+
+@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=100))
+def test_normal_cdf_matches_ndtr(xs):
+    x = np.sort(np.array(xs))
+    phi, expected = _normal_cdf(x), ndtr(x)
+    assert (np.diff(phi) >= 0.0).all()
+    # ndtr flushes to 0 below x = -37.68, where erfc still returns subnormals
+    tiny = np.finfo(float).tiny
+    normal = expected >= tiny
+    rel = np.abs(phi - expected)[normal] / expected[normal]
+    assert (rel[x[normal] > -8.0] <= 1e-14).all()
+    assert (rel <= 1e-12).all()
+    assert (np.abs(phi - expected)[~normal] <= tiny).all()
+
+
+@given(st.integers(0, 2**16), st.integers(10, 300), st.floats(0.2, 0.8))
+def test_cdf_youden_cut_and_labels_match_under_ndtr(seed, n, prior):
+    def split(n, seed):
+        return generate(SyntheticSpec(
+            n=n, m=5, class_prior=prior, accuracies=(0.9, 0.85, 0.8, 0.7, 0.6),
+            propensities=(1.0, 0.9, 0.8, 0.6, 0.5), seed=seed,
+        ))
+
+    train, _ = split(n, seed)
+    dev = split(100, seed + 1)
+    test, _ = split(200, seed + 2)
+    params, _ = fit_fa_em(train)
+    model = build_label_model(params, train, "cdf_youden", dev)
+    with patch.object(label_model, "_normal_cdf", ndtr):
+        expected = build_label_model(params, train, "cdf_youden", dev)
+        expected_labels = [predict(expected, m).labels for m in (dev[0], test)]
+    # the same dev score is the cut; only its CDF value moves, by a few ulps
+    assert model.threshold_value == pytest.approx(expected.threshold_value, rel=1e-13, abs=1e-300)
+    for m, labels in zip((dev[0], test), expected_labels):
+        np.testing.assert_array_equal(predict(model, m).labels, labels)
