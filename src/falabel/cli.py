@@ -1,9 +1,9 @@
 """Command-line surface for the label-model pipeline.
 
 Subcommands: fit, predict, evaluate, compare, sweep, stats, cov, synth,
-apply-lfs.  Exit codes: 0 success, 2 input/validation error, 3 numerical
-failure.  All randomness is driven by --seed, so every subcommand is
-bit-reproducible given identical inputs.
+apply-lfs.  Exit codes: 0 success, 2 invalid input or an unreadable or
+unwritable file, 3 numerical failure.  All randomness is driven by --seed,
+so every subcommand is bit-reproducible given identical inputs.
 """
 
 from __future__ import annotations
@@ -220,21 +220,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_apply_lfs(args) -> int:
-    from pathlib import Path
+    from .labelling import _read_input, _text_mode, apply_lfs, load_lf_specs, save_label_matrix
 
-    from .labelling import apply_lfs, load_lf_specs, save_label_matrix
-
-    path = Path(args.records)
-    if not path.is_file():
-        raise ValidationError(f"records file not found: {path}")
-    # text mode turns "\r\n" and "\r" into "\n"; splitlines() would also split at U+2028
-    lines = path.read_text(encoding="utf-8").split("\n")
+    # a record ends only at "\r\n", "\r" or "\n"; splitlines() would also split at U+2028
+    lines = _text_mode(_read_input(args.records, "records")).split("\n")
     matrix = apply_lfs(lines[:-1] if lines[-1] == "" else lines, load_lf_specs(args.specs))
     save_label_matrix(matrix, args.out)
     return 0
 
 
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+def _add_fit_flags(p: argparse.ArgumentParser, thresholds=tuple(THRESHOLD_FLAGS)) -> None:
     p.add_argument("--k", type=int, default=1, help="latent dimension (default 1)")
     p.add_argument("--seed", type=int, default=123, help="random seed (default 123)")
     p.add_argument("--tol", type=float, default=1e-4, help="convergence tolerance (default 1e-4)")
@@ -242,12 +237,13 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init", choices=("svd", "random"), default="svd", help="initialization")
     p.add_argument(
         "--threshold",
-        choices=tuple(THRESHOLD_FLAGS),
+        choices=thresholds,
         default="median",
         help="dichotomization threshold (default median)",
     )
-    p.add_argument("--dev-matrix", default=None, help="dev labelling matrix (cdf-youden only)")
-    p.add_argument("--dev-gold", default=None, help="dev gold labels (cdf-youden only)")
+    if "cdf-youden" in thresholds:
+        p.add_argument("--dev-matrix", default=None, help="dev labelling matrix (cdf-youden only)")
+        p.add_argument("--dev-gold", default=None, help="dev gold labels (cdf-youden only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5, help="repeats per size (default 5)")
     p.add_argument("--methods", default="fa-em,ci-em,majority", help="comma list of methods")
     p.add_argument("--out", required=True, help="output sweep CSV")
-    _add_fit_flags(p)
+    _add_fit_flags(p, ("median", "mean"))  # the sweep has no dev split
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stats", help="labelling-matrix summary statistics")
@@ -345,7 +341,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # bad input, or an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -370,8 +370,11 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
     """
     X = _as_float_matrix(data, params.m)
     precision = 1.0 / params.psi
-    G = np.linalg.inv(np.eye(params.k) + (params.W.T * precision) @ params.W)
+    H = np.eye(params.k) + (params.W.T * precision) @ params.W
+    G = np.linalg.inv(H)
     mean = (X - params.c) @ (precision[:, None] * params.W) @ G
+    if not (np.isfinite(H).all() and np.isfinite(mean).all()):
+        raise NumericalError("posterior precision or factor means not finite")
     return PosteriorMoments(mean=mean, cov=G)
 
 

@@ -25,6 +25,7 @@ from .labelling import (
     _fields,
     _int_cells,
     _read_csv,
+    _read_input,
     _read_json,
     _write_csv,
 )
@@ -258,7 +259,7 @@ def save_predictions(preds: Predictions, path) -> None:
 
 def _load_prediction_labels(path) -> np.ndarray:
     """The label column, each in {0, 1}, of a CSV written by :func:`save_predictions`."""
-    header, rows = _read_csv(path, "predictions")
+    header, rows = _read_csv(path, _read_input(path, "predictions"))
     if header != ["index", "score", "label"]:
         raise ValidationError(f"{Path(path)}: expected header 'index,score,label'")
     return _int_cells(path, [row[2:] for row in rows], (0, 1), "label")[:, 0]

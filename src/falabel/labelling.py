@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import re
 from contextlib import contextmanager
@@ -175,16 +174,30 @@ class MatrixStats:
     all_abstain_fraction: float = 0.0
 
 
-def _read_json(path, what: str, kind: type = dict, kind_name: str = "a JSON object"):
-    """Parse the JSON file of a ``what`` (e.g. "model"), whose top level must be a ``kind``.
-
-    A missing file, invalid JSON or a wrong top-level type is a ValidationError.
-    """
+def _read_input(path, what: str) -> str:
+    """The UTF-8 text of the input file of a ``what`` (e.g. "model"), else a ValidationError."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"{what} file not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def _text_mode(text: str) -> str:
+    """``text`` with each '\\r\\n' and '\\r' turned into '\\n', as a text-mode read turns them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_json(path, what: str, kind: type = dict, kind_name: str = "a JSON object"):
+    """Parse the JSON file of a ``what`` (e.g. "model"), whose top level must be a ``kind``.
+
+    A missing or non-UTF-8 file, invalid JSON or a wrong top-level type is a ValidationError.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(_text_mode(_read_input(path, what)))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, kind):
@@ -215,17 +228,17 @@ def _dump_json(payload: dict, path=None) -> str:
     return text
 
 
-def _read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
-    """The stripped header and the data rows of the CSV file of a ``what``.
+def _read_csv(path, text: str) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the data rows of ``text``, the content of the CSV file ``path``.
 
-    A missing or empty file, a row with another field count than the header
-    (a blank line has 0 fields) or no data rows is a ValidationError.
+    Empty text, a row with another field count than the header (a blank line
+    has 0 fields), no data rows or a field the csv module rejects is a ValidationError.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"{what} file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -245,67 +258,54 @@ def _int_cells(path, rows, allowed, noun: str, where=lambda i, j: f"line {i + 2}
     Else a ValidationError names the first bad cell in row-major order as the
     ``noun`` at ``where(i, j)`` (data row i, column j; by default its line).
     """
-    try:
-        cells = map(int, map(str.strip, itertools.chain.from_iterable(rows)))
-        values = np.fromiter(cells, np.int64, len(rows) * len(rows[0])).reshape(len(rows), -1)
-        if np.isin(values, allowed).all():
-            return values
-    except (ValueError, OverflowError):
-        pass
-    # The bulk parse failed, so one of these cells is at fault.
     allowed_text = "{" + ", ".join(map(str, allowed)) + "}"
+    values = []
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             try:
-                value = int(cell.strip())
+                values.append(int(cell.strip()))
             except ValueError:
                 raise ValidationError(
                     f"{Path(path)}: non-integer {noun} {cell!r} at {where(i, j)}"
                 ) from None
-            if value not in allowed:
+            if values[-1] not in allowed:
                 raise ValidationError(
-                    f"{Path(path)}: {noun} {value} at {where(i, j)} is not in {allowed_text}"
+                    f"{Path(path)}: {noun} {values[-1]} at {where(i, j)} is not in {allowed_text}"
                 )
+    return np.array(values, np.int64).reshape(len(rows), len(rows[0]))
 
 
-_CELL_BYTES = {-1: ord("2"), 0: ord("0"), 1: ord("1")}  # "-1" is read after its rewrite to "2"
-
-
-def _canonical_cells(path, allowed) -> tuple[list[str], np.ndarray] | None:
-    """The stripped header and int64 cells of a CSV file in the form the
-    writers produce, or None for any other file.
+def _canonical_cells(text: str, allowed) -> tuple[list[str], np.ndarray] | None:
+    """The stripped header and int64 cells of ``text``, the content of a CSV
+    file, when it has the form the writers produce; else None.
 
     That form is a header line with no quote or carriage return, no longer
     than the csv module's field size limit, then lines of as many cells as
-    header fields, each cell spelled exactly as one of ``allowed`` (a subset
-    of -1, 0, 1), separated by ',' and each line ended by '\\n'.  It decodes
-    with numpy alone; every other file, including each malformed one, is left
-    to ``_read_csv`` and ``_int_cells``.
+    header fields, each cell spelled exactly as one of ``allowed`` (-1, 0, 1
+    or 0, 1), separated by ',' and each line ended by '\\n'.  It decodes
+    with numpy alone; every other content, including each malformed one, is
+    left to ``_read_csv`` and ``_int_cells``.
     """
-    path = Path(path)
-    if not path.is_file():
+    end = text.find("\n")
+    head = text[:end]
+    if not 0 < end <= csv.field_size_limit() or '"' in head or "\r" in head:
         return None
-    data = path.read_bytes()
-    end = data.find(b"\n")
-    head, body = data[:end], data[end + 1 :]
-    if not 0 < end <= csv.field_size_limit() or b'"' in head or b"\r" in head or b"2" in body:
+    if text.find("/", end) >= 0:  # a "/" in the body would read as a "-1"
         return None
-    try:
-        header = [h.strip() for h in head.decode("utf-8").split(",")]
-    except UnicodeDecodeError:
-        return None
-    # With each "-1" written as "2", the body alternates one cell byte and one separator.
-    chars = np.frombuffer(body.replace(b"-1", b"2"), np.uint8)
+    header = [h.strip() for h in head.split(",")]
+    # One byte per character (a non-ASCII one as "?") and each "-1" as "/", the byte before
+    # "0": a canonical body alternates one cell byte and one separator.
+    body = text[end + 1 :].encode("ascii", "replace").replace(b"-1", b"/")
+    chars = np.frombuffer(body, np.uint8)
     m = len(header)
     if chars.size == 0 or chars.size % (2 * m):
         return None
-    seps = chars[1::2].reshape(-1, m)
-    decode = np.full(256, 2, np.int64)  # 2 marks a byte that is no allowed cell
-    decode[[_CELL_BYTES[v] for v in allowed]] = allowed
-    values = decode[chars[::2]].reshape(-1, m)
-    if (values == 2).any() or (seps[:, :-1] != ord(",")).any() or (seps[:, -1] != ord("\n")).any():
+    cells, seps = chars[::2].reshape(-1, m), chars[1::2].reshape(-1, m)
+    if (cells < ord("0") + min(allowed)).any() or (cells > ord("1")).any():
         return None
-    return header, values
+    if (seps[:, :-1] != ord(",")).any() or (seps[:, -1] != ord("\n")).any():
+        return None
+    return header, np.subtract(cells, ord("0"), dtype=np.int64)
 
 
 def _write_csv(rows, path=None) -> str:
@@ -346,8 +346,10 @@ def load_label_matrix(path) -> LabelMatrix:
     Raises ValidationError naming the offending cell for out-of-range or
     non-integer entries, and for ragged rows or duplicate LF names.
     """
-    canonical = _canonical_cells(path, VALID_ENTRIES)
-    names, cells = canonical or _read_csv(path, "label matrix")
+    text = _read_input(path, "label matrix")
+    canonical = _canonical_cells(text, VALID_ENTRIES)
+    names, cells = canonical or _read_csv(path, text)
+    del text  # freed before LabelMatrix copies the cells, which sets the peak memory
     values = cells if canonical else _int_cells(
         path, cells, VALID_ENTRIES, "entry", lambda i, j: f"row {i + 1}, column '{names[j]}'"
     )
@@ -361,8 +363,9 @@ def save_label_matrix(matrix: LabelMatrix, path) -> None:
 
 def load_gold_labels(path) -> GoldLabels:
     """Read gold labels from a single-column CSV with header 'y'."""
-    canonical = _canonical_cells(path, (0, 1))
-    header, cells = canonical or _read_csv(path, "gold labels")
+    text = _read_input(path, "gold labels")
+    canonical = _canonical_cells(text, (0, 1))
+    header, cells = canonical or _read_csv(path, text)
     if header != ["y"]:
         raise ValidationError(f"{Path(path)}: expected single header column 'y', got {header}")
     values = cells if canonical else _int_cells(path, cells, (0, 1), "label")

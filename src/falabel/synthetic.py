@@ -40,6 +40,8 @@ class SyntheticSpec:
             raise ValidationError(f"m must be >= 1, got {self.m}")
         if not 0.0 < self.class_prior < 1.0:
             raise ValidationError(f"class_prior must be in (0, 1), got {self.class_prior}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         accuracies = tuple(float(a) for a in self.accuracies)
         propensities = tuple(float(q) for q in self.propensities)
         if len(accuracies) != self.m:

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from falabel import generate, load_label_matrix, save_gold_labels, save_label_matrix
 from falabel.cli import main
@@ -589,3 +593,138 @@ def test_malformed_predictions_exit_2(tmp_path, capsys, content, message):
     assert main(["evaluate", str(pred), str(gold)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--threshold", "cdf-youden", "--dev-matrix", "train", "--dev-gold", "train_gold"],
+        ["--dev-matrix", "train", "--dev-gold", "train_gold"],
+    ],
+    ids=["cdf-youden", "dev-split-alone"],
+)
+def test_sweep_has_no_dev_split_flags(world, capsys, extra):
+    tmp, paths = world
+    argv = ["sweep", str(paths["train"]), str(paths["test"]), str(paths["gold"]),
+            "--sizes", "10", "--repeats", "1", "--out", str(tmp / "sweep.csv")]
+    assert main(argv + [str(paths[a]) if a in paths else a for a in extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "requires a labelled dev set" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "{train}", "--out", "{missing}/m.json"],
+        ["fit", "{train}", "--out", "{tmp}/m.json", "--report", "{tmp}"],
+        ["synth", "--n", "20", "--out-matrix", "{missing}/m.csv", "--out-gold", "{tmp}/y.csv"],
+        ["predict", "{tmp}/fa.json", "{test}", "--out", "{missing}/p.csv"],
+        ["evaluate", "{tmp}/pred.csv", "{gold}", "--out", "{missing}/e.json"],
+    ],
+    ids=["fit-out", "report-dir", "synth-out-matrix", "predict-out", "evaluate-out"],
+)
+def test_unwritable_output_exits_2(world, capsys, argv):
+    tmp, paths = world
+    assert main(["fit", str(paths["train"]), "--out", str(tmp / "fa.json")]) == 0
+    assert main(["predict", str(tmp / "fa.json"), str(paths["test"]), "--out", str(tmp / "pred.csv")]) == 0
+    names = {"tmp": tmp, "missing": tmp / "missing", **paths}
+    assert main([a.format(**names) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, value", [("psi", 1e-320), ("W", 1e200)])
+def test_predict_with_degenerate_model_exits_3(world, capsys, field, value):
+    tmp, paths = world
+    model_path = tmp / "model.json"
+    assert main(["fit", str(paths["train"]), "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text())
+    payload[field] = [[value]] * 4 if field == "W" else [value] * 4
+    model_path.write_text(json.dumps(payload))
+    pred = tmp / "p.csv"
+    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert not pred.exists()
+
+
+# One valid file of each kind the CLI reads, and a command that reads each.
+INPUTS = ("matrix.csv", "gold.csv", "pred.csv", "fa.json", "ci.json", "lfs.json", "spec.json", "records.txt")
+READERS = (
+    ("fit", "matrix.csv", "--out", "out.json", "--report", "report.json"),
+    ("fit", "matrix.csv", "--threshold", "cdf-youden", "--dev-matrix", "matrix.csv",
+     "--dev-gold", "gold.csv", "--out", "out.json"),
+    ("predict", "fa.json", "matrix.csv", "--out", "out.csv"),
+    ("predict", "ci.json", "matrix.csv", "--out", "out.csv"),
+    ("evaluate", "pred.csv", "gold.csv", "--out", "out.json"),
+    ("compare", "matrix.csv", "matrix.csv", "gold.csv", "--out", "out.csv"),
+    ("sweep", "matrix.csv", "matrix.csv", "gold.csv", "--sizes", "10", "--repeats", "1",
+     "--out", "out.csv"),
+    ("stats", "matrix.csv", "--out", "out.csv"),
+    ("cov", "matrix.csv", "--out", "out.csv"),
+    ("synth", "--spec", "spec.json", "--out-matrix", "out.csv", "--out-gold", "out_gold.csv"),
+    ("apply-lfs", "records.txt", "lfs.json", "--out", "out.csv"),
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The bytes of each file in INPUTS, all consistent with one another."""
+    d = tmp_path_factory.mktemp("inputs")
+    spec = {"n": 40, "m": 3, "class_prior": 0.5, "accuracies": [0.9, 0.8, 0.7],
+            "propensities": [1.0, 0.9, 0.8], "seed": 12}
+    (d / "spec.json").write_text(json.dumps(spec))
+    (d / "records.txt").write_text("buy cheap now\nhello\ncheap, hello\n")
+    (d / "lfs.json").write_text(json.dumps(
+        [{"name": "buy", "kind": "keyword", "pattern": "buy", "vote_on_match": 1},
+         {"name": "hi", "kind": "regex", "pattern": "^hel+o", "vote_on_match": 0}]
+    ))
+    for argv in (
+        ["synth", "--spec", "spec.json", "--out-matrix", "matrix.csv", "--out-gold", "gold.csv"],
+        ["fit", "matrix.csv", "--out", "fa.json"],
+        ["fit", "matrix.csv", "--route", "ci-em", "--out", "ci.json"],
+        ["predict", "fa.json", "matrix.csv", "--out", "pred.csv"],
+    ):
+        assert main([str(d / a) if "." in a else a for a in argv]) == 0
+    return {name: (d / name).read_bytes() for name in INPUTS}
+
+
+def run_reader(argv, files, tmp) -> int:
+    """``main`` on ``argv`` with each file of ``files`` (name -> bytes) written into ``tmp``."""
+    for name, content in files.items():
+        (tmp / name).write_bytes(content)
+    return main([str(tmp / a) if "." in a else a for a in argv])
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_undecodable_input_exits_2_naming_the_file(inputs, tmp_path, capsys, name):
+    argv = next(argv for argv in READERS if name in argv)
+    content = inputs[name]
+    bad = {**inputs, name: content[: len(content) // 2] + b"\xff" + content[len(content) // 2 :]}
+    assert run_reader(argv, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / name) in err and "Traceback" not in err
+
+
+def test_oversized_csv_field_exits_2(inputs, tmp_path, capsys):
+    import csv
+
+    matrix = inputs["matrix.csv"] + b"1" * (csv.field_size_limit() + 1) + b",0,1\n"
+    assert run_reader(READERS[0], {**inputs, "matrix.csv": matrix}, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "matrix.csv") in err
+
+
+@given(st.data())
+def test_any_input_file_ends_in_exit_0_2_or_3(inputs, data):
+    argv = data.draw(st.sampled_from(READERS))
+    name = data.draw(st.sampled_from(sorted({a for a in argv if a in inputs})))
+    valid = inputs[name]
+    content = data.draw(
+        st.one_of(
+            st.binary(max_size=200),
+            st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+                lambda at: valid[: at[0]] + bytes([at[1]]) + valid[at[0] + 1 :]
+            ),
+        )
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_reader(argv, {**inputs, name: content}, Path(tmp)) in (0, 2, 3)

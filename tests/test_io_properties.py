@@ -1,6 +1,7 @@
 """Round-trip properties for every file format the package reads and writes."""
 
 import csv
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from falabel.labelling import (
     _canonical_cells,
     _int_cells,
     _read_csv,
+    _read_input,
     _write_csv,
     _write_votes,
 )
@@ -128,7 +130,7 @@ def test_gold_csv_roundtrip(values):
 
 def general_label_matrix(path) -> LabelMatrix:
     """The general CSV reader alone, without the canonical decode."""
-    names, rows = _read_csv(path, "label matrix")
+    names, rows = _read_csv(path, _read_input(path, "label matrix"))
     values = _int_cells(
         path, rows, VALID_ENTRIES, "entry", lambda i, j: f"row {i + 1}, column '{names[j]}'"
     )
@@ -137,7 +139,7 @@ def general_label_matrix(path) -> LabelMatrix:
 
 def general_gold_labels(path) -> GoldLabels:
     """The general CSV reader alone, as :func:`load_gold_labels` applies it."""
-    header, rows = _read_csv(path, "gold labels")
+    header, rows = _read_csv(path, _read_input(path, "gold labels"))
     if header != ["y"]:
         raise ValidationError(f"{path}: expected single header column 'y', got {header}")
     return GoldLabels(values=_int_cells(path, rows, (0, 1), "label")[:, 0])
@@ -145,10 +147,10 @@ def general_gold_labels(path) -> GoldLabels:
 
 def outcome(load, path):
     """The object ``load`` reads from ``path`` (gold labels as a list), or the
-    message of the ValidationError or csv.Error it raises."""
+    message of the ValidationError it raises."""
     try:
         loaded = load(path)
-    except (ValidationError, csv.Error) as exc:
+    except ValidationError as exc:
         return str(exc)
     return loaded.values.tolist() if isinstance(loaded, GoldLabels) else loaded
 
@@ -176,8 +178,9 @@ def test_canonical_decode_of_written_matrix_matches_general_reader(matrix):
         path = Path(tmp) / "m.csv"
         save_label_matrix(matrix, path)
         quoted = b'"' in path.read_bytes().split(b"\n")[0]
-        canonical = _canonical_cells(path, VALID_ENTRIES)
-        header, rows = _read_csv(path, "label matrix")
+        text = _read_input(path, "label matrix")
+        canonical = _canonical_cells(text, VALID_ENTRIES)
+        header, rows = _read_csv(path, text)
         values = _int_cells(path, rows, VALID_ENTRIES, "entry")
     # The writer quotes a name holding a comma or a quote; only then is the
     # header left to the general reader.
@@ -193,8 +196,9 @@ def test_canonical_decode_of_written_gold_matches_general_reader(values):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "y.csv"
         save_gold_labels(GoldLabels(values=values), path)
-        canonical = _canonical_cells(path, (0, 1))
-        header, rows = _read_csv(path, "gold labels")
+        text = _read_input(path, "gold labels")
+        canonical = _canonical_cells(text, (0, 1))
+        header, rows = _read_csv(path, text)
         general = _int_cells(path, rows, (0, 1), "label")
     assert canonical is not None
     assert canonical[0] == header == ["y"]
@@ -244,6 +248,7 @@ def test_mutated_matrix_file_reads_as_the_general_reader_reads_it(matrix, data):
         b"a,b\n1-1,0\n",
         b"a,b\n0,1",
         b"a" * (csv.field_size_limit() + 1) + b"\n1\n",  # a name the csv module rejects
+        b"a\n\xff\n",  # not UTF-8
         b"y\n0\n1\n",
         b"y\n-1\n",  # an abstention is no gold label
         b"x\n0\n",
@@ -254,6 +259,57 @@ def test_edge_files_read_as_the_general_reader_reads_them(tmp_path, content):
     path.write_bytes(content)
     assert outcome(load_label_matrix, path) == outcome(general_label_matrix, path)
     assert outcome(load_gold_labels, path) == outcome(general_gold_labels, path)
+
+
+def two_pass_int_cells(path, rows, allowed, noun, where=lambda i, j: f"line {i + 2}"):
+    """The two-pass form of ``_int_cells``, kept as its reference: a bulk parse,
+    then, when that fails, a scan for the first bad cell in row-major order."""
+    try:
+        cells = map(int, map(str.strip, itertools.chain.from_iterable(rows)))
+        values = np.fromiter(cells, np.int64, len(rows) * len(rows[0])).reshape(len(rows), -1)
+        if np.isin(values, allowed).all():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    allowed_text = "{" + ", ".join(map(str, allowed)) + "}"
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                value = int(cell.strip())
+            except ValueError:
+                raise ValidationError(
+                    f"{Path(path)}: non-integer {noun} {cell!r} at {where(i, j)}"
+                ) from None
+            if value not in allowed:
+                raise ValidationError(
+                    f"{Path(path)}: {noun} {value} at {where(i, j)} is not in {allowed_text}"
+                )
+
+
+integer_cells = st.sampled_from(["-1", "0", "1", " 1", "0\t", "+1", "01", "-0"])
+bad_cells = st.one_of(
+    st.sampled_from(
+        ["2", "-2", str(2**63), str(-(2**64)), "1" * 4301, "1.0", "x", "", "1_0", "1e0", "- 1"]
+    ),
+    st.text(max_size=3),
+)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([VALID_ENTRIES, (0, 1)]), st.data())
+def test_int_cells_matches_the_two_pass_reference(n, m, allowed, data):
+    rows = data.draw(st.lists(st.lists(integer_cells, min_size=m, max_size=m), min_size=n, max_size=n))
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, m - 1))] = data.draw(bad_cells)
+
+    def result(int_cells):
+        try:
+            values = int_cells("m.csv", rows, allowed, "entry")
+        except ValidationError as exc:
+            return str(exc)
+        assert values.dtype == np.int64
+        return values.tolist()
+
+    assert result(_int_cells) == result(two_pass_int_cells)
 
 
 @given(label_models())

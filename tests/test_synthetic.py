@@ -45,6 +45,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             SyntheticSpec(n=10, m=1, class_prior=0.5, accuracies=(0.8,), propensities=(0.0,))
 
+    def test_negative_seed(self):
+        # numpy's generators reject a negative seed with a bare ValueError
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            SyntheticSpec(n=10, m=1, class_prior=0.5, accuracies=(0.8,), propensities=(1.0,), seed=-2)
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(n=10, m=2, class_prior=0.5, accuracies=(0.8,), propensities=(1.0, 1.0))
