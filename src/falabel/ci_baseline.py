@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fa_core import FitReport, _fit_loop
+from .fa_core import FitReport, _fit_loop, _only
 from .label_model import Predictions
 from .labelling import ABSTAIN, LabelMatrix, _dump_json, _fields, _read_json
 
@@ -89,6 +89,8 @@ def fit_ci_em(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     # rows as m-byte keys; votes + 1 makes byte order the order of np.unique(axis=0)
     codes = np.ascontiguousarray(matrix.values, dtype=np.int8) + 1
     keys, inverse = np.unique(codes.view(np.dtype((np.void, matrix.m))).ravel(), return_inverse=True)
@@ -103,8 +105,10 @@ def fit_ci_em(
 
     def step(state):
         # M-step from the responsibilities, then the likelihood of the new
-        # parameters and the responsibilities they imply (the next E-step)
-        mass = np.column_stack([counts - state[-1], state[-1]])  # (u, 2) class mass per pattern
+        # parameters and the responsibilities they imply (the next E-step);
+        # the fit is a batch of one, so each state array has a member axis
+        mass1 = state[-1][0]
+        mass = np.column_stack([counts - mass1, mass1])  # (u, 2) class mass per pattern
         class_mass = mass.sum(axis=0)
         prior = float(np.clip(class_mass[1] / matrix.n, PROB_FLOOR, 1.0 - PROB_FLOOR))
         emissions = (E.T @ mass).reshape(matrix.m, 3, 2).transpose(0, 2, 1) / class_mass[:, None]
@@ -113,9 +117,11 @@ def fit_ci_em(
         emissions = (1.0 - 3.0 * PROB_FLOOR) * emissions + PROB_FLOOR
         scores = _log_class_scores(E, prior, emissions)
         row_ll = np.logaddexp(scores[:, 0], scores[:, 1])
-        return (prior, emissions, counts * np.exp(scores[:, 1] - row_ll)), float(counts @ row_ll)
+        mass1 = counts * np.exp(scores[:, 1] - row_ll)
+        return (np.array([prior]), emissions[None], mass1[None]), np.array([counts @ row_ll])
 
-    (prior, emissions, _), report = _fit_loop(step, (mass1,), max_iter, tol, "em", "likelihood")
+    (prior, emissions, _), report = _only(_fit_loop(step, (mass1[None],), max_iter, tol, "em", "likelihood"))
+    prior = float(prior)
 
     # canonicalize by the first gap above 1e-9, so rounding cannot decide
     gap = emissions[:, 1, 2] - emissions[:, 0, 2]

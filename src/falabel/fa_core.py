@@ -14,13 +14,22 @@ Both fits see the rows only through n, c and S = (X - c)^T (X - c) / n:
 a centred row x has posterior factor mean A^T x, so every step and objective
 needs only S A and k x k matrices: O(m^2 k) per iteration after one O(n m^2) pass.
 
+Every step also works on a stack of problems: S, n, W, psi and the carried
+E-step terms may carry a leading member axis.  The steps use per-member
+operations only (stacked matmul and linalg, diagonals, and dot products as
+stacked (1, N) @ (N, 1) matmuls), so a member's numbers are bit-identical
+whether it is fitted alone or in a batch.  ``_fit_loop`` is the one driver:
+it steps all members in lockstep, and a single fit is a batch of one.
+
 Fitting accepts a :class:`~falabel.labelling.LabelMatrix` (entries cast to
 the reals -1.0/0.0/1.0) or any (n, m) float array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -71,6 +80,8 @@ class FitConfig:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
         if not self.psi_floor > 0:
             raise ValidationError(f"psi_floor must be > 0, got {self.psi_floor}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.init not in ("svd", "random"):
             raise ValidationError(f"init must be 'svd' or 'random', got {self.init!r}")
 
@@ -190,7 +201,20 @@ def _init_params(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]
     return W, psi
 
 
-def _em_estep(S: np.ndarray, W: np.ndarray, psi: np.ndarray) -> tuple[tuple, float]:
+def _T(x: np.ndarray) -> np.ndarray:
+    """Each member's matrix transposed."""
+    return x.swapaxes(-1, -2)
+
+
+@cache
+def _eye(k: int) -> np.ndarray:
+    """The k x k identity, built once and read-only."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
+def _em_estep(S: np.ndarray, W: np.ndarray, psi: np.ndarray) -> tuple[tuple, np.ndarray]:
     """The EM state (W, psi, S A, average E[z z^T]) at (W, psi), and the mean
     log-likelihood per row there.
 
@@ -203,20 +227,30 @@ def _em_estep(S: np.ndarray, W: np.ndarray, psi: np.ndarray) -> tuple[tuple, flo
     in A, so the rounding of G enters it at second order; the equal
     diag(S) . psi^-1 - sum(Psi^-1 W * S A) takes it at first order and drifts
     by up to 1e-5 relative where psi sits at the floor.
+
+    The arguments may carry leading member axes, and the log-likelihood then
+    has their shape.
     """
     precision = 1.0 / psi
-    PW = precision[:, None] * W
-    H = np.eye(W.shape[1]) + (W.T * precision) @ W
+    PW = precision[..., None] * W
+    H = _eye(W.shape[-1]) + (_T(W) * precision[..., None, :]) @ W
     sign, logdet_H = np.linalg.slogdet(H)
-    if not sign > 0:
-        raise NumericalError(f"posterior precision not positive definite (determinant sign {sign})")
+    if not sign.min() > 0:
+        raise NumericalError(f"posterior precision not positive definite (determinant sign {sign.min()})")
     G = np.linalg.inv(H)
     A = PW @ G
     SA = S @ A
-    AtSA = A.T @ SA
-    quad = S.diagonal() @ precision + np.vdot(PW, W @ AtSA - 2.0 * SA) + np.vdot(A, SA)
-    logdet = np.log(psi).sum() + logdet_H
-    return (W, psi, SA, G + AtSA), -0.5 * float(len(psi) * LOG_2PI + logdet + quad)
+    AtSA = _T(A) @ SA
+    # each member's dot products as stacked (1, N) @ (N, 1) matmuls: these take
+    # the BLAS dot that np.vdot takes, so they round as np.vdot does
+    row, column = W.shape[:-2] + (1, -1), W.shape[:-2] + (-1, 1)
+    quad = (
+        S.diagonal(0, -2, -1)[..., None, :] @ precision[..., None]
+        + PW.reshape(row) @ (W @ AtSA - 2.0 * SA).reshape(column)
+        + A.reshape(row) @ SA.reshape(column)
+    )[..., 0, 0]
+    logdet = np.log(psi).sum(axis=-1) + logdet_H
+    return (W, psi, SA, G + AtSA), -0.5 * (psi.shape[-1] * LOG_2PI + logdet + quad)
 
 
 def _em_step(S, W, psi, psi_floor):
@@ -225,56 +259,106 @@ def _em_step(S, W, psi, psi_floor):
 
 
 def _m_step(
-    S: np.ndarray, SA: np.ndarray, Ezz: np.ndarray, psi_floor: float
+    S: np.ndarray, SA: np.ndarray, Ezz: np.ndarray, psi_floor: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (W, psi, psi_fit) update shared by EM and VI.
 
     Given SA = S A (the average x E[z]^T) and the average E[z z^T], W solves
     W Ezz = S A; psi_fit = diag(S) - rowsum(S A * W), and psi clamps it at ``psi_floor``.
     """
-    W = np.linalg.solve(Ezz.T, SA.T).T
-    psi_fit = np.diag(S) - np.einsum("jk,jk->j", SA, W)
+    W = _T(np.linalg.solve(_T(Ezz), _T(SA)))
+    psi_fit = S.diagonal(0, -2, -1) - np.einsum("...jk,...jk->...j", SA, W)
     return W, np.maximum(psi_fit, psi_floor), psi_fit
 
 
-def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str):
-    """The iteration loop shared by every fitter.
+def _step_members(step, state):
+    """``step(state)`` as (state, objectives, errors), errors[i] being None or the
+    exception that member i raised.  When the batch raises, each member is stepped
+    alone; one that raises keeps its state, with objective nan and its error."""
+    try:
+        state, objectives = step(state)
+        return state, objectives, [None] * len(objectives)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        if len(state[0]) == 1:
+            return state, np.full(1, np.nan), [exc]
+        parts = [_step_members(step, tuple(x[i : i + 1] for x in state)) for i in range(len(state[0]))]
+        states, objectives, errors = zip(*parts)
+        return tuple(map(np.concatenate, zip(*states))), np.concatenate(objectives), sum(errors, [])
 
-    ``step(state)`` returns the next state and the route's objective at it,
-    so the final objective always belongs to the returned state.  A
-    non-finite ``objective`` (named in the error) raises NumericalError;
-    the fit stops once an iteration after the first improves the
-    objective by less than ``tol``.
+
+def _fit_loop(step, state, max_iter, tol, route: str, objective: str) -> list:
+    """The one iteration loop: every fitter steps a batch of members through it.
+
+    ``state`` is a tuple of arrays whose leading axis runs over the members;
+    ``step(state)`` returns the next state of those members and each one's
+    objective there, so a member's final objective belongs to its returned
+    state.  ``max_iter`` and ``tol`` are one value or one per member.  All
+    active members step at once, and a member leaves the batch when an
+    iteration after its first improves its objective by less than its ``tol``
+    (converged), at its ``max_iter``, or when it fails: its objective is not
+    finite (named in the error), or its step raises NumericalError or
+    LinAlgError (then, in that iteration, the members are stepped one at a
+    time, so the others go on unchanged).  As each step is built from
+    per-member operations only, every member's trace, iteration count and
+    result are bit-identical to running it alone.
 
     Returns
     -------
-    (state, FitReport)
+    list
+        One entry per member: (state, FitReport), or the NumericalError that
+        ended it.
     """
-    trace: list[float] = []
-    previous = -np.inf
-    converged = False
-    for it in range(max_iter):
-        state, value = step(state)
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite {objective} at iteration {it + 1}")
-        trace.append(value)
-        if value - previous < tol and it > 0:
-            converged = True
-            break
-        previous = value
-    report = FitReport(
-        iterations=len(trace),
-        final_log_likelihood=trace[-1],
-        ll_trace=tuple(trace),
-        converged=converged,
-        route=route,
-    )
-    return state, report
+    size = len(state[0])
+    max_iter = np.broadcast_to(max_iter, size).tolist()
+    tol = np.broadcast_to(tol, size).tolist()
+    results: list = [None] * size
+    traces: list[list[float]] = [[] for _ in range(size)]
+    previous = [-np.inf] * size
+    members = list(range(size))  # the active members, in batch order
+    it = 0
+    while members:
+        state, values, errors = _step_members(step, state)
+        keep = []  # positions in the batch of the members that go on
+        for i, (j, value, error) in enumerate(zip(members, values.tolist(), errors)):
+            if isinstance(error, np.linalg.LinAlgError):
+                error = NumericalError(f"{error} at iteration {it + 1}")
+            elif error is None and not math.isfinite(value):
+                error = NumericalError(f"non-finite {objective} at iteration {it + 1}")
+            if error is not None:
+                results[j] = error
+                continue
+            trace = traces[j]
+            trace.append(value)
+            converged = value - previous[j] < tol[j] and it > 0
+            if converged or it + 1 == max_iter[j]:
+                report = FitReport(
+                    iterations=len(trace),
+                    final_log_likelihood=trace[-1],
+                    ll_trace=tuple(trace),
+                    converged=converged,
+                    route=route,
+                )
+                results[j] = (tuple(x[i] for x in state), report)
+            else:
+                previous[j] = value
+                keep.append(i)
+        if len(keep) < len(members):
+            members = [members[i] for i in keep]
+            state = tuple(x[keep] for x in state)
+        it += 1
+    return results
 
 
-def _fit_fa(data, cfg: FitConfig, start, step, route: str, objective: str):
-    """Check the rows, reduce them to (n, c, S), then from ``start(S, W, psi)`` at the
-    initial (W, psi) iterate ``step(S, n, *state, psi_floor) -> (state, objective)``."""
+def _only(results: list):
+    """The result of a batch of one, raising the error that ended its member."""
+    [result] = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _reduce_rows(data, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Check the rows and reduce them to (c, S, n)."""
     X = _as_float_matrix(data)
     n, m = X.shape
     if n < 2:
@@ -284,13 +368,58 @@ def _fit_fa(data, cfg: FitConfig, start, step, route: str, objective: str):
     if not np.isfinite(X).all():
         raise ValidationError("input matrix contains non-finite values")
     c = X.mean(axis=0)
-    S = _second_moment(X, c)
-    del X  # no step sees a row
-    (W, psi, *_), report = _fit_loop(
-        lambda state: step(S, n, *state, cfg.psi_floor), start(S, *_init_params(S, cfg)),
-        cfg.max_iter, cfg.tol, route, objective,
+    return c, _second_moment(X, c), n
+
+
+def _fit_fa_batch(datas, cfgs, route: str) -> list:
+    """Fit each (data, cfg) pair by ``route`` ("em" or "vi") in one lockstep batch.
+
+    Each member's rows are checked and reduced to (n, c, S) and its start
+    state is formed from its own initial (W, psi); then _fit_loop steps all
+    members at once by ``update(S, n, *state, psi_floor)``.  Every member's
+    result is bit-identical to fitting it alone.  The members that pass the
+    checks must share m and k.
+
+    Returns
+    -------
+    list
+        One entry per member, in order: (FAParams, FitReport), or the
+        ValidationError or NumericalError that ended its fit.
+    """
+    start, update, objective = _ROUTES[route]
+    results: list = [None] * len(datas)
+    members, biases, states = [], [], []
+    for j, (data, cfg) in enumerate(zip(datas, cfgs)):
+        try:
+            c, S, n = _reduce_rows(data, cfg)
+            # n as a float: the objectives multiply by it without a cast, and as exactly
+            states.append((S, float(n), np.full(1, cfg.psi_floor), *start(S, *_init_params(S, cfg))))
+        except (ValidationError, NumericalError) as exc:
+            results[j] = exc
+        except np.linalg.LinAlgError as exc:
+            results[j] = NumericalError(f"{exc} at the initial parameters")
+        else:
+            members.append(j)
+            biases.append(c)
+    if not members:
+        return results
+
+    def step(state):
+        S, n, psi_floor, *fit = state
+        fit, objectives = update(S, n, *fit, psi_floor)
+        return (S, n, psi_floor, *fit), objectives
+
+    fits = _fit_loop(
+        step, tuple(map(np.stack, zip(*states))),
+        [cfgs[j].max_iter for j in members], [cfgs[j].tol for j in members], route, objective,
     )
-    return FAParams(W=W, c=c, psi=psi, k=cfg.k, m=m), report
+    for j, c, fit in zip(members, biases, fits):
+        if isinstance(fit, NumericalError):
+            results[j] = fit
+        else:
+            (_, _, _, W, psi, *_), report = fit
+            results[j] = (FAParams(W=W, c=c, psi=psi, k=W.shape[1], m=len(c)), report)
+    return results
 
 
 def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -309,7 +438,7 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
         Fitted parameters (c fixed at the column means) and the
         log-likelihood trace, which is non-decreasing up to the psi clamp.
     """
-    return _fit_fa(data, cfg, lambda S, W, p: _em_estep(S, W, p)[0], _em_update, "em", "log-likelihood")
+    return _only(_fit_fa_batch([data], [cfg], "em"))
 
 
 def _em_update(S, n, W, psi, SA, Ezz, psi_floor):
@@ -327,9 +456,9 @@ def _vi_estep(W: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     variational gap remains.
     """
     precision = 1.0 / psi
-    H = np.eye(W.shape[1]) + (W.T * precision) @ W  # posterior precision
-    A = np.linalg.solve(H, (precision[:, None] * W).T).T
-    return A, 1.0 / np.diag(H)
+    H = _eye(W.shape[-1]) + (_T(W) * precision[..., None, :]) @ W  # posterior precision
+    A = _T(np.linalg.solve(H, _T(precision[..., None] * W)))
+    return A, 1.0 / H.diagonal(0, -2, -1)
 
 
 def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -341,7 +470,7 @@ def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     k = 1 the variational family contains the exact posterior and the
     final bound matches the marginal log-likelihood.
     """
-    return _fit_fa(data, cfg, lambda S, W, psi: (W, psi), _vi_update, "vi", "evidence bound")
+    return _only(_fit_fa_batch([data], [cfg], "vi"))
 
 
 def _vi_update(S, n, W, psi, psi_floor):
@@ -350,13 +479,26 @@ def _vi_update(S, n, W, psi, psi_floor):
 
     Fit plus smear, the residual x - W A^T x and the posterior variance through W
     weighted by psi^-1, averages sum_j (S - 2 S A W^T + W Ezz W^T)_jj / psi_j;
-    as the M-step's W solves W Ezz = S A, that is sum_j psi_fit_j / psi_j."""
+    as the M-step's W solves W Ezz = S A, that is sum_j psi_fit_j / psi_j.
+    diag(H) >= 1 keeps v finite, so v[..., None] * I is diag(v) exactly."""
     A, v = _vi_estep(W, psi)
     SA = S @ A
-    Ezz = np.diag(v) + A.T @ SA
+    Ezz = v[..., None] * _eye(v.shape[-1]) + _T(A) @ SA
     W, psi, psi_fit = _m_step(S, SA, Ezz, psi_floor)
-    terms = (psi_fit / psi).sum() + (LOG_2PI + np.log(psi)).sum() + Ezz.trace() - np.log(v).sum()
-    return (W, psi), -0.5 * n * (float(terms) - len(v))
+    terms = (
+        (psi_fit / psi).sum(axis=-1)
+        + (LOG_2PI + np.log(psi)).sum(axis=-1)
+        + Ezz.trace(0, -2, -1)
+        - np.log(v).sum(axis=-1)
+    )
+    return (W, psi), -0.5 * n * (terms - v.shape[-1])
+
+
+# route -> (start(S, W, psi): the first state, the update, the objective's name)
+_ROUTES = {
+    "em": (lambda S, W, psi: _em_estep(S, W, psi)[0], _em_update, "log-likelihood"),
+    "vi": (lambda S, W, psi: (W, psi), _vi_update, "evidence bound"),
+}
 
 
 def posterior_moments(params: FAParams, data) -> PosteriorMoments:
@@ -371,7 +513,10 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
     X = _as_float_matrix(data, params.m)
     precision = 1.0 / params.psi
     H = np.eye(params.k) + (params.W.T * precision) @ params.W
-    G = np.linalg.inv(H)
+    try:
+        G = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        raise NumericalError("posterior precision is singular") from None
     mean = (X - params.c) @ (precision[:, None] * params.W) @ G
     if not (np.isfinite(H).all() and np.isfinite(mean).all()):
         raise NumericalError("posterior precision or factor means not finite")
@@ -381,7 +526,7 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
 def log_likelihood(params: FAParams, data) -> float:
     """Gaussian log-likelihood of the rows under N(c, W W^T + diag(psi))."""
     X = _as_float_matrix(data, params.m)
-    return len(X) * _em_estep(_second_moment(X, params.c), params.W, params.psi)[1]
+    return float(len(X) * _em_estep(_second_moment(X, params.c), params.W, params.psi)[1])
 
 
 def params_to_dict(params: FAParams) -> dict:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .ci_baseline import ci_predict, fit_ci_em, majority_vote
 from .errors import ValidationError
-from .fa_core import FitConfig, fit_fa_em, fit_fa_vi
+from .fa_core import FitConfig, _fit_fa_batch, fit_fa_em, fit_fa_vi
 from .label_model import Predictions, build_label_model, predict
 from .labelling import GoldLabels, LabelMatrix, _dump_json, _write_csv
 
@@ -43,6 +43,8 @@ def _majority(train, cfg, threshold_kind, dev):
 
 
 METHODS = {"fa-em": _fit_fa_em, "fa-vi": _fit_fa_vi, "ci-em": _fit_ci_em, "majority": _majority}
+# the FA methods' fitting routes: the sweep fits all cells of each in one batch
+_FA_ROUTES = {"fa-em": "em", "fa-vi": "vi"}
 
 
 @dataclass(frozen=True)
@@ -211,15 +213,27 @@ def robustness_sweep(
 ) -> SweepResult:
     """Accuracy of each method as the training set shrinks.
 
-    For every (size, repeat) pair a subsample of training rows is drawn
+    For every (size, repeat) cell a subsample of training rows is drawn
     without replacement; all methods see the identical subsample and are
     evaluated on the fixed test set.  Subsampling reseeds deterministically
     from the master seed, so results are bit-reproducible.
+
+    Each FA method fits all its cells in one lockstep batch (see
+    ``fa_core._fit_loop``), with results bit-identical to fitting the cells
+    one by one.  The cells are then built, scored and evaluated in
+    (size, method, repeat) order, and the first cell in that order that
+    fails raises its error.
     """
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if not sizes:
         raise ValidationError("at least one size is required")
+    if len(set(sizes)) != len(sizes):
+        raise ValidationError(f"sizes must be distinct, got {tuple(sizes)}")
+    if len(set(methods)) != len(methods):
+        raise ValidationError(f"methods must be distinct, got {tuple(methods)}")
     for size in sizes:
         if size < 2:
             raise ValidationError(f"sizes must be >= 2 to fit models, got {size}")
@@ -235,22 +249,30 @@ def robustness_sweep(
 
     # one spawned seed per (size, repeat) cell, shared across methods
     children = np.random.SeedSequence(seed).spawn(len(sizes) * repeats)
-    subsamples: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+    subs, cfgs = [], []  # per cell, in (size, repeat) order
     for si, size in enumerate(sizes):
         for rep in range(repeats):
             child = children[si * repeats + rep]
             rng = np.random.default_rng(child)
             idx = np.sort(rng.choice(train.n, size=size, replace=False))
-            subsamples[(size, rep)] = (idx, int(child.generate_state(1)[0]))
+            subs.append(LabelMatrix(values=train.values[idx], lf_names=train.lf_names))
+            cfgs.append(replace(cfg, seed=int(child.generate_state(1)[0])))
+    fa_fits = {
+        method: _fit_fa_batch(subs, cfgs, _FA_ROUTES[method]) for method in methods if method in _FA_ROUTES
+    }
 
     records = []
-    for size in sizes:
+    for si, size in enumerate(sizes):
         for method in methods:
             for rep in range(repeats):
-                idx, cell_seed = subsamples[(size, rep)]
-                sub = LabelMatrix(values=train.values[idx], lf_names=train.lf_names)
-                cell_cfg = replace(cfg, seed=cell_seed)
-                _, _, labeller = METHODS[method](sub, cell_cfg, threshold_kind, None)
+                cell = si * repeats + rep
+                if method in fa_fits:
+                    fit = fa_fits[method][cell]
+                    if isinstance(fit, Exception):
+                        raise fit
+                    _, _, labeller = _fa_labeller(*fit, subs[cell], threshold_kind, None)
+                else:
+                    _, _, labeller = METHODS[method](subs[cell], cfgs[cell], threshold_kind, None)
                 records.append(
                     SweepRecord(
                         method=method,
@@ -266,4 +288,3 @@ def robustness_sweep(
         repeats=repeats,
         seed=seed,
     )
-

@@ -15,7 +15,7 @@ from falabel import (
     save_ci_params,
 )
 from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR, ci_predict
-from falabel.fa_core import _fit_loop
+from falabel.fa_core import _fit_loop, _only
 
 
 def brute_force_posterior(params: CIParams, matrix: LabelMatrix) -> np.ndarray:
@@ -170,6 +170,10 @@ class TestFitCIEM:
         with pytest.raises(ValidationError):
             fit_ci_em(LabelMatrix(values=[[1, 0]], lf_names=("a", "b")))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            fit_ci_em(LabelMatrix(values=[[1, 0], [0, 1]], lf_names=("a", "b")), seed=-3)
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(15)
         matrix = LabelMatrix(
@@ -264,17 +268,18 @@ def row_wise_fit_ci_em(matrix: LabelMatrix, max_iter=1000, tol=1e-4, seed=123):
     r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
     r1 = np.clip(r1, 0.05, 0.95)
 
-    def step(state):
-        resp1 = state[-1]
+    def step(state):  # a batch of one: each state array has a member axis
+        resp1 = state[-1][0]
         resp = np.stack([1.0 - resp1, resp1], axis=1)
         prior = float(np.clip(resp1.mean(), PROB_FLOOR, 1.0 - PROB_FLOOR))
         emissions = np.einsum("ny,njv->jyv", resp, E) / resp.sum(axis=0)[None, :, None]
         emissions = (1.0 - 3.0 * PROB_FLOOR) * emissions + PROB_FLOOR
         scores = np.einsum("njv,jyv->ny", E, np.log(emissions)) + np.log([1.0 - prior, prior])
         row_ll = logsumexp(scores, axis=1)
-        return (prior, emissions, np.exp(scores[:, 1] - row_ll)), float(row_ll.sum())
+        resp1 = np.exp(scores[:, 1] - row_ll)
+        return (np.array([prior]), emissions[None], resp1[None]), np.array([row_ll.sum()])
 
-    (prior, emissions, _), report = _fit_loop(step, (r1,), max_iter, tol, "em", "likelihood")
+    (prior, emissions, _), report = _only(_fit_loop(step, (r1[None],), max_iter, tol, "em", "likelihood"))
     if emissions[:, 0, 2].mean() > emissions[:, 1, 2].mean():
         prior, emissions = 1.0 - prior, emissions[:, ::-1, :]
     return prior, emissions, report

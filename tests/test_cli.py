@@ -632,6 +632,38 @@ def test_unwritable_output_exits_2(world, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "{train}", "--route", "ci-em", "--seed", "-3", "--out", "{tmp}/m.json"],
+        ["fit", "{train}", "--init", "random", "--seed", "-3", "--out", "{tmp}/m.json"],
+        ["fit", "{train}", "--seed", "-3", "--out", "{tmp}/m.json"],
+        ["compare", "{train}", "{test}", "{gold}", "--seed", "-3", "--out", "{tmp}/c.csv"],
+        ["sweep", "{train}", "{test}", "{gold}", "--sizes", "10", "--repeats", "1", "--seed", "-3",
+         "--out", "{tmp}/s.csv"],
+    ],
+    ids=["fit-ci-em", "fit-random-init", "fit-svd-init", "compare", "sweep"],
+)
+def test_negative_seed_exits_2(world, capsys, argv):
+    tmp, paths = world
+    assert main([a.format(tmp=tmp, **paths) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--sizes", "10,10"], ["--sizes", "10,20,10"], ["--methods", "fa-em,fa-em"]],
+    ids=["sizes", "sizes-apart", "methods"],
+)
+def test_sweep_with_duplicate_sizes_or_methods_exits_2(world, capsys, extra):
+    tmp, paths = world
+    argv = ["sweep", str(paths["train"]), str(paths["test"]), str(paths["gold"]),
+            "--repeats", "2", "--seed", "5", "--out", str(tmp / "sweep.csv"), *extra]
+    assert main(argv) == 2
+    assert "must be distinct" in capsys.readouterr().err
+    assert not (tmp / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [("psi", 1e-320), ("W", 1e200)])
 def test_predict_with_degenerate_model_exits_3(world, capsys, field, value):
     tmp, paths = world

@@ -25,8 +25,10 @@ from falabel.fa_core import (
     _em_estep,
     _em_step,
     _em_update,
+    _fit_fa_batch,
     _fit_loop,
     _init_params,
+    _only,
     _vi_estep,
     _vi_update,
 )
@@ -114,6 +116,14 @@ class TestPosteriorMoments:
         params = FAParams(W=[[1.0]], c=[0.0], psi=[1.0], k=1, m=1)
         with pytest.raises(ValidationError, match="columns"):
             posterior_moments(params, np.zeros((2, 3)))
+
+    def test_singular_posterior_precision_raises_numerical_error(self):
+        # collinear, huge loadings: I + W^T Psi^-1 W rounds to a finite singular matrix
+        params = FAParams(W=np.full((3, 2), 1e150), c=np.zeros(3), psi=np.ones(3), k=2, m=3)
+        H = np.eye(2) + (params.W.T / params.psi) @ params.W
+        assert np.isfinite(H).all() and np.linalg.matrix_rank(H) < 2
+        with pytest.raises(NumericalError, match="singular"):
+            posterior_moments(params, np.zeros((4, 3)))
 
 
 class TestLogLikelihood:
@@ -240,6 +250,10 @@ class TestFitEM:
         X = np.array([[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0], [1e200, 1.0, 0.0], [-1e200, 0.0, 0.0]])
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             fit(X, FitConfig(init=init))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            FitConfig(seed=-3)
 
     @pytest.mark.parametrize("psi", [-1.0, -4.0])
     def test_posterior_precision_without_positive_determinant_raises(self, psi):
@@ -394,12 +408,15 @@ def row_wise_fit_fa(X, cfg, route):
     }[route]
     steps = []
 
-    def step(state):
+    def step(state):  # a batch of one: each state array has a member axis
+        state = tuple(x[0] for x in state)
         new_state, value = second_moment(S, len(Xc), *start(S, *state), cfg.psi_floor)
         steps.append(((new_state[:2], value), row_wise(Xc, *state, cfg.psi_floor)))
-        return steps[-1][1]
+        (W, psi), value = steps[-1][1]
+        return (W[None], psi[None]), np.array([value])
 
-    state, report = _fit_loop(step, _init_params(S, cfg), cfg.max_iter, cfg.tol, route, "objective")
+    initial = tuple(x[None] for x in _init_params(S, cfg))
+    state, report = _only(_fit_loop(step, initial, cfg.max_iter, cfg.tol, route, "objective"))
     return state, report, steps
 
 
@@ -504,3 +521,81 @@ def test_objectives_match_the_m_by_m_references(state):
     close(value, reference_elbo(S, n, W1, psi1, A, v), psi1)
     params = FAParams(W=W, c=X.mean(axis=0), psi=psi, k=W.shape[1], m=W.shape[0])
     close(log_likelihood(params, X), reference_gaussian_ll(S, n, W, psi), psi)
+
+
+# The batch contract: the driver steps many fits at once, and each member's
+# numbers are those of fitting it alone.
+
+# the rows of test_overflowing_second_moment_raises_numerical_error
+OVERFLOWING = np.array([[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0], [1e200, 1.0, 0.0], [-1e200, 0.0, 0.0]])
+
+
+@st.composite
+def lf_batches(draw):
+    """1-12 LF matrices sharing m and k, each with its own n, init and seed;
+    one of them may be the overflowing matrix, its columns cycled to m.
+    Returns (matrices, configs, index of the overflowing member or None)."""
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(2, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datas, cfgs = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(2, 300))
+        pool = rng.choice([-1, 0, 1], p=rng.dirichlet(np.ones(3)), size=(draw(st.integers(1, 300)), m))
+        datas.append(pool[rng.integers(0, len(pool), size=n)].astype(float))
+        init = draw(st.sampled_from(["svd", "random"]))
+        cfgs.append(FitConfig(k=k, init=init, seed=draw(st.integers(0, 2**16))))
+    overflowing = draw(st.none() | st.integers(0, len(datas) - 1))
+    if overflowing is not None:
+        datas[overflowing] = OVERFLOWING[:, np.arange(m) % 3]
+    return datas, cfgs, overflowing
+
+
+@given(lf_batches(), st.sampled_from(["em", "vi"]))
+def test_batched_fit_equals_one_at_a_time_fits(batch, route):
+    datas, cfgs, overflowing = batch
+    fit = fit_fa_em if route == "em" else fit_fa_vi
+    with np.errstate(all="ignore"):
+        results = _fit_fa_batch(datas, cfgs, route)
+        assert len(results) == len(datas)
+        for j, (X, cfg, result) in enumerate(zip(datas, cfgs, results)):
+            try:
+                params, report = fit(X, cfg)
+            except NumericalError as exc:
+                assert isinstance(result, NumericalError) and str(result) == str(exc)
+                continue
+            assert j != overflowing, "the overflowing matrix must fail alone"
+            batched_params, batched_report = result
+            assert batched_params.W.tobytes() == params.W.tobytes()
+            assert batched_params.psi.tobytes() == params.psi.tobytes()
+            assert batched_params.c.tobytes() == params.c.tobytes()
+            assert np.array(batched_report.ll_trace).tobytes() == np.array(report.ll_trace).tobytes()
+            assert (batched_report.iterations, batched_report.converged) == (report.iterations, report.converged)
+
+
+def test_fit_loop_isolates_a_member_whose_step_raises():
+    # member 1 raises LinAlgError at its third step, member 2 NumericalError at its
+    # second; the others must run on as if alone
+    def step(state):
+        x, limit, bad = state
+        if ((x == 2) & (bad == 1)).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        if ((x == 1) & (bad == 2)).any():
+            raise NumericalError("posterior precision not positive definite")
+        x = x + 1
+        return (x, limit, bad), -1.0 / np.minimum(x, limit)
+
+    def run(members):
+        x = np.zeros(len(members))
+        limit, bad = (np.array(column, dtype=float) for column in zip(*members))
+        return _fit_loop(step, (x, limit, bad), 50, 1e-9, "em", "objective")
+
+    members = [(3.0, 0), (9.0, 1), (5.0, 2), (7.0, 0)]
+    results = run(members)
+    assert isinstance(results[1], NumericalError) and str(results[1]) == "Singular matrix at iteration 3"
+    assert isinstance(results[2], NumericalError) and "positive definite" in str(results[2])
+    for j in (0, 3):
+        (x, *_), report = results[j]
+        [((x_alone, *_), alone)] = run([members[j]])
+        assert (x, report) == (x_alone, alone)
+        assert report.converged and report.iterations == members[j][0] + 1

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import falabel.metrics_eval as metrics_eval
 from falabel import (
     FitConfig,
     GoldLabels,
+    LabelMatrix,
+    NumericalError,
     SyntheticSpec,
     ValidationError,
     evaluate,
@@ -11,6 +18,7 @@ from falabel import (
     imbalance_index,
     robustness_sweep,
 )
+from falabel.labelling import _write_csv
 
 
 def counting_oracle(pred, gold):
@@ -166,3 +174,102 @@ class TestRobustnessSweep:
         train, test, gold = small_world(seed=9)
         result = robustness_sweep(train, test, gold, sizes=(10,), repeats=1, seed=3)
         assert result.to_csv().startswith("method,size,repeat,accuracy,precision,recall,f1")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"sizes": (10, 10)}, {"sizes": (10, 20, 10)}, {"methods": ("fa-em", "fa-em")},
+         {"methods": ("majority", "ci-em", "majority")}],
+    )
+    def test_duplicate_sizes_or_methods_rejected(self, kwargs):
+        train, test, gold = small_world(seed=10)
+        with pytest.raises(ValidationError, match="must be distinct"):
+            robustness_sweep(train, test, gold, repeats=2, seed=5, **{"sizes": (10,), **kwargs})
+
+    def test_negative_seed_rejected(self):
+        train, test, gold = small_world(seed=10)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            robustness_sweep(train, test, gold, sizes=(10,), repeats=1, seed=-3)
+
+    @pytest.mark.parametrize("ci_fails, fa_fails, expected", [
+        ((20, 0), {1, 3}, "fa cell 1"),  # (10, fa-em, 1) comes before (20, ci-em, 0)
+        ((20, 0), {3}, "ci cell 20/0"),  # (20, ci-em, 0) comes before (20, fa-em, 1)
+    ])
+    def test_first_failing_cell_in_order_raises(self, monkeypatch, ci_fails, fa_fails, expected):
+        # cells run in (size, method, repeat) order: sizes (10, 20), methods (ci-em, fa-em)
+        train, test, gold = small_world(seed=11)
+        fit_fa_batch, fit_ci = metrics_eval._fit_fa_batch, metrics_eval.METHODS["ci-em"]
+
+        def failing_fa_batch(datas, cfgs, route):
+            fits = fit_fa_batch(datas, cfgs, route)
+            return [NumericalError(f"fa cell {j}") if j in fa_fails else fit for j, fit in enumerate(fits)]
+
+        def failing_ci(train, cfg, threshold_kind, dev):
+            cell = (train.n, len(seen_ci) % 2)
+            seen_ci.append(cell)
+            if cell == ci_fails:
+                raise NumericalError(f"ci cell {cell[0]}/{cell[1]}")
+            return fit_ci(train, cfg, threshold_kind, dev)
+
+        seen_ci = []
+        monkeypatch.setattr(metrics_eval, "_fit_fa_batch", failing_fa_batch)
+        monkeypatch.setitem(metrics_eval.METHODS, "ci-em", failing_ci)
+        with pytest.raises(NumericalError, match=expected):
+            robustness_sweep(train, test, gold, sizes=(10, 20), repeats=2, seed=4, methods=("ci-em", "fa-em"))
+
+
+def one_cell_at_a_time(train, test, gold_test, sizes, repeats, seed, methods, cfg, threshold_kind):
+    """Reference: the sweep loop as it ran before the FA cells were batched,
+    fitting every (size, method, repeat) cell alone through the method table."""
+    children = np.random.SeedSequence(seed).spawn(len(sizes) * repeats)
+    subsamples = {}
+    for si, size in enumerate(sizes):
+        for rep in range(repeats):
+            child = children[si * repeats + rep]
+            idx = np.sort(np.random.default_rng(child).choice(train.n, size=size, replace=False))
+            subsamples[(size, rep)] = (idx, int(child.generate_state(1)[0]))
+    rows = [("method", "size", "repeat", "accuracy", "precision", "recall", "f1")]
+    for size in sizes:
+        for method in methods:
+            for rep in range(repeats):
+                idx, cell_seed = subsamples[(size, rep)]
+                sub = LabelMatrix(values=train.values[idx], lf_names=train.lf_names)
+                fit = metrics_eval.METHODS[method]
+                _, _, labeller = fit(sub, replace(cfg, seed=cell_seed), threshold_kind, None)
+                m = evaluate(labeller(test), gold_test)
+                rows.append((method, size, rep, m.accuracy, m.precision, m.recall, m.f1))
+    return _write_csv(rows)
+
+
+@st.composite
+def sweep_worlds(draw):
+    """A small random world and sweep settings: k = 1 or 2, svd or random init,
+    all four methods in a random order."""
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = SyntheticSpec(
+        n=draw(st.integers(20, 150)), m=m, class_prior=float(rng.uniform(0.2, 0.8)),
+        accuracies=tuple(rng.uniform(0.55, 0.95, m)), propensities=tuple(rng.uniform(0.3, 1.0, m)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    train, _ = generate(spec)
+    test, gold = generate(replace(spec, n=draw(st.integers(5, 80)), seed=spec.seed + 1))
+    sizes = tuple(draw(st.lists(st.integers(2, train.n), min_size=1, max_size=3, unique=True)))
+    cfg = FitConfig(k=draw(st.integers(1, 2)), init=draw(st.sampled_from(["svd", "random"])))
+    return dict(
+        train=train, test=test, gold_test=gold, sizes=sizes, repeats=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)), methods=tuple(draw(st.permutations(list(metrics_eval.METHODS)))),
+        cfg=cfg, threshold_kind=draw(st.sampled_from(["median", "mean"])),
+    )
+
+
+def outcome(run, **kwargs):
+    try:
+        return run(**kwargs)
+    except (NumericalError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@given(sweep_worlds())
+def test_sweep_csv_equals_one_cell_at_a_time(world):
+    expected = outcome(one_cell_at_a_time, **world)
+    assert outcome(lambda **kw: robustness_sweep(**kw).to_csv(), **world) == expected
