@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fa_core import FitReport, _fit_loop, _only
+from .fa_core import FitConfig, FitReport, _fit_loop
 from .label_model import Predictions
 from .labelling import ABSTAIN, LabelMatrix, _dump_json, _fields, _read_json
 
@@ -85,12 +85,7 @@ def fit_ci_em(
     """
     if matrix.n < 2:
         raise ValidationError(f"CI fitting requires n >= 2 rows, got {matrix.n}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    FitConfig(max_iter=max_iter, tol=tol, seed=seed)  # checks the three settings
     # rows as m-byte keys; votes + 1 makes byte order the order of np.unique(axis=0)
     codes = np.ascontiguousarray(matrix.values, dtype=np.int8) + 1
     keys, inverse = np.unique(codes.view(np.dtype((np.void, matrix.m))).ravel(), return_inverse=True)
@@ -120,7 +115,7 @@ def fit_ci_em(
         mass1 = counts * np.exp(scores[:, 1] - row_ll)
         return (np.array([prior]), emissions[None], mass1[None]), np.array([counts @ row_ll])
 
-    (prior, emissions, _), report = _only(_fit_loop(step, (mass1[None],), max_iter, tol, "em", "likelihood"))
+    [((prior, emissions, _), report)] = _fit_loop(step, (mass1[None],), max_iter, tol, "em", "likelihood")
     prior = float(prior)
 
     # canonicalize by the first gap above 1e-9, so rounding cannot decide

@@ -34,7 +34,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .labelling import LabelMatrix, _dump_json, _fields, _read_json
+from .labelling import LabelMatrix, _dump_json, _fields, _json_int, _read_json
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -259,7 +259,7 @@ def _em_step(S, W, psi, psi_floor):
 
 
 def _m_step(
-    S: np.ndarray, SA: np.ndarray, Ezz: np.ndarray, psi_floor: float | np.ndarray
+    S: np.ndarray, SA: np.ndarray, Ezz: np.ndarray, psi_floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (W, psi, psi_fit) update shared by EM and VI.
 
@@ -271,66 +271,46 @@ def _m_step(
     return W, np.maximum(psi_fit, psi_floor), psi_fit
 
 
-def _step_members(step, state):
-    """``step(state)`` as (state, objectives, errors), errors[i] being None or the
-    exception that member i raised.  When the batch raises, each member is stepped
-    alone; one that raises keeps its state, with objective nan and its error."""
-    try:
-        state, objectives = step(state)
-        return state, objectives, [None] * len(objectives)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        if len(state[0]) == 1:
-            return state, np.full(1, np.nan), [exc]
-        parts = [_step_members(step, tuple(x[i : i + 1] for x in state)) for i in range(len(state[0]))]
-        states, objectives, errors = zip(*parts)
-        return tuple(map(np.concatenate, zip(*states))), np.concatenate(objectives), sum(errors, [])
-
-
-def _fit_loop(step, state, max_iter, tol, route: str, objective: str) -> list:
+def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str) -> list:
     """The one iteration loop: every fitter steps a batch of members through it.
 
     ``state`` is a tuple of arrays whose leading axis runs over the members;
     ``step(state)`` returns the next state of those members and each one's
     objective there, so a member's final objective belongs to its returned
-    state.  ``max_iter`` and ``tol`` are one value or one per member.  All
-    active members step at once, and a member leaves the batch when an
-    iteration after its first improves its objective by less than its ``tol``
-    (converged), at its ``max_iter``, or when it fails: its objective is not
-    finite (named in the error), or its step raises NumericalError or
-    LinAlgError (then, in that iteration, the members are stepped one at a
-    time, so the others go on unchanged).  As each step is built from
+    state.  All active members step at once, and a member leaves the batch
+    when an iteration after its first improves its objective by less than
+    ``tol`` (converged) or at ``max_iter``.  As each step is built from
     per-member operations only, every member's trace, iteration count and
     result are bit-identical to running it alone.
+
+    Any failure ends the whole batch: a step that raises LinAlgError raises
+    NumericalError("<error> at iteration N"), a NumericalError from the step
+    passes through, and a member's non-finite objective raises
+    NumericalError("non-finite <objective> at iteration N").
 
     Returns
     -------
     list
-        One entry per member: (state, FitReport), or the NumericalError that
-        ended it.
+        One (state, FitReport) per member.
     """
     size = len(state[0])
-    max_iter = np.broadcast_to(max_iter, size).tolist()
-    tol = np.broadcast_to(tol, size).tolist()
     results: list = [None] * size
     traces: list[list[float]] = [[] for _ in range(size)]
-    previous = [-np.inf] * size
     members = list(range(size))  # the active members, in batch order
     it = 0
     while members:
-        state, values, errors = _step_members(step, state)
+        try:
+            state, values = step(state)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{exc} at iteration {it + 1}") from None
         keep = []  # positions in the batch of the members that go on
-        for i, (j, value, error) in enumerate(zip(members, values.tolist(), errors)):
-            if isinstance(error, np.linalg.LinAlgError):
-                error = NumericalError(f"{error} at iteration {it + 1}")
-            elif error is None and not math.isfinite(value):
-                error = NumericalError(f"non-finite {objective} at iteration {it + 1}")
-            if error is not None:
-                results[j] = error
-                continue
+        for i, (j, value) in enumerate(zip(members, values.tolist())):
+            if not math.isfinite(value):
+                raise NumericalError(f"non-finite {objective} at iteration {it + 1}")
             trace = traces[j]
+            converged = it > 0 and value - trace[-1] < tol
             trace.append(value)
-            converged = value - previous[j] < tol[j] and it > 0
-            if converged or it + 1 == max_iter[j]:
+            if converged or it + 1 == max_iter:
                 report = FitReport(
                     iterations=len(trace),
                     final_log_likelihood=trace[-1],
@@ -340,7 +320,6 @@ def _fit_loop(step, state, max_iter, tol, route: str, objective: str) -> list:
                 )
                 results[j] = (tuple(x[i] for x in state), report)
             else:
-                previous[j] = value
                 keep.append(i)
         if len(keep) < len(members):
             members = [members[i] for i in keep]
@@ -376,9 +355,10 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
 
     Each member's rows are checked and reduced to (n, c, S) and its start
     state is formed from its own initial (W, psi); then _fit_loop steps all
-    members at once by ``update(S, n, *state, psi_floor)``.  Every member's
-    result is bit-identical to fitting it alone.  The members that pass the
-    checks must share m and k.
+    members at once by ``update(S, n, *state, psi_floor)``.  The members that
+    pass the checks must share m, k, max_iter, tol and psi_floor.  If the
+    batch raises, each member is refitted as a batch of one, so every
+    member's result or error is exactly that of fitting it alone.
 
     Returns
     -------
@@ -393,7 +373,7 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
         try:
             c, S, n = _reduce_rows(data, cfg)
             # n as a float: the objectives multiply by it without a cast, and as exactly
-            states.append((S, float(n), np.full(1, cfg.psi_floor), *start(S, *_init_params(S, cfg))))
+            states.append((S, float(n), *start(S, *_init_params(S, cfg))))
         except (ValidationError, NumericalError) as exc:
             results[j] = exc
         except np.linalg.LinAlgError as exc:
@@ -403,22 +383,22 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
             biases.append(c)
     if not members:
         return results
+    cfg = cfgs[members[0]]  # max_iter, tol and psi_floor: the members share them
 
     def step(state):
-        S, n, psi_floor, *fit = state
-        fit, objectives = update(S, n, *fit, psi_floor)
-        return (S, n, psi_floor, *fit), objectives
+        S, n, *fit = state
+        fit, objectives = update(S, n, *fit, cfg.psi_floor)
+        return (S, n, *fit), objectives
 
-    fits = _fit_loop(
-        step, tuple(map(np.stack, zip(*states))),
-        [cfgs[j].max_iter for j in members], [cfgs[j].tol for j in members], route, objective,
-    )
-    for j, c, fit in zip(members, biases, fits):
-        if isinstance(fit, NumericalError):
-            results[j] = fit
-        else:
-            (_, _, _, W, psi, *_), report = fit
-            results[j] = (FAParams(W=W, c=c, psi=psi, k=W.shape[1], m=len(c)), report)
+    try:
+        fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg.max_iter, cfg.tol, route, objective)
+    except NumericalError as exc:
+        if len(datas) == 1:
+            return [exc]
+        # refit each member as a batch of one, so each gets its own result or error
+        return [_fit_fa_batch([d], [c], route)[0] for d, c in zip(datas, cfgs)]
+    for j, c, ((_, _, W, psi, *_), report) in zip(members, biases, fits):
+        results[j] = (FAParams(W=W, c=c, psi=psi, k=W.shape[1], m=len(c)), report)
     return results
 
 
@@ -551,8 +531,8 @@ def params_from_dict(payload: dict) -> FAParams:
             W=np.array(payload["W"], dtype=float),
             c=np.array(payload["c"], dtype=float),
             psi=np.array(payload["psi"], dtype=float),
-            k=int(payload["k"]),
-            m=int(payload["m"]),
+            k=_json_int(payload, "k"),
+            m=_json_int(payload, "m"),
         )
 
 

@@ -24,6 +24,7 @@ from .labelling import (
     _dump_json,
     _fields,
     _int_cells,
+    _json_int,
     _read_csv,
     _read_input,
     _read_json,
@@ -57,8 +58,10 @@ class LabelModel:
             )
         if not np.isfinite(self.threshold_value):
             raise ValidationError("threshold_value must be finite")
-        if not self.train_factor_std > 0:
-            raise ValidationError("train_factor_std must be > 0")
+        if not np.isfinite(self.train_factor_mean):
+            raise ValidationError("train_factor_mean must be finite")
+        if not (np.isfinite(self.train_factor_std) and self.train_factor_std > 0):
+            raise ValidationError("train_factor_std must be finite and > 0")
         if self.orientation not in (1, -1):
             raise ValidationError(f"orientation must be +1 or -1, got {self.orientation}")
 
@@ -287,7 +290,7 @@ def label_model_from_dict(payload: dict) -> LabelModel:
             threshold_value=float(payload["threshold_value"]),
             train_factor_mean=float(payload["train_mean"]),
             train_factor_std=float(payload["train_std"]),
-            orientation=int(payload["orientation"]),
+            orientation=_json_int(payload, "orientation"),
         )
 
 

@@ -100,14 +100,14 @@ class LFSpec:
     _regex: re.Pattern | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("LF name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError(f"LF name must be a non-empty string, got {self.name!r}")
         if self.kind not in ("keyword", "regex"):
             raise ValidationError(f"LF '{self.name}': kind must be 'keyword' or 'regex', got {self.kind!r}")
-        if not self.pattern:
-            raise ValidationError(f"LF '{self.name}': pattern must be non-empty")
-        if self.vote_on_match not in (0, 1):
-            raise ValidationError(f"LF '{self.name}': vote_on_match must be 0 or 1")
+        if not isinstance(self.pattern, str) or not self.pattern:
+            raise ValidationError(f"LF '{self.name}': pattern must be a non-empty string, got {self.pattern!r}")
+        if type(self.vote_on_match) is not int or self.vote_on_match not in (0, 1):
+            raise ValidationError(f"LF '{self.name}': vote_on_match must be the integer 0 or 1")
         if self.kind == "regex":
             try:
                 object.__setattr__(self, "_regex", re.compile(self.pattern))
@@ -218,6 +218,15 @@ def _fields(what: str):
         raise ValidationError(f"{what} missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def _json_int(payload: dict, key: str) -> int:
+    """``payload[key]`` when it is a JSON integer; a float or a bool, even 1.0 or true,
+    is a ValidationError naming the field, so no accepted value is truncated."""
+    value = payload[key]
+    if type(value) is not int:
+        raise ValidationError(f"field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _dump_json(payload: dict, path=None) -> str:

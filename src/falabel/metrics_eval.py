@@ -215,19 +215,19 @@ def robustness_sweep(
 
     For every (size, repeat) cell a subsample of training rows is drawn
     without replacement; all methods see the identical subsample and are
-    evaluated on the fixed test set.  Subsampling reseeds deterministically
-    from the master seed, so results are bit-reproducible.
+    evaluated on the fixed test set.  ``seed`` is the one master seed: it
+    overrides ``cfg.seed``, and each cell's subsample and fit seed are
+    spawned from it, so results are bit-reproducible.
 
     Each FA method fits all its cells in one lockstep batch (see
-    ``fa_core._fit_loop``), with results bit-identical to fitting the cells
-    one by one.  The cells are then built, scored and evaluated in
-    (size, method, repeat) order, and the first cell in that order that
-    fails raises its error.
+    ``fa_core._fit_fa_batch``); a batch that fails refits its cells one at
+    a time, so every cell's result or error is that of fitting it alone.
+    The cells are then built, scored and evaluated in (size, method, repeat)
+    order, and the first cell in that order that fails raises its error.
     """
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    cfg = replace(FitConfig() if cfg is None else cfg, seed=seed)  # checks the seed
     if not sizes:
         raise ValidationError("at least one size is required")
     if len(set(sizes)) != len(sizes):
@@ -244,8 +244,6 @@ def robustness_sweep(
             raise ValidationError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
     if gold_test.n != test.n:
         raise ValidationError("test gold labels must match the test matrix row count")
-    if cfg is None:
-        cfg = FitConfig(seed=seed)
 
     # one spawned seed per (size, repeat) cell, shared across methods
     children = np.random.SeedSequence(seed).spawn(len(sizes) * repeats)

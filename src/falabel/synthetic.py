@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _dump_json, _fields, _read_json
+from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _dump_json, _fields, _json_int, _read_json
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,10 @@ def load_spec(path) -> SyntheticSpec:
     payload = _read_json(path, "synthetic spec")
     with _fields(f"synthetic spec {path}"):
         return SyntheticSpec(
-            n=int(payload["n"]),
-            m=int(payload["m"]),
+            n=_json_int(payload, "n"),
+            m=_json_int(payload, "m"),
             class_prior=float(payload["class_prior"]),
             accuracies=tuple(payload["accuracies"]),
             propensities=tuple(payload["propensities"]),
-            seed=int(payload.get("seed", 123)),
+            seed=_json_int(payload, "seed") if "seed" in payload else 123,
         )

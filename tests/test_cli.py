@@ -678,6 +678,79 @@ def test_predict_with_degenerate_model_exits_3(world, capsys, field, value):
     assert not pred.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("train_mean", float("nan")), ("train_mean", float("inf")), ("train_std", float("inf"))],
+)
+def test_predict_with_non_finite_train_moment_exits_2(world, capsys, field, value):
+    # cdf_youden labels through these moments: NaN or inf ones labelled every row alike
+    tmp, paths = world
+    model_path = tmp / "model.json"
+    argv = ["fit", str(paths["train"]), "--out", str(model_path), "--threshold", "cdf-youden",
+            "--dev-matrix", str(paths["train"]), "--dev-gold", str(paths["train_gold"])]
+    assert main(argv) == 0
+    payload = json.loads(model_path.read_text())
+    payload[field] = value
+    model_path.write_text(json.dumps(payload))
+    pred = tmp / "p.csv"
+    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("pattern", 5, "pattern must be a non-empty string"),
+        ("name", ["a"], "LF name must be a non-empty string"),
+        ("name", 5, "LF name must be a non-empty string"),
+        ("vote_on_match", True, "vote_on_match must be the integer 0 or 1"),
+        ("vote_on_match", 1.0, "vote_on_match must be the integer 0 or 1"),
+    ],
+)
+def test_malformed_lf_spec_exits_2(tmp_path, capsys, field, value, message):
+    records = tmp_path / "records.txt"
+    records.write_text("buy cheap now\nhello\n")
+    specs = tmp_path / "lfs.json"
+    specs.write_text(json.dumps([{"name": "buy", "kind": "keyword", "pattern": "buy", "vote_on_match": 1,
+                                  field: value}]))
+    out = tmp_path / "matrix.csv"
+    assert main(["apply-lfs", str(records), str(specs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("orientation", 1.9), ("orientation", 1.0), ("orientation", True), ("k", 1.5), ("m", "4")],
+)
+def test_model_file_with_a_non_integer_count_exits_2(world, capsys, field, value):
+    tmp, paths = world
+    model_path = tmp / "model.json"
+    assert main(["fit", str(paths["train"]), "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text())
+    payload[field] = value
+    model_path.write_text(json.dumps(payload))
+    pred = tmp / "p.csv"
+    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 2
+    assert f"field '{field}' must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("field, value", [("n", 40.5), ("m", 3.0), ("seed", 12.7), ("seed", False)])
+def test_synthetic_spec_with_a_non_integer_field_exits_2(tmp_path, capsys, field, value):
+    spec = {"n": 40, "m": 3, "class_prior": 0.5, "accuracies": [0.9, 0.8, 0.7],
+            "propensities": [1.0, 0.9, 0.8], "seed": 12, field: value}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "matrix.csv"
+    argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--out-matrix", str(out),
+            "--out-gold", str(tmp_path / "gold.csv")]
+    assert main(argv) == 2
+    assert f"field '{field}' must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # One valid file of each kind the CLI reads, and a command that reads each.
 INPUTS = ("matrix.csv", "gold.csv", "pred.csv", "fa.json", "ci.json", "lfs.json", "spec.json", "records.txt")
 READERS = (

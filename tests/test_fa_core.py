@@ -12,9 +12,11 @@ from falabel import (
     FitConfig,
     LabelMatrix,
     NumericalError,
+    SyntheticSpec,
     ValidationError,
     fit_fa_em,
     fit_fa_vi,
+    generate,
     load_params,
     log_likelihood,
     posterior_moments,
@@ -573,29 +575,48 @@ def test_batched_fit_equals_one_at_a_time_fits(batch, route):
             assert (batched_report.iterations, batched_report.converged) == (report.iterations, report.converged)
 
 
-def test_fit_loop_isolates_a_member_whose_step_raises():
-    # member 1 raises LinAlgError at its third step, member 2 NumericalError at its
-    # second; the others must run on as if alone
+# The failure contract: any failure ends the whole batch, and _fit_fa_batch then
+# refits each member alone.
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        (np.linalg.LinAlgError("Singular matrix"), "Singular matrix at iteration 3"),
+        (NumericalError("posterior precision not positive definite"), "posterior precision not positive definite"),
+        (None, "non-finite objective at iteration 3"),
+    ],
+)
+def test_a_failing_member_fails_the_whole_batch(failure, message):
+    # member 1 fails at its third step, by raising ``failure`` or with a nan
+    # objective; members 0 and 2 would go on
     def step(state):
-        x, limit, bad = state
-        if ((x == 2) & (bad == 1)).any():
-            raise np.linalg.LinAlgError("Singular matrix")
-        if ((x == 1) & (bad == 2)).any():
-            raise NumericalError("posterior precision not positive definite")
+        (x,) = state
+        if failure is not None and (x == 2).any():
+            raise failure
         x = x + 1
-        return (x, limit, bad), -1.0 / np.minimum(x, limit)
+        return (x,), np.where(x == 3, np.nan, -1.0 / x)
 
-    def run(members):
-        x = np.zeros(len(members))
-        limit, bad = (np.array(column, dtype=float) for column in zip(*members))
-        return _fit_loop(step, (x, limit, bad), 50, 1e-9, "em", "objective")
+    with pytest.raises(NumericalError) as info:
+        _fit_loop(step, (np.array([10.0, 0.0, 20.0]),), 50, 1e-9, "em", "objective")
+    assert str(info.value) == message
+    if isinstance(failure, NumericalError):
+        assert info.value is failure  # passed through unchanged
 
-    members = [(3.0, 0), (9.0, 1), (5.0, 2), (7.0, 0)]
-    results = run(members)
-    assert isinstance(results[1], NumericalError) and str(results[1]) == "Singular matrix at iteration 3"
-    assert isinstance(results[2], NumericalError) and "positive definite" in str(results[2])
-    for j in (0, 3):
-        (x, *_), report = results[j]
-        [((x_alone, *_), alone)] = run([members[j]])
-        assert (x, report) == (x_alone, alone)
-        assert report.converged and report.iterations == members[j][0] + 1
+
+def test_a_failed_batch_refits_each_member_alone(failing_em_member):
+    # the batch fails at iteration 3; alone, member 1 fails there and member 2 at 6
+    spec = dict(m=5, class_prior=0.4, accuracies=(0.9, 0.8, 0.7, 0.85, 0.75), propensities=(0.9,) * 5)
+    datas = [generate(SyntheticSpec(n=n, seed=n, **spec))[0] for n in (40, 50, 60)]
+    failing_em_member({50: 3, 60: 6})
+    results = _fit_fa_batch(datas, [FitConfig()] * 3, "em")
+    for j, iteration in ((1, 3), (2, 6)):
+        with pytest.raises(NumericalError) as solo:
+            fit_fa_em(datas[j])
+        assert str(solo.value) == f"Singular matrix at iteration {iteration}"
+        assert isinstance(results[j], NumericalError) and str(results[j]) == str(solo.value)
+    params, report = fit_fa_em(datas[0])
+    batched_params, batched_report = results[0]
+    for name in ("W", "psi", "c"):
+        assert getattr(batched_params, name).tobytes() == getattr(params, name).tobytes()
+    assert batched_report == report and report.iterations > 6

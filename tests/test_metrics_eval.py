@@ -273,3 +273,17 @@ def outcome(run, **kwargs):
 def test_sweep_csv_equals_one_cell_at_a_time(world):
     expected = outcome(one_cell_at_a_time, **world)
     assert outcome(lambda **kw: robustness_sweep(**kw).to_csv(), **world) == expected
+
+
+def test_sweep_fit_failure_raises_what_one_cell_at_a_time_raises(failing_em_member):
+    train, test, gold = small_world(seed=3)
+    world = dict(
+        train=train, test=test, gold_test=gold, sizes=(10, 20, 30), repeats=2, seed=7,
+        methods=("ci-em", "fa-em"), cfg=FitConfig(), threshold_kind="median",
+    )
+    # the batch fails at iteration 3, by a size-30 cell; alone, the size-20 cells
+    # fail first in sweep order, at iteration 5
+    failing_em_member({20: 5, 30: 3})
+    expected = outcome(one_cell_at_a_time, **world)
+    assert expected == (NumericalError, "Singular matrix at iteration 5")
+    assert outcome(lambda **kw: robustness_sweep(**kw).to_csv(), **world) == expected
