@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .fa_core import FitConfig, FitReport, _fit_loop
 from .label_model import Predictions
-from .labelling import ABSTAIN, LabelMatrix, _dump_json, _fields, _read_json
+from .labelling import ABSTAIN, LabelMatrix, _dump_json, _fields, _json_number, _read_json
 
 EMISSION_VALUES = (-1, 0, 1)
 PROB_FLOOR = 1e-6
@@ -178,11 +178,12 @@ def save_ci_params(params: CIParams, path) -> None:
 
 def ci_params_from_dict(payload: dict) -> CIParams:
     with _fields("CI model file"):
-        if tuple(payload.get("emission_values", EMISSION_VALUES)) != EMISSION_VALUES:
+        values = payload.get("emission_values", list(EMISSION_VALUES))
+        if values != list(EMISSION_VALUES) or any(type(v) is not int for v in values):
             raise ValidationError(f"emission_values must be {list(EMISSION_VALUES)}")
         return CIParams(
-            class_prior=float(payload["class_prior"]),
-            emissions=np.array(payload["emissions"], dtype=float),
+            class_prior=float(_json_number(payload, "class_prior")),
+            emissions=np.array(_json_number(payload, "emissions"), dtype=float),
         )
 
 

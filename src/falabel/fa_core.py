@@ -34,7 +34,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .labelling import LabelMatrix, _dump_json, _fields, _json_int, _read_json
+from .labelling import LabelMatrix, _dump_json, _fields, _json_int, _json_number, _read_json
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -328,14 +328,6 @@ def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str
     return results
 
 
-def _only(results: list):
-    """The result of a batch of one, raising the error that ended its member."""
-    [result] = results
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _reduce_rows(data, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Check the rows and reduce them to (c, S, n)."""
     X = _as_float_matrix(data)
@@ -355,51 +347,38 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
 
     Each member's rows are checked and reduced to (n, c, S) and its start
     state is formed from its own initial (W, psi); then _fit_loop steps all
-    members at once by ``update(S, n, *state, psi_floor)``.  The members that
-    pass the checks must share m, k, max_iter, tol and psi_floor.  If the
-    batch raises, each member is refitted as a batch of one, so every
-    member's result or error is exactly that of fitting it alone.
+    members at once by ``update(S, n, *state, psi_floor)``.  The members must
+    share m, k, max_iter, tol and psi_floor.  All or nothing: the first
+    ValidationError or NumericalError met ends the batch, and a LinAlgError
+    raises NumericalError("<error> at the initial parameters") in the setup.
 
     Returns
     -------
     list
-        One entry per member, in order: (FAParams, FitReport), or the
-        ValidationError or NumericalError that ended its fit.
+        One (FAParams, FitReport) per member, in order.
     """
     start, update, objective = _ROUTES[route]
-    results: list = [None] * len(datas)
-    members, biases, states = [], [], []
-    for j, (data, cfg) in enumerate(zip(datas, cfgs)):
+    biases, states = [], []
+    for data, cfg in zip(datas, cfgs):
+        c, S, n = _reduce_rows(data, cfg)
         try:
-            c, S, n = _reduce_rows(data, cfg)
             # n as a float: the objectives multiply by it without a cast, and as exactly
             states.append((S, float(n), *start(S, *_init_params(S, cfg))))
-        except (ValidationError, NumericalError) as exc:
-            results[j] = exc
         except np.linalg.LinAlgError as exc:
-            results[j] = NumericalError(f"{exc} at the initial parameters")
-        else:
-            members.append(j)
-            biases.append(c)
-    if not members:
-        return results
-    cfg = cfgs[members[0]]  # max_iter, tol and psi_floor: the members share them
+            raise NumericalError(f"{exc} at the initial parameters") from None
+        biases.append(c)
+    cfg = cfgs[0]  # max_iter, tol and psi_floor: the members share them
 
     def step(state):
         S, n, *fit = state
         fit, objectives = update(S, n, *fit, cfg.psi_floor)
         return (S, n, *fit), objectives
 
-    try:
-        fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg.max_iter, cfg.tol, route, objective)
-    except NumericalError as exc:
-        if len(datas) == 1:
-            return [exc]
-        # refit each member as a batch of one, so each gets its own result or error
-        return [_fit_fa_batch([d], [c], route)[0] for d, c in zip(datas, cfgs)]
-    for j, c, ((_, _, W, psi, *_), report) in zip(members, biases, fits):
-        results[j] = (FAParams(W=W, c=c, psi=psi, k=W.shape[1], m=len(c)), report)
-    return results
+    fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg.max_iter, cfg.tol, route, objective)
+    return [
+        (FAParams(W=W, c=c, psi=psi, k=W.shape[1], m=len(c)), report)
+        for c, ((_, _, W, psi, *_), report) in zip(biases, fits)
+    ]
 
 
 def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -418,7 +397,7 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
         Fitted parameters (c fixed at the column means) and the
         log-likelihood trace, which is non-decreasing up to the psi clamp.
     """
-    return _only(_fit_fa_batch([data], [cfg], "em"))
+    return _fit_fa_batch([data], [cfg], "em")[0]
 
 
 def _em_update(S, n, W, psi, SA, Ezz, psi_floor):
@@ -450,7 +429,7 @@ def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     k = 1 the variational family contains the exact posterior and the
     final bound matches the marginal log-likelihood.
     """
-    return _only(_fit_fa_batch([data], [cfg], "vi"))
+    return _fit_fa_batch([data], [cfg], "vi")[0]
 
 
 def _vi_update(S, n, W, psi, psi_floor):
@@ -528,9 +507,9 @@ def save_params(params: FAParams, path) -> None:
 def params_from_dict(payload: dict) -> FAParams:
     with _fields("model file"):
         return FAParams(
-            W=np.array(payload["W"], dtype=float),
-            c=np.array(payload["c"], dtype=float),
-            psi=np.array(payload["psi"], dtype=float),
+            W=np.array(_json_number(payload, "W"), dtype=float),
+            c=np.array(_json_number(payload, "c"), dtype=float),
+            psi=np.array(_json_number(payload, "psi"), dtype=float),
             k=_json_int(payload, "k"),
             m=_json_int(payload, "m"),
         )

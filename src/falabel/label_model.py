@@ -25,6 +25,7 @@ from .labelling import (
     _fields,
     _int_cells,
     _json_int,
+    _json_number,
     _read_csv,
     _read_input,
     _read_json,
@@ -287,9 +288,9 @@ def label_model_from_dict(payload: dict) -> LabelModel:
         return LabelModel(
             params=params,
             threshold_kind=payload["threshold_kind"],
-            threshold_value=float(payload["threshold_value"]),
-            train_factor_mean=float(payload["train_mean"]),
-            train_factor_std=float(payload["train_std"]),
+            threshold_value=float(_json_number(payload, "threshold_value")),
+            train_factor_mean=float(_json_number(payload, "train_mean")),
+            train_factor_std=float(_json_number(payload, "train_std")),
             orientation=_json_int(payload, "orientation"),
         )
 

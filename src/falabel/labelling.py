@@ -229,6 +229,20 @@ def _json_int(payload: dict, key: str) -> int:
     return value
 
 
+def _json_number(payload: dict, key: str):
+    """``payload[key]`` when it is a JSON number or a nested list of them; a string,
+    a bool or a null at any leaf is a ValidationError naming the field."""
+    value = payload[key]
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(reversed(leaf))  # so the first bad leaf in reading order is named
+        elif type(leaf) not in (int, float):
+            raise ValidationError(f"field {key!r} must hold JSON numbers only, got {leaf!r}")
+    return value
+
+
 def _dump_json(payload: dict, path=None) -> str:
     """JSON text (2-space indent, trailing newline); also written to ``path`` when given."""
     text = json.dumps(payload, indent=2) + "\n"

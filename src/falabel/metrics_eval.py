@@ -3,12 +3,13 @@ class-imbalance index, and the training-size robustness sweep."""
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .ci_baseline import ci_predict, fit_ci_em, majority_vote
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fa_core import FitConfig, _fit_fa_batch, fit_fa_em, fit_fa_vi
 from .label_model import Predictions, build_label_model, predict
 from .labelling import GoldLabels, LabelMatrix, _dump_json, _write_csv
@@ -220,10 +221,11 @@ def robustness_sweep(
     spawned from it, so results are bit-reproducible.
 
     Each FA method fits all its cells in one lockstep batch (see
-    ``fa_core._fit_fa_batch``); a batch that fails refits its cells one at
-    a time, so every cell's result or error is that of fitting it alone.
-    The cells are then built, scored and evaluated in (size, method, repeat)
-    order, and the first cell in that order that fails raises its error.
+    ``fa_core._fit_fa_batch``), which is all or nothing.  If it raises, that
+    method's cells are fitted one at a time through ``METHODS``, as every
+    other method's are.  Cells are built, scored and evaluated in (size,
+    method, repeat) order, so the first cell in that order that fails raises
+    the error of fitting it alone.
     """
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
@@ -255,9 +257,11 @@ def robustness_sweep(
             idx = np.sort(rng.choice(train.n, size=size, replace=False))
             subs.append(LabelMatrix(values=train.values[idx], lf_names=train.lf_names))
             cfgs.append(replace(cfg, seed=int(child.generate_state(1)[0])))
-    fa_fits = {
-        method: _fit_fa_batch(subs, cfgs, _FA_ROUTES[method]) for method in methods if method in _FA_ROUTES
-    }
+    fa_fits = {}
+    for method, route in _FA_ROUTES.items():
+        if method in methods:
+            with suppress(ValidationError, NumericalError):  # else its cells are fitted one by one below
+                fa_fits[method] = _fit_fa_batch(subs, cfgs, route)
 
     records = []
     for si, size in enumerate(sizes):
@@ -265,10 +269,7 @@ def robustness_sweep(
             for rep in range(repeats):
                 cell = si * repeats + rep
                 if method in fa_fits:
-                    fit = fa_fits[method][cell]
-                    if isinstance(fit, Exception):
-                        raise fit
-                    _, _, labeller = _fa_labeller(*fit, subs[cell], threshold_kind, None)
+                    _, _, labeller = _fa_labeller(*fa_fits[method][cell], subs[cell], threshold_kind, None)
                 else:
                     _, _, labeller = METHODS[method](subs[cell], cfgs[cell], threshold_kind, None)
                 records.append(

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _dump_json, _fields, _json_int, _read_json
+from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _dump_json, _fields, _json_int, _json_number, _read_json
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ def load_spec(path) -> SyntheticSpec:
         return SyntheticSpec(
             n=_json_int(payload, "n"),
             m=_json_int(payload, "m"),
-            class_prior=float(payload["class_prior"]),
-            accuracies=tuple(payload["accuracies"]),
-            propensities=tuple(payload["propensities"]),
+            class_prior=float(_json_number(payload, "class_prior")),
+            accuracies=tuple(_json_number(payload, "accuracies")),
+            propensities=tuple(_json_number(payload, "propensities")),
             seed=_json_int(payload, "seed") if "seed" in payload else 123,
         )

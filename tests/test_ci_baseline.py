@@ -15,7 +15,7 @@ from falabel import (
     save_ci_params,
 )
 from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR, ci_predict
-from falabel.fa_core import _fit_loop, _only
+from falabel.fa_core import _fit_loop
 
 
 def brute_force_posterior(params: CIParams, matrix: LabelMatrix) -> np.ndarray:
@@ -279,7 +279,7 @@ def row_wise_fit_ci_em(matrix: LabelMatrix, max_iter=1000, tol=1e-4, seed=123):
         resp1 = np.exp(scores[:, 1] - row_ll)
         return (np.array([prior]), emissions[None], resp1[None]), np.array([row_ll.sum()])
 
-    (prior, emissions, _), report = _only(_fit_loop(step, (r1[None],), max_iter, tol, "em", "likelihood"))
+    (prior, emissions, _), report = _fit_loop(step, (r1[None],), max_iter, tol, "em", "likelihood")[0]
     if emissions[:, 0, 2].mean() > emissions[:, 1, 2].mean():
         prior, emissions = 1.0 - prior, emissions[:, ::-1, :]
     return prior, emissions, report

@@ -331,6 +331,9 @@ class TestApplyLFs:
         ("fa-em", "threshold_value", "abc"),
         ("fa-em", "orientation", None),
         ("ci-em", "emission_values", 5),
+        # emission_values compared with ==, which took booleans and floats for the integers
+        ("ci-em", "emission_values", [-1, False, True]),
+        ("ci-em", "emission_values", [-1.0, 0.0, 1.0]),
     ],
 )
 def test_malformed_model_field_exits_2(world, capsys, route, field, value):
@@ -748,6 +751,53 @@ def test_synthetic_spec_with_a_non_integer_field_exits_2(tmp_path, capsys, field
             "--out-gold", str(tmp_path / "gold.csv")]
     assert main(argv) == 2
     assert f"field '{field}' must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def as_strings(value):
+    """``value`` with every number of its nested lists written as a JSON string."""
+    return [as_strings(v) for v in value] if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize(
+    "route, field, value",
+    [
+        ("fa-em", "threshold_value", as_strings),
+        ("fa-em", "train_std", as_strings),
+        ("fa-em", "W", as_strings),
+        ("fa-em", "psi", lambda psi: [True] + psi[1:]),
+        ("ci-em", "class_prior", lambda prior: "0.4"),
+        ("ci-em", "emissions", as_strings),
+    ],
+)
+def test_model_file_with_a_non_numeric_field_exits_2(world, capsys, route, field, value):
+    # these loaded through float() and np.array(..., dtype=float) and predicted with exit 0
+    tmp, paths = world
+    model_path = tmp / "model.json"
+    assert main(["fit", str(paths["train"]), "--route", route, "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text())
+    payload[field] = value(payload[field])
+    model_path.write_text(json.dumps(payload))
+    pred = tmp / "p.csv"
+    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 2
+    assert f"field '{field}' must hold JSON numbers only, got " in capsys.readouterr().err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, leaf",
+    [("class_prior", "0.4", "0.4"), ("accuracies", ["0.7", True, 0.8], "0.7"),
+     ("accuracies", [0.7, True, 0.8], True), ("propensities", [1.0, None, 0.8], None)],
+)
+def test_synthetic_spec_with_a_non_numeric_field_exits_2(tmp_path, capsys, field, value, leaf):
+    spec = {"n": 40, "m": 3, "class_prior": 0.5, "accuracies": [0.9, 0.8, 0.7],
+            "propensities": [1.0, 0.9, 0.8], "seed": 12, field: value}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "matrix.csv"
+    argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--out-matrix", str(out),
+            "--out-gold", str(tmp_path / "gold.csv")]
+    assert main(argv) == 2
+    assert f"field '{field}' must hold JSON numbers only, got {leaf!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from falabel import (
     NumericalError,
     SyntheticSpec,
     ValidationError,
+    fit_ci_em,
     fit_fa_em,
     fit_fa_vi,
     generate,
@@ -30,7 +31,6 @@ from falabel.fa_core import (
     _fit_fa_batch,
     _fit_loop,
     _init_params,
-    _only,
     _vi_estep,
     _vi_update,
 )
@@ -418,7 +418,7 @@ def row_wise_fit_fa(X, cfg, route):
         return (W[None], psi[None]), np.array([value])
 
     initial = tuple(x[None] for x in _init_params(S, cfg))
-    state, report = _only(_fit_loop(step, initial, cfg.max_iter, cfg.tol, route, "objective"))
+    state, report = _fit_loop(step, initial, cfg.max_iter, cfg.tol, route, "objective")[0]
     return state, report, steps
 
 
@@ -457,6 +457,16 @@ def test_second_moment_fit_matches_row_wise_fit(data, route):
     np.testing.assert_allclose(report.ll_trace, expected.ll_trace, rtol=0.0, atol=atol)
     np.testing.assert_allclose(params.W, W, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(params.psi, psi, rtol=0.0, atol=1e-9)
+
+
+@given(lf_matrices_and_configs())
+def test_no_trace_step_falls(data):
+    # EM and coordinate ascent never lower their objective: 1e-9 relative allows rounding only
+    X, cfg = data
+    matrix = LabelMatrix(values=X.astype(int), lf_names=[f"lf{j}" for j in range(X.shape[1])])
+    for _, report in (fit_fa_em(X, cfg), fit_fa_vi(X, cfg), fit_ci_em(matrix, seed=cfg.seed)):
+        for before, after in zip(report.ll_trace, report.ll_trace[1:]):
+            assert after - before >= -1e-9 * max(1.0, abs(before)), (report.route, before, after)
 
 
 # Reference: the log-likelihood from an m x m Cholesky factor and solve of
@@ -558,16 +568,18 @@ def test_batched_fit_equals_one_at_a_time_fits(batch, route):
     datas, cfgs, overflowing = batch
     fit = fit_fa_em if route == "em" else fit_fa_vi
     with np.errstate(all="ignore"):
+        if overflowing is not None:
+            # the batch is all or nothing: it raises the failing member's solo error
+            with pytest.raises(NumericalError) as solo:
+                fit(datas[overflowing], cfgs[overflowing])
+            with pytest.raises(NumericalError) as batched:
+                _fit_fa_batch(datas, cfgs, route)
+            assert str(batched.value) == str(solo.value)
+            return
         results = _fit_fa_batch(datas, cfgs, route)
         assert len(results) == len(datas)
-        for j, (X, cfg, result) in enumerate(zip(datas, cfgs, results)):
-            try:
-                params, report = fit(X, cfg)
-            except NumericalError as exc:
-                assert isinstance(result, NumericalError) and str(result) == str(exc)
-                continue
-            assert j != overflowing, "the overflowing matrix must fail alone"
-            batched_params, batched_report = result
+        for X, cfg, (batched_params, batched_report) in zip(datas, cfgs, results):
+            params, report = fit(X, cfg)
             assert batched_params.W.tobytes() == params.W.tobytes()
             assert batched_params.psi.tobytes() == params.psi.tobytes()
             assert batched_params.c.tobytes() == params.c.tobytes()
@@ -575,8 +587,8 @@ def test_batched_fit_equals_one_at_a_time_fits(batch, route):
             assert (batched_report.iterations, batched_report.converged) == (report.iterations, report.converged)
 
 
-# The failure contract: any failure ends the whole batch, and _fit_fa_batch then
-# refits each member alone.
+# The failure contract: any failure ends the whole batch, and _fit_fa_batch
+# raises it.
 
 
 @pytest.mark.parametrize(
@@ -604,19 +616,13 @@ def test_a_failing_member_fails_the_whole_batch(failure, message):
         assert info.value is failure  # passed through unchanged
 
 
-def test_a_failed_batch_refits_each_member_alone(failing_em_member):
-    # the batch fails at iteration 3; alone, member 1 fails there and member 2 at 6
+def test_a_failed_batch_raises_its_first_failure(failing_em_member):
+    # alone, the 50-row member fails at iteration 3 and the 60-row one at 6;
+    # in the batch the first failure ends every member's fit
     spec = dict(m=5, class_prior=0.4, accuracies=(0.9, 0.8, 0.7, 0.85, 0.75), propensities=(0.9,) * 5)
     datas = [generate(SyntheticSpec(n=n, seed=n, **spec))[0] for n in (40, 50, 60)]
     failing_em_member({50: 3, 60: 6})
-    results = _fit_fa_batch(datas, [FitConfig()] * 3, "em")
-    for j, iteration in ((1, 3), (2, 6)):
-        with pytest.raises(NumericalError) as solo:
-            fit_fa_em(datas[j])
-        assert str(solo.value) == f"Singular matrix at iteration {iteration}"
-        assert isinstance(results[j], NumericalError) and str(results[j]) == str(solo.value)
-    params, report = fit_fa_em(datas[0])
-    batched_params, batched_report = results[0]
-    for name in ("W", "psi", "c"):
-        assert getattr(batched_params, name).tobytes() == getattr(params, name).tobytes()
-    assert batched_report == report and report.iterations > 6
+    with pytest.raises(NumericalError, match="^Singular matrix at iteration 3$"):
+        _fit_fa_batch(datas, [FitConfig()] * 3, "em")
+    with pytest.raises(NumericalError, match="^Singular matrix at iteration 6$"):
+        fit_fa_em(datas[2])

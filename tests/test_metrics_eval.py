@@ -196,12 +196,19 @@ class TestRobustnessSweep:
     ])
     def test_first_failing_cell_in_order_raises(self, monkeypatch, ci_fails, fa_fails, expected):
         # cells run in (size, method, repeat) order: sizes (10, 20), methods (ci-em, fa-em)
+        # the FA batch raises, so the sweep fits its cells one at a time, in order
         train, test, gold = small_world(seed=11)
-        fit_fa_batch, fit_ci = metrics_eval._fit_fa_batch, metrics_eval.METHODS["ci-em"]
+        fit_fa, fit_ci = metrics_eval.fit_fa_em, metrics_eval.METHODS["ci-em"]
 
         def failing_fa_batch(datas, cfgs, route):
-            fits = fit_fa_batch(datas, cfgs, route)
-            return [NumericalError(f"fa cell {j}") if j in fa_fails else fit for j, fit in enumerate(fits)]
+            raise NumericalError("the batch")
+
+        def failing_fa(train, cfg):
+            cell = len(seen_fa)
+            seen_fa.append(cell)
+            if cell in fa_fails:
+                raise NumericalError(f"fa cell {cell}")
+            return fit_fa(train, cfg)
 
         def failing_ci(train, cfg, threshold_kind, dev):
             cell = (train.n, len(seen_ci) % 2)
@@ -210,8 +217,9 @@ class TestRobustnessSweep:
                 raise NumericalError(f"ci cell {cell[0]}/{cell[1]}")
             return fit_ci(train, cfg, threshold_kind, dev)
 
-        seen_ci = []
+        seen_ci, seen_fa = [], []
         monkeypatch.setattr(metrics_eval, "_fit_fa_batch", failing_fa_batch)
+        monkeypatch.setattr(metrics_eval, "fit_fa_em", failing_fa)
         monkeypatch.setitem(metrics_eval.METHODS, "ci-em", failing_ci)
         with pytest.raises(NumericalError, match=expected):
             robustness_sweep(train, test, gold, sizes=(10, 20), repeats=2, seed=4, methods=("ci-em", "fa-em"))
