@@ -182,8 +182,8 @@ def ci_params_from_dict(payload: dict) -> CIParams:
         if values != list(EMISSION_VALUES) or any(type(v) is not int for v in values):
             raise ValidationError(f"emission_values must be {list(EMISSION_VALUES)}")
         return CIParams(
-            class_prior=float(_json_number(payload, "class_prior")),
-            emissions=np.array(_json_number(payload, "emissions"), dtype=float),
+            class_prior=_json_number(payload, "class_prior"),
+            emissions=_json_number(payload, "emissions", 3),
         )
 
 

@@ -28,15 +28,17 @@ the reals -1.0/0.0/1.0) or any (n, m) float array.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .labelling import LabelMatrix, _dump_json, _fields, _json_int, _json_number, _read_json
+from .labelling import LabelMatrix, _check_count, _dump_json, _fields, _json_int, _json_number, _read_json
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+PSI_FLOOR = 1e-6  # clamps the noise variances at every update, so constant columns keep psi > 0
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,6 @@ class FitConfig:
         Iteration cap.
     tol : float
         Absolute objective improvement below which the fit stops.
-    psi_floor : float
-        Lower clamp applied to the noise variances every update; prevents
-        zero-variance collapse on constant columns.
     seed : int
         Drives the random initialization route only.
     init : str
@@ -67,21 +66,17 @@ class FitConfig:
     k: int = 1
     max_iter: int = 1000
     tol: float = 1e-4
-    psi_floor: float = 1e-6
     seed: int = 123
     init: str = "svd"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_count("k", self.k, 1)
+        _check_count("max_iter", self.max_iter, 1)
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValidationError(f"tol must be a real number, got {self.tol!r}")
         if not self.tol > 0:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
-        if not self.psi_floor > 0:
-            raise ValidationError(f"psi_floor must be > 0, got {self.psi_floor}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_count("seed", self.seed, 0)
         if self.init not in ("svd", "random"):
             raise ValidationError(f"init must be 'svd' or 'random', got {self.init!r}")
 
@@ -197,7 +192,7 @@ def _init_params(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]
         W = rng.normal(0.0, 0.1, size=(len(S), cfg.k))
     # the sign rule; EM and VI map -W to -W exactly, so it fixes the fitted sign
     W = np.where(W.sum(axis=0) < 0.0, -W, W)
-    psi = np.maximum(np.diag(S) - (W**2).sum(axis=1), cfg.psi_floor)
+    psi = np.maximum(np.diag(S) - (W**2).sum(axis=1), PSI_FLOOR)
     return W, psi
 
 
@@ -347,8 +342,8 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
 
     Each member's rows are checked and reduced to (n, c, S) and its start
     state is formed from its own initial (W, psi); then _fit_loop steps all
-    members at once by ``update(S, n, *state, psi_floor)``.  The members must
-    share m, k, max_iter, tol and psi_floor.  All or nothing: the first
+    members at once by ``update(S, n, *state, PSI_FLOOR)``.  The members must
+    share m, k, max_iter and tol.  All or nothing: the first
     ValidationError or NumericalError met ends the batch, and a LinAlgError
     raises NumericalError("<error> at the initial parameters") in the setup.
 
@@ -367,11 +362,11 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{exc} at the initial parameters") from None
         biases.append(c)
-    cfg = cfgs[0]  # max_iter, tol and psi_floor: the members share them
+    cfg = cfgs[0]  # max_iter and tol: the members share them
 
     def step(state):
         S, n, *fit = state
-        fit, objectives = update(S, n, *fit, cfg.psi_floor)
+        fit, objectives = update(S, n, *fit, PSI_FLOOR)
         return (S, n, *fit), objectives
 
     fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg.max_iter, cfg.tol, route, objective)
@@ -474,6 +469,9 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
     H = np.eye(params.k) + (params.W.T * precision) @ params.W
     try:
         G = np.linalg.inv(H)
+        # inv returns a wrong inverse of some finite H that is singular in floating point
+        if np.isfinite(H).all() and np.linalg.cond(H) >= 1.0 / np.finfo(float).eps:
+            raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise NumericalError("posterior precision is singular") from None
     mean = (X - params.c) @ (precision[:, None] * params.W) @ G
@@ -507,9 +505,9 @@ def save_params(params: FAParams, path) -> None:
 def params_from_dict(payload: dict) -> FAParams:
     with _fields("model file"):
         return FAParams(
-            W=np.array(_json_number(payload, "W"), dtype=float),
-            c=np.array(_json_number(payload, "c"), dtype=float),
-            psi=np.array(_json_number(payload, "psi"), dtype=float),
+            W=_json_number(payload, "W", 2),
+            c=_json_number(payload, "c", 1),
+            psi=_json_number(payload, "psi", 1),
             k=_json_int(payload, "k"),
             m=_json_int(payload, "m"),
         )

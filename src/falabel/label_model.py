@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fa_core import FAParams, FitConfig, params_from_dict, params_to_dict, posterior_moments
+from .fa_core import FAParams, FitConfig, fit_fa_em, params_from_dict, params_to_dict, posterior_moments
 from .labelling import (
     ABSTAIN,
     GoldLabels,
@@ -175,9 +175,7 @@ def build_label_model(
             raise ValidationError("dev gold labels must match the dev matrix row count")
         dev_scores = orientation * posterior_moments(params, dev_matrix).mean[:, 0]
         dev_cdf = _normal_cdf((dev_scores - train_mean) / train_std)
-        if dev_gold.mask is not None:
-            dev_cdf = dev_cdf[dev_gold.mask]
-        threshold_value, _ = youden_threshold(dev_cdf, dev_gold.labelled_values())
+        threshold_value, _ = youden_threshold(dev_cdf, dev_gold.values)
     else:
         threshold_value = _latent_threshold(threshold_kind, z_raw)
 
@@ -196,15 +194,9 @@ def train_label_model(
     cfg: FitConfig = FitConfig(),
     threshold_kind: str = "median",
     dev: tuple[LabelMatrix, GoldLabels] | None = None,
-    route: str = "em",
 ) -> LabelModel:
-    """Fit the factor model ("em" or "vi" route) and build the pseudo-labeler."""
-    from .metrics_eval import METHODS  # imported here: metrics_eval imports this module
-
-    if route not in ("em", "vi"):
-        raise ValidationError(f"route must be 'em' or 'vi', got {route!r}")
-    model, _, _ = METHODS[f"fa-{route}"](train, cfg, threshold_kind, dev)
-    return model
+    """Fit the factor model by EM and build the pseudo-labeler."""
+    return build_label_model(fit_fa_em(train, cfg)[0], train, threshold_kind, dev)
 
 
 def predict(model: LabelModel, matrix: LabelMatrix) -> Predictions:
@@ -288,9 +280,9 @@ def label_model_from_dict(payload: dict) -> LabelModel:
         return LabelModel(
             params=params,
             threshold_kind=payload["threshold_kind"],
-            threshold_value=float(_json_number(payload, "threshold_value")),
-            train_factor_mean=float(_json_number(payload, "train_mean")),
-            train_factor_std=float(_json_number(payload, "train_std")),
+            threshold_value=_json_number(payload, "threshold_value"),
+            train_factor_mean=_json_number(payload, "train_mean"),
+            train_factor_std=_json_number(payload, "train_std"),
             orientation=_json_int(payload, "orientation"),
         )
 

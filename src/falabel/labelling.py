@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -129,13 +130,9 @@ class LFSpec:
 
 @dataclass(frozen=True)
 class GoldLabels:
-    """Ground-truth binary labels, used only for evaluation.
-
-    ``mask`` marks labelled rows; ``None`` means every row is labelled.
-    """
+    """Ground-truth binary labels, one per row, used only for evaluation."""
 
     values: np.ndarray
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         values = _frozen_array(self.values, np.int64)
@@ -146,20 +143,10 @@ class GoldLabels:
         if bad.any():
             i = int(np.argwhere(bad)[0][0])
             raise ValidationError(f"gold label {values[i]} at row {i} is not in {{0, 1}}")
-        if self.mask is not None:
-            mask = _frozen_array(self.mask, bool)
-            if mask.shape != values.shape:
-                raise ValidationError("gold label mask length must match values")
-            object.__setattr__(self, "mask", mask)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def labelled_values(self) -> np.ndarray:
-        if self.mask is None:
-            return self.values
-        return self.values[self.mask]
 
 
 @dataclass(frozen=True)
@@ -220,6 +207,14 @@ def _fields(what: str):
         raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """A ValidationError unless ``value`` is a Python or numpy integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _json_int(payload: dict, key: str) -> int:
     """``payload[key]`` when it is a JSON integer; a float or a bool, even 1.0 or true,
     is a ValidationError naming the field, so no accepted value is truncated."""
@@ -229,9 +224,10 @@ def _json_int(payload: dict, key: str) -> int:
     return value
 
 
-def _json_number(payload: dict, key: str):
-    """``payload[key]`` when it is a JSON number or a nested list of them; a string,
-    a bool or a null at any leaf is a ValidationError naming the field."""
+def _json_number(payload: dict, key: str, ndim: int = 0):
+    """``payload[key]`` as a float when ``ndim`` is 0, else as a float array of ``ndim``
+    dimensions.  A string, a bool or a null at any leaf, another depth, a ragged list or
+    an integer beyond the float range is a ValidationError naming the field."""
     value = payload[key]
     leaves = [value]
     while leaves:
@@ -240,7 +236,15 @@ def _json_number(payload: dict, key: str):
             leaves.extend(reversed(leaf))  # so the first bad leaf in reading order is named
         elif type(leaf) not in (int, float):
             raise ValidationError(f"field {key!r} must hold JSON numbers only, got {leaf!r}")
-    return value
+    want = "a number" if ndim == 0 else f"a rectangular {ndim}-d array of numbers"
+    try:
+        array = np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # a ragged list, or an integer beyond the float range
+        raise ValidationError(f"field {key!r} must be {want}: {exc}") from None
+    if array.ndim != ndim:
+        got = "a number" if array.ndim == 0 else f"a {array.ndim}-d array"
+        raise ValidationError(f"field {key!r} must be {want}, got {got}")
+    return float(array) if ndim == 0 else array
 
 
 def _dump_json(payload: dict, path=None) -> str:

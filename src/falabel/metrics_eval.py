@@ -88,19 +88,14 @@ def evaluate(pred, gold) -> MetricsReport:
     """Confusion counts and accuracy/precision/recall/F1.
 
     ``pred`` may be a Predictions object or a 0/1 vector; ``gold`` a
-    GoldLabels (its mask, when present, restricts the evaluation to
-    labelled rows) or a 0/1 vector.
+    GoldLabels or a 0/1 vector.
     """
     pred_arr = _label_array(pred, "predictions")
-    mask = gold.mask if isinstance(gold, GoldLabels) else None
     gold_arr = _label_array(gold, "gold labels")
     if pred_arr.shape != gold_arr.shape:
         raise ValidationError(
             f"length mismatch: {pred_arr.shape[0]} predictions vs {gold_arr.shape[0]} gold labels"
         )
-    if mask is not None:
-        pred_arr = pred_arr[mask]
-        gold_arr = gold_arr[mask]
     if gold_arr.size == 0:
         raise ValidationError("cannot evaluate on empty input")
 
@@ -143,10 +138,7 @@ def evaluate(pred, gold) -> MetricsReport:
 
 def imbalance_index(gold) -> float:
     """Class imbalance as |n_pos - n_neg| / (n_pos + n_neg), in [0, 1]."""
-    if isinstance(gold, GoldLabels):
-        values = gold.labelled_values()
-    else:
-        values = _label_array(gold, "gold labels")
+    values = _label_array(gold, "gold labels")
     if values.size == 0:
         raise ValidationError("cannot compute imbalance of empty input")
     n_pos = int((values == 1).sum())

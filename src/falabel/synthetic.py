@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _dump_json, _fields, _json_int, _json_number, _read_json
+from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _check_count, _dump_json, _fields, _json_int, _json_number, _read_json
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,11 @@ class SyntheticSpec:
     seed: int = 123
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise ValidationError(f"m must be >= 1, got {self.m}")
+        _check_count("n", self.n, 1)
+        _check_count("m", self.m, 1)
         if not 0.0 < self.class_prior < 1.0:
             raise ValidationError(f"class_prior must be in (0, 1), got {self.class_prior}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_count("seed", self.seed, 0)
         accuracies = tuple(float(a) for a in self.accuracies)
         propensities = tuple(float(q) for q in self.propensities)
         if len(accuracies) != self.m:
@@ -109,8 +106,8 @@ def load_spec(path) -> SyntheticSpec:
         return SyntheticSpec(
             n=_json_int(payload, "n"),
             m=_json_int(payload, "m"),
-            class_prior=float(_json_number(payload, "class_prior")),
-            accuracies=tuple(_json_number(payload, "accuracies")),
-            propensities=tuple(_json_number(payload, "propensities")),
+            class_prior=_json_number(payload, "class_prior"),
+            accuracies=_json_number(payload, "accuracies", 1),
+            propensities=_json_number(payload, "propensities", 1),
             seed=_json_int(payload, "seed") if "seed" in payload else 123,
         )

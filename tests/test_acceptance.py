@@ -37,7 +37,7 @@ from falabel import (
     train_label_model,
 )
 from falabel.cli import main as cli_main
-from falabel.fa_core import _em_step
+from falabel.fa_core import PSI_FLOOR, _em_step
 
 MASTER_SEED = 123
 
@@ -143,7 +143,7 @@ def test_criterion_02_em_monotone_and_stationary():
         if diffs.size:
             worst_drop = max(worst_drop, float(-diffs.min()))
         Xc = matrix.values.astype(float) - params.c
-        W2, psi2 = _em_step(Xc.T @ Xc / matrix.n, params.W, params.psi, cfg.psi_floor)
+        W2, psi2 = _em_step(Xc.T @ Xc / matrix.n, params.W, params.psi, PSI_FLOOR)
         extra = FAParams(W=W2, c=params.c, psi=psi2, k=cfg.k, m=matrix.m)
         improvement = log_likelihood(extra, matrix) - log_likelihood(params, matrix)
         worst_step = max(worst_step, improvement)

@@ -681,6 +681,20 @@ def test_predict_with_degenerate_model_exits_3(world, capsys, field, value):
     assert not pred.exists()
 
 
+def test_predict_with_singular_posterior_precision_exits_3(world, capsys):
+    # np.linalg.inv inverts this k = 2 precision at m = 4 and predict wrote wrong-signed scores
+    tmp, paths = world
+    model_path = tmp / "model.json"
+    assert main(["fit", str(paths["train"]), "--k", "2", "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text())
+    payload.update(W=[[1e150, 1e150]] * 4, psi=[1.0] * 4)
+    model_path.write_text(json.dumps(payload))
+    pred = tmp / "p.csv"
+    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 3
+    assert capsys.readouterr().err == "numerical error: posterior precision is singular\n"
+    assert not pred.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("train_mean", float("nan")), ("train_mean", float("inf")), ("train_std", float("inf"))],
@@ -798,6 +812,41 @@ def test_synthetic_spec_with_a_non_numeric_field_exits_2(tmp_path, capsys, field
             "--out-gold", str(tmp_path / "gold.csv")]
     assert main(argv) == 2
     assert f"field '{field}' must hold JSON numbers only, got {leaf!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SPEC = {"n": 40, "m": 3, "class_prior": 0.5, "accuracies": [0.9, 0.8, 0.7], "propensities": [1.0, 0.9, 0.8]}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("spec", "accuracies", lambda accuracies: 0.7),
+        ("spec", "class_prior", lambda prior: [0.5]),
+        ("fa-em", "threshold_value", lambda threshold: [0.1]),
+        ("fa-em", "W", lambda W: [W[0] + [0.1], *W[1:]]),
+        ("ci-em", "class_prior", lambda prior: [0.4]),
+        ("ci-em", "emissions", lambda emissions: [emissions[0][:1], *emissions[1:]]),
+    ],
+    ids=["spec-accuracies", "spec-class_prior", "fa-threshold_value", "fa-W-ragged", "ci-class_prior",
+         "ci-emissions-ragged"],
+)
+def test_json_field_of_the_wrong_shape_exits_2_naming_it(world, capsys, kind, field, value):
+    # these exited 2 with a message that did not name the field
+    tmp, paths = world
+    if kind == "spec":
+        path, out = tmp / "spec.json", tmp / "matrix.csv"
+        path.write_text(json.dumps({**SPEC, field: value(SPEC[field])}))
+        argv = ["synth", "--spec", str(path), "--out-matrix", str(out), "--out-gold", str(tmp / "g.csv")]
+    else:
+        path, out = tmp / "model.json", tmp / "p.csv"
+        assert main(["fit", str(paths["train"]), "--route", kind, "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, field: value(payload[field])}))
+        argv = ["predict", str(path), str(paths["test"]), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed ") and f"field '{field}' must be " in err
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""Every Python demo runs to completion against the package in ``src``."""
+"""Every demo runs to completion against the package in ``src``."""
 
 import os
 import subprocess
@@ -20,5 +20,20 @@ def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_pipeline_demo_exits_0(tmp_path):
+    # the shell demo calls ``falabel``: a shim on PATH runs the CLI from ``src``
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "falabel"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m falabel.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    proc = subprocess.run(
+        ["bash", str(ROOT / "demos" / "05_cli_pipeline.sh")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -25,6 +25,7 @@ from falabel import (
 )
 from falabel.fa_core import (
     LOG_2PI,
+    PSI_FLOOR,
     _em_estep,
     _em_step,
     _em_update,
@@ -119,13 +120,15 @@ class TestPosteriorMoments:
         with pytest.raises(ValidationError, match="columns"):
             posterior_moments(params, np.zeros((2, 3)))
 
-    def test_singular_posterior_precision_raises_numerical_error(self):
-        # collinear, huge loadings: I + W^T Psi^-1 W rounds to a finite singular matrix
-        params = FAParams(W=np.full((3, 2), 1e150), c=np.zeros(3), psi=np.ones(3), k=2, m=3)
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_singular_posterior_precision_raises_numerical_error(self, m):
+        # collinear, huge loadings: I + W^T Psi^-1 W rounds to a finite singular
+        # matrix, which np.linalg.inv rejects at m = 3, 5 and inverts wrongly at m = 2, 4
+        params = FAParams(W=np.full((m, 2), 1e150), c=np.zeros(m), psi=np.ones(m), k=2, m=m)
         H = np.eye(2) + (params.W.T / params.psi) @ params.W
         assert np.isfinite(H).all() and np.linalg.matrix_rank(H) < 2
         with pytest.raises(NumericalError, match="singular"):
-            posterior_moments(params, np.zeros((4, 3)))
+            posterior_moments(params, np.zeros((4, m)))
 
 
 class TestLogLikelihood:
@@ -203,7 +206,7 @@ class TestFitEM:
     def test_constant_columns_floor_psi(self):
         values = np.ones((20, 2), dtype=int)
         m = LabelMatrix(values=values, lf_names=("a", "b"))
-        cfg = FitConfig(psi_floor=1e-6)
+        cfg = FitConfig()
         params, _ = fit_fa_em(m, cfg)
         assert params.psi == pytest.approx([1e-6, 1e-6])
 
@@ -217,7 +220,7 @@ class TestFitEM:
         params, report = fit_fa_em(m, cfg)
         assert report.converged
         Xc = m.values.astype(float) - params.c
-        W2, psi2 = _em_step(Xc.T @ Xc / m.n, params.W, params.psi, cfg.psi_floor)
+        W2, psi2 = _em_step(Xc.T @ Xc / m.n, params.W, params.psi, PSI_FLOOR)
         extra = FAParams(W=W2, c=params.c, psi=psi2, k=1, m=5)
         before = log_likelihood(params, m)
         after = log_likelihood(extra, m)
@@ -256,6 +259,29 @@ class TestFitEM:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             FitConfig(seed=-3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iter", 2.5), ("max_iter", True), ("k", 1.5), ("seed", 2.5), ("seed", np.float64(3.0)),
+         ("tol", "x"), ("tol", False)],
+    )
+    def test_non_integer_count_or_non_real_tol_rejected(self, field, value):
+        # max_iter=2.5 ran past the cap and True was taken as 1; the others raised a bare TypeError
+        kind = "a real number" if field == "tol" else "an integer"
+        with pytest.raises(ValidationError) as info:
+            FitConfig(**{field: value})
+        assert str(info.value) == f"{field} must be {kind}, got {value!r}"
+
+    def test_fit_ci_em_rejects_a_fractional_max_iter(self):
+        # it ignored the cap and ran to convergence
+        matrix = LabelMatrix(values=[[1, 0], [0, 1], [1, 1]], lf_names=("a", "b"))
+        with pytest.raises(ValidationError, match="^max_iter must be an integer, got 2.5$"):
+            fit_ci_em(matrix, max_iter=2.5)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = FitConfig(k=np.int64(1), max_iter=np.int32(3), tol=np.float32(1e-3), seed=np.uint8(7))
+        _, report = fit_fa_em(np.random.default_rng(0).standard_normal((30, 3)), cfg)
+        assert report.iterations <= 3
 
     @pytest.mark.parametrize("psi", [-1.0, -4.0])
     def test_posterior_precision_without_positive_determinant_raises(self, psi):
@@ -412,8 +438,8 @@ def row_wise_fit_fa(X, cfg, route):
 
     def step(state):  # a batch of one: each state array has a member axis
         state = tuple(x[0] for x in state)
-        new_state, value = second_moment(S, len(Xc), *start(S, *state), cfg.psi_floor)
-        steps.append(((new_state[:2], value), row_wise(Xc, *state, cfg.psi_floor)))
+        new_state, value = second_moment(S, len(Xc), *start(S, *state), PSI_FLOOR)
+        steps.append(((new_state[:2], value), row_wise(Xc, *state, PSI_FLOOR)))
         (W, psi), value = steps[-1][1]
         return (W[None], psi[None]), np.array([value])
 

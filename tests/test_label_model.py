@@ -19,6 +19,7 @@ from falabel import (
     build_label_model,
     export_factors,
     fit_fa_em,
+    fit_fa_vi,
     generate,
     load_label_model,
     orient_factor,
@@ -199,8 +200,8 @@ class TestTrainLabelModel:
 
     def test_vi_route(self):
         matrix, gold = generate(balanced_spec(seed=12))
-        model_vi = train_label_model(matrix, route="vi")
-        model_em = train_label_model(matrix, route="em")
+        model_vi = build_label_model(fit_fa_vi(matrix)[0], matrix)
+        model_em = train_label_model(matrix)
         p_vi = predict(model_vi, matrix)
         p_em = predict(model_em, matrix)
         agreement = (p_vi.labels == p_em.labels).mean()

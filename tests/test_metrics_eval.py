@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import falabel.metrics_eval as metrics_eval
 from falabel import (
     FitConfig,
-    GoldLabels,
     LabelMatrix,
     NumericalError,
     SyntheticSpec,
@@ -79,12 +78,6 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             evaluate(np.array([], dtype=int), np.array([], dtype=int))
-
-    def test_gold_mask_restricts_rows(self):
-        gold = GoldLabels(values=[1, 0, 1, 0], mask=[True, True, False, False])
-        r = evaluate([1, 1, 0, 0], gold)
-        assert r.n == 2
-        assert r.accuracy == 0.5
 
     def test_f1_consistency(self):
         rng = np.random.default_rng(12)

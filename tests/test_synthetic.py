@@ -50,6 +50,13 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             SyntheticSpec(n=10, m=1, class_prior=0.5, accuracies=(0.8,), propensities=(1.0,), seed=-2)
 
+    @pytest.mark.parametrize("field, value", [("n", 10.5), ("m", True), ("seed", 2.5), ("seed", "7")])
+    def test_non_integer_count_rejected(self, field, value):
+        kwargs = dict(n=10, m=1, class_prior=0.5, accuracies=(0.8,), propensities=(1.0,), seed=3)
+        with pytest.raises(ValidationError) as info:
+            SyntheticSpec(**{**kwargs, field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(n=10, m=2, class_prior=0.5, accuracies=(0.8,), propensities=(1.0, 1.0))
