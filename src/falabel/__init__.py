@@ -31,10 +31,8 @@ _EXPORTS = {
         "PosteriorMoments",
         "fit_fa_em",
         "fit_fa_vi",
-        "load_params",
         "log_likelihood",
         "posterior_moments",
-        "save_params",
     ),
     "label_model": (
         "LabelModel",

@@ -17,11 +17,10 @@ import numpy as np
 from .errors import ValidationError
 from .fa_core import FitConfig, FitReport, _fit_loop
 from .label_model import Predictions
-from .labelling import ABSTAIN, LabelMatrix, _dump_json, _fields, _json_number, _read_json
+from .labelling import LabelMatrix, _dump_json, _fields, _json_number, _read_json
 
 EMISSION_VALUES = (-1, 0, 1)
 PROB_FLOOR = 1e-6
-TIE_POLICIES = ("negative", "positive", "abstain_as_negative")
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def fit_ci_em(
     E, counts = _one_hot(patterns), np.bincount(inverse).astype(float)  # (u, 3m), (u,)
 
     rng = np.random.default_rng(seed)
-    mv = majority_vote(matrix, tie_policy="negative")
+    mv = majority_vote(matrix)
     r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
     # the state: class-1 responsibility summed over each distinct row's copies
     mass1 = np.bincount(inverse, weights=np.clip(r1, 0.05, 0.95))
@@ -147,23 +146,11 @@ def ci_predict(params: CIParams, matrix: LabelMatrix) -> Predictions:
     return Predictions(labels=(posterior > 0.5).astype(np.int64), scores=posterior)
 
 
-def majority_vote(matrix: LabelMatrix, tie_policy: str = "negative") -> np.ndarray:
-    """Per-row majority of the non-abstain votes.
-
-    ``negative`` sends ties and all-abstain rows to 0, ``positive`` to 1;
-    ``abstain_as_negative`` counts each abstain as a vote for 0 first and
-    resolves any remaining tie to 0.
-    """
-    if tie_policy not in TIE_POLICIES:
-        raise ValidationError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
+def majority_vote(matrix: LabelMatrix) -> np.ndarray:
+    """Per-row majority of the non-abstain votes; ties and all-abstain rows get 0."""
     pos = (matrix.values == 1).sum(axis=1)
-    if tie_policy == "abstain_as_negative":
-        neg = (matrix.values == 0).sum(axis=1) + (matrix.values == ABSTAIN).sum(axis=1)
-        tie_label = 0
-    else:
-        neg = (matrix.values == 0).sum(axis=1)
-        tie_label = 1 if tie_policy == "positive" else 0
-    return np.where(pos > neg, 1, np.where(neg > pos, 0, tie_label)).astype(np.int64)
+    neg = (matrix.values == 0).sum(axis=1)
+    return (pos > neg).astype(np.int64)
 
 
 def save_ci_params(params: CIParams, path) -> None:

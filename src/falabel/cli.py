@@ -34,18 +34,18 @@ def _parse_per_lf(text: str, m: int, what: str) -> tuple[float, ...]:
     """Per-LF value spec: a single float, a comma list, or a 'lo:hi' range
     expanded with linspace."""
     text = text.strip()
+    parts = text.split(":", 1) if ":" in text else text.split(",")
     try:
-        if ":" in text:
-            lo, hi = (float(p) for p in text.split(":", 1))
-            return tuple(float(v) for v in np.linspace(lo, hi, m))
-        if "," in text:
-            values = tuple(float(p) for p in text.split(","))
-            if len(values) != m:
-                raise ValidationError(f"{what}: expected {m} values, got {len(values)}")
-            return values
-        return (float(text),) * m
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"{what}: cannot parse {text!r}") from None
+    if ":" in text:
+        return tuple(float(v) for v in np.linspace(*values, m))
+    if len(values) == 1:
+        return values * m
+    if len(values) != m:
+        raise ValidationError(f"{what}: expected {m} values, got {len(values)}")
+    return values
 
 
 def _load_model_file(path):
@@ -199,12 +199,13 @@ def cmd_cov(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .labelling import save_gold_labels, save_label_matrix
+    from .labelling import _check_count, save_gold_labels, save_label_matrix
     from .synthetic import SyntheticSpec, generate, load_spec
 
     if args.spec is not None:
         spec = load_spec(args.spec)
     else:
+        _check_count("m", args.m, 1)  # first, since the per-LF values are expanded to m
         spec = SyntheticSpec(
             n=args.n,
             m=args.m,

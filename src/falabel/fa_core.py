@@ -35,7 +35,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .labelling import LabelMatrix, _check_count, _dump_json, _fields, _json_int, _json_number, _read_json
+from .labelling import LabelMatrix, _check_count, _fields, _json_int, _json_number
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 PSI_FLOOR = 1e-6  # clamps the noise variances at every update, so constant columns keep psi > 0
@@ -497,11 +497,6 @@ def params_to_dict(params: FAParams) -> dict:
     }
 
 
-def save_params(params: FAParams, path) -> None:
-    """Serialize to JSON with full-precision floats."""
-    _dump_json(params_to_dict(params), path)
-
-
 def params_from_dict(payload: dict) -> FAParams:
     with _fields("model file"):
         return FAParams(
@@ -511,8 +506,3 @@ def params_from_dict(payload: dict) -> FAParams:
             k=_json_int(payload, "k"),
             m=_json_int(payload, "m"),
         )
-
-
-def load_params(path) -> FAParams:
-    """Load and re-validate parameters saved by :func:`save_params`."""
-    return params_from_dict(_read_json(path, "model"))

@@ -189,14 +189,9 @@ def build_label_model(
     )
 
 
-def train_label_model(
-    train: LabelMatrix,
-    cfg: FitConfig = FitConfig(),
-    threshold_kind: str = "median",
-    dev: tuple[LabelMatrix, GoldLabels] | None = None,
-) -> LabelModel:
-    """Fit the factor model by EM and build the pseudo-labeler."""
-    return build_label_model(fit_fa_em(train, cfg)[0], train, threshold_kind, dev)
+def train_label_model(train: LabelMatrix, cfg: FitConfig = FitConfig()) -> LabelModel:
+    """Fit the factor model by EM and build the median-split pseudo-labeler."""
+    return build_label_model(fit_fa_em(train, cfg)[0], train)
 
 
 def predict(model: LabelModel, matrix: LabelMatrix) -> Predictions:

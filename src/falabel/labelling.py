@@ -26,12 +26,12 @@ ABSTAIN = -1
 VALID_ENTRIES = (-1, 0, 1)
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     raw = np.asarray(values)
-    if dtype is np.int64 and raw.dtype.kind == "f":
+    if raw.dtype.kind == "f":
         if not np.isfinite(raw).all() or not (raw == np.rint(raw)).all():
             raise ValidationError("entries must be integers")
-    arr = raw.astype(dtype)  # a new array, never a view of the caller's
+    arr = raw.astype(np.int64)  # a new array, never a view of the caller's
     arr.flags.writeable = False
     return arr
 
@@ -44,7 +44,7 @@ class LabelMatrix:
     lf_names: tuple[str, ...]
 
     def __post_init__(self):
-        values = _frozen_array(self.values, np.int64)
+        values = _frozen_array(self.values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "lf_names", tuple(self.lf_names))
         if values.ndim != 2:
@@ -115,9 +115,6 @@ class LFSpec:
             except re.error as exc:
                 raise ValidationError(f"LF '{self.name}': invalid regex: {exc}") from exc
 
-    def matches(self, record: str) -> bool:
-        return self._hits([record], [record.lower()])[0]
-
     def _hits(self, records: list[str], lowered: list[str]) -> list[bool]:
         """Whether this LF fires on each record; ``lowered`` holds the records
         lowercased, so a caller with many LFs lowercases each record once."""
@@ -135,7 +132,7 @@ class GoldLabels:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_array(self.values, np.int64)
+        values = _frozen_array(self.values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValidationError("gold labels must be a non-empty 1-d vector")

@@ -3,6 +3,7 @@ class-imbalance index, and the training-size robustness sweep."""
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 
@@ -11,8 +12,8 @@ import numpy as np
 from .ci_baseline import ci_predict, fit_ci_em, majority_vote
 from .errors import NumericalError, ValidationError
 from .fa_core import FitConfig, _fit_fa_batch, fit_fa_em, fit_fa_vi
-from .label_model import Predictions, build_label_model, predict
-from .labelling import GoldLabels, LabelMatrix, _dump_json, _write_csv
+from .label_model import build_label_model, predict
+from .labelling import GoldLabels, LabelMatrix, _check_count, _dump_json, _write_csv
 
 DEFAULT_SWEEP_SIZES = (10, 20, 30, 40, 50, 60)
 
@@ -72,9 +73,7 @@ class MetricsReport:
 
 
 def _label_array(labels, what: str) -> np.ndarray:
-    if isinstance(labels, Predictions):
-        labels = labels.labels
-    elif isinstance(labels, GoldLabels):
+    if isinstance(labels, GoldLabels):
         labels = labels.values
     arr = np.asarray(labels, dtype=np.int64)
     if arr.ndim != 1:
@@ -87,8 +86,7 @@ def _label_array(labels, what: str) -> np.ndarray:
 def evaluate(pred, gold) -> MetricsReport:
     """Confusion counts and accuracy/precision/recall/F1.
 
-    ``pred`` may be a Predictions object or a 0/1 vector; ``gold`` a
-    GoldLabels or a 0/1 vector.
+    ``pred`` is a 0/1 vector; ``gold`` a GoldLabels or a 0/1 vector.
     """
     pred_arr = _label_array(pred, "predictions")
     gold_arr = _label_array(gold, "gold labels")
@@ -219,8 +217,7 @@ def robustness_sweep(
     method, repeat) order, so the first cell in that order that fails raises
     the error of fitting it alone.
     """
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    _check_count("repeats", repeats, 1)
     cfg = replace(FitConfig() if cfg is None else cfg, seed=seed)  # checks the seed
     if not sizes:
         raise ValidationError("at least one size is required")
@@ -229,6 +226,7 @@ def robustness_sweep(
     if len(set(methods)) != len(methods):
         raise ValidationError(f"methods must be distinct, got {tuple(methods)}")
     for size in sizes:
+        _check_count("sizes", size, -math.inf)  # the type; the range is checked next
         if size < 2:
             raise ValidationError(f"sizes must be >= 2 to fit models, got {size}")
         if size > train.n:

@@ -200,26 +200,11 @@ class TestMajorityVote:
 
     def test_tie_negative_policy(self):
         m = LabelMatrix(values=[[1, 0, -1]], lf_names=("a", "b", "c"))
-        assert majority_vote(m, tie_policy="negative")[0] == 0
+        assert majority_vote(m)[0] == 0
 
     def test_all_abstain_negative_policy(self):
         m = LabelMatrix(values=[[-1, -1, -1]], lf_names=("a", "b", "c"))
-        assert majority_vote(m, tie_policy="negative")[0] == 0
-
-    def test_tie_positive_policy(self):
-        m = LabelMatrix(values=[[1, 0, -1], [-1, -1, -1]], lf_names=("a", "b", "c"))
-        np.testing.assert_array_equal(majority_vote(m, tie_policy="positive"), [1, 1])
-
-    def test_abstain_as_negative_policy(self):
-        m = LabelMatrix(values=[[1, -1, -1], [1, 1, -1]], lf_names=("a", "b", "c"))
-        np.testing.assert_array_equal(
-            majority_vote(m, tie_policy="abstain_as_negative"), [0, 1]
-        )
-
-    def test_unknown_policy_rejected(self):
-        m = LabelMatrix(values=[[1]], lf_names=("a",))
-        with pytest.raises(ValidationError):
-            majority_vote(m, tie_policy="coin-flip")
+        assert majority_vote(m)[0] == 0
 
 
 class TestCIParamsIO:
@@ -264,7 +249,7 @@ def row_wise_fit_ci_em(matrix: LabelMatrix, max_iter=1000, tol=1e-4, seed=123):
     one einsum for each of the M-step and the E-step."""
     E = np.stack([matrix.values == v for v in EMISSION_VALUES], axis=2).astype(float)
     rng = np.random.default_rng(seed)
-    mv = majority_vote(matrix, tie_policy="negative")
+    mv = majority_vote(matrix)
     r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
     r1 = np.clip(r1, 0.05, 0.95)
 

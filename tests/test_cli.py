@@ -334,6 +334,15 @@ class TestApplyLFs:
         # emission_values compared with ==, which took booleans and floats for the integers
         ("ci-em", "emission_values", [-1, False, True]),
         ("ci-em", "emission_values", [-1.0, 0.0, 1.0]),
+        ("fa-em", "orientation", 2),
+        ("fa-em", "threshold_kind", "x"),
+        ("fa-em", "threshold_value", float("inf")),
+        ("fa-em", "train_std", 0),
+        ("fa-em", "W", [[float("nan")]] * 4),
+        ("fa-em", "c", [0.0] * 3),
+        ("fa-em", "psi", [1.0] * 3),
+        ("ci-em", "emissions", [[[float("nan"), 0.5, 0.5]] * 2] * 4),
+        ("ci-em", "emissions", [[[0.5, 0.5]] * 2] * 4),
     ],
 )
 def test_malformed_model_field_exits_2(world, capsys, route, field, value):
@@ -346,6 +355,37 @@ def test_malformed_model_field_exits_2(world, capsys, route, field, value):
     code = main(["predict", str(model_path), str(paths["test"]), "--out", str(tmp / "p.csv")])
     assert code == 2
     assert "error: malformed" in capsys.readouterr().err
+
+
+def test_predict_on_a_json_of_neither_model_kind_exits_2(world, capsys):
+    tmp, paths = world
+    model_path = tmp / "model.json"
+    model_path.write_text('{"k": 1}')
+    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(tmp / "p.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {model_path}: not a label-model or CI-model file\n"
+
+
+def test_dev_matrix_without_dev_gold_exits_2(world, capsys):
+    tmp, paths = world
+    argv = ["fit", str(paths["train"]), "--out", str(tmp / "m.json"), "--threshold", "cdf-youden",
+            "--dev-matrix", str(paths["train"])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --dev-matrix and --dev-gold must be given together\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m", "3", "--accuracy", "0.6,0.7"], "--accuracy: expected 3 values, got 2"),
+        (["--m", "-1", "--accuracy", "0.6:0.9"], "m must be >= 1, got -1"),
+        (["--m", "3", "--accuracy", "0.6,x,0.7"], "--accuracy: cannot parse '0.6,x,0.7'"),
+        (["--m", "3", "--accuracy", "0.6:0.7:0.8"], "--accuracy: cannot parse '0.6:0.7:0.8'"),
+    ],
+)
+def test_synth_per_lf_value_error_names_the_fault(tmp_path, capsys, flags, message):
+    argv = ["synth", *flags, "--out-matrix", str(tmp_path / "m.csv"), "--out-gold", str(tmp_path / "g.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cov_header_quotes_lf_names(tmp_path):
@@ -585,8 +625,9 @@ def test_stats_quotes_lf_names(tmp_path, capsys):
         ("", "empty file"),
         ("index,score,label\n0,0.1,1\n1,0.2\n", "line 3 has 2 fields, expected 3"),
         ("index,score,label\n0,0.1,2\n", "label 2 at line 2 is not in {0, 1}"),
+        ("index,score,y\n0,0.1,1\n", "expected header 'index,score,label'"),
     ],
-    ids=["non-integer", "empty", "ragged", "label-2"],
+    ids=["non-integer", "empty", "ragged", "label-2", "header"],
 )
 def test_malformed_predictions_exit_2(tmp_path, capsys, content, message):
     pred = tmp_path / "pred.csv"

@@ -18,10 +18,9 @@ from falabel import (
     fit_fa_em,
     fit_fa_vi,
     generate,
-    load_params,
+    load_label_model,
     log_likelihood,
     posterior_moments,
-    save_params,
 )
 from falabel.fa_core import (
     LOG_2PI,
@@ -34,6 +33,8 @@ from falabel.fa_core import (
     _init_params,
     _vi_estep,
     _vi_update,
+    params_from_dict,
+    params_to_dict,
 )
 
 
@@ -344,36 +345,30 @@ class TestFitVI:
 
 
 class TestParamsIO:
-    def test_roundtrip_bit_exact(self, tmp_path):
+    def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(12)
         params = random_params(rng, 4, k=2)
-        p = tmp_path / "params.json"
-        save_params(params, p)
-        loaded = load_params(p)
+        loaded = params_from_dict(json.loads(json.dumps(params_to_dict(params))))
         np.testing.assert_array_equal(loaded.W, params.W)
         np.testing.assert_array_equal(loaded.c, params.c)
         np.testing.assert_array_equal(loaded.psi, params.psi)
         assert (loaded.k, loaded.m) == (params.k, params.m)
 
-    def test_negative_psi_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [-0.5]}))
+    def test_negative_psi_rejected(self):
+        text = json.dumps({"k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [-0.5]})
         with pytest.raises(ValidationError):
-            load_params(p)
+            params_from_dict(json.loads(text))
 
-    def test_k_above_m_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(
-            json.dumps({"k": 2, "m": 1, "W": [[1.0, 0.0]], "c": [0.0], "psi": [1.0]})
-        )
+    def test_k_above_m_rejected(self):
+        text = json.dumps({"k": 2, "m": 1, "W": [[1.0, 0.0]], "c": [0.0], "psi": [1.0]})
         with pytest.raises(ValidationError):
-            load_params(p)
+            params_from_dict(json.loads(text))
 
     def test_malformed_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         with pytest.raises(ValidationError, match="invalid JSON"):
-            load_params(p)
+            load_label_model(p)
 
 
 # Reference: the row-wise EM and VI steps, bound and likelihood, which keep the

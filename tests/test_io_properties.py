@@ -235,6 +235,16 @@ def test_mutated_matrix_file_reads_as_the_general_reader_reads_it(matrix, data):
         assert outcome(load_label_matrix, path) == outcome(general_label_matrix, path)
 
 
+def test_slash_cell_is_left_to_the_general_reader(tmp_path, capsys):
+    # the canonical decoder reads each "-1" as "/", so a "/" cell would decode as -1
+    text = "a,b\n/,0\n1,0\n"
+    assert _canonical_cells(text, VALID_ENTRIES) is None
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert main(["stats", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: non-integer entry '/' at row 1, column 'a'\n"
+
+
 @pytest.mark.parametrize(
     "content",
     [

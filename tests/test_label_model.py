@@ -172,15 +172,15 @@ class TestTrainLabelModel:
     def test_cdf_youden_requires_dev(self):
         matrix, _ = generate(balanced_spec(seed=6))
         with pytest.raises(ValidationError, match="dev"):
-            train_label_model(matrix, threshold_kind="cdf_youden")
+            build_label_model(fit_fa_em(matrix)[0], matrix, "cdf_youden")
 
     def test_cdf_youden_with_dev(self):
         spec = balanced_spec(seed=7)
         train, _ = generate(spec)
         dev_spec = balanced_spec(n=200, seed=8)
         dev_matrix, dev_gold = generate(dev_spec)
-        model = train_label_model(
-            train, threshold_kind="cdf_youden", dev=(dev_matrix, dev_gold)
+        model = build_label_model(
+            fit_fa_em(train)[0], train, "cdf_youden", (dev_matrix, dev_gold)
         )
         assert 0.0 <= model.threshold_value <= 1.0
         test_matrix, test_gold = generate(balanced_spec(n=300, seed=9))

@@ -30,6 +30,10 @@ class TestLabelMatrix:
         with pytest.raises(ValidationError, match="row 0, column 'b'"):
             LabelMatrix(values=[[1, 2]], lf_names=("a", "b"))
 
+    def test_rejects_fractional_entry(self):
+        with pytest.raises(ValidationError, match="entries must be integers"):
+            LabelMatrix(values=[[0.5]], lf_names=("a",))
+
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValidationError, match="duplicate"):
             LabelMatrix(values=[[1, 0]], lf_names=("a", "a"))
@@ -190,7 +194,7 @@ class TestApplyLFs:
                     hit = re.search(spec.pattern, record) is not None
                 if hit:
                     expected[i, j] = spec.vote_on_match
-                assert spec.matches(record) == hit
+                assert spec._hits([record], [record.lower()])[0] == hit
         assert np.array_equal(apply_lfs(records, specs).values, expected)
 
     def test_lf_specs_json(self, tmp_path):

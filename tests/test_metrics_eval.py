@@ -178,6 +178,22 @@ class TestRobustnessSweep:
         with pytest.raises(ValidationError, match="must be distinct"):
             robustness_sweep(train, test, gold, repeats=2, seed=5, **{"sizes": (10,), **kwargs})
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"repeats": 2.5}, "repeats must be an integer, got 2.5"),
+            ({"repeats": True}, "repeats must be an integer, got True"),
+            ({"sizes": (10.5,)}, "sizes must be an integer, got 10.5"),
+            ({"repeats": 0}, "repeats must be >= 1, got 0"),
+            ({"sizes": (1,)}, "sizes must be >= 2 to fit models, got 1"),
+        ],
+    )
+    def test_bad_count_rejected(self, kwargs, message):
+        train, test, gold = small_world(seed=10)
+        with pytest.raises(ValidationError) as exc:
+            robustness_sweep(train, test, gold, seed=5, **{"sizes": (10,), "repeats": 1, **kwargs})
+        assert str(exc.value) == message
+
     def test_negative_seed_rejected(self):
         train, test, gold = small_world(seed=10)
         with pytest.raises(ValidationError, match="seed must be >= 0"):
