@@ -1,25 +1,30 @@
-"""Factor Analysis on labelling matrices.
+"""One-factor Factor Analysis on labelling matrices.
 
-The generative model treats each row x of the matrix as a linear map of a
-low-dimensional Gaussian factor z:
+The generative model treats each row x of the matrix as a linear map of one
+Gaussian factor z:
 
-    x = W z + c + eps,    z ~ N(0, I_k),    eps ~ N(0, diag(psi))
+    x = w z + c + eps,    z ~ N(0, 1),    eps ~ N(0, diag(psi))
 
-so the marginal over rows is N(c, Sigma) with Sigma = W W^T + diag(psi).
+so the marginal over rows is N(c, Sigma) with Sigma = w w^T + diag(psi).
 The bias c is fixed at the column means (its closed-form maximum-likelihood
-value); W and psi are fitted either by expectation-maximization or by
-coordinate-ascent variational inference on the evidence lower bound.
+value); w and psi are fitted either by expectation-maximization or by
+coordinate-ascent variational inference on the evidence lower bound.  The
+loadings w are stored as the one column of an (m, 1) matrix W.
 
-Both fits see the rows only through n, c and S = (X - c)^T (X - c) / n:
-a centred row x has posterior factor mean A^T x, so every step and objective
-needs only S A and k x k matrices: O(m^2 k) per iteration after one O(n m^2) pass.
+Both fits see the rows only through n, c and S = (X - c)^T (X - c) / n.  The
+posterior precision of z is the scalar H = 1 + w^T Psi^-1 w >= 1, its variance
+is G = 1 / H, and a centred row x has posterior mean a^T x with a = Psi^-1 w G,
+so every step and objective needs only S a and scalars: O(m^2) per iteration
+after one O(n m^2) pass.  With one factor the mean-field family holds the exact
+posterior, so both routes take the same update; they differ only in the
+objective that they trace.
 
 Every step also works on a stack of problems: S, n, W, psi and the carried
 E-step terms may carry a leading member axis.  The steps use per-member
-operations only (stacked matmul and linalg, diagonals, and dot products as
-stacked (1, N) @ (N, 1) matmuls), so a member's numbers are bit-identical
-whether it is fitted alone or in a batch.  ``_fit_loop`` is the one driver:
-it steps all members in lockstep, and a single fit is a batch of one.
+operations only (stacked matmul, diagonals, and dot products as stacked
+(1, N) @ (N, 1) matmuls), so a member's numbers are bit-identical whether it
+is fitted alone or in a batch.  ``_fit_loop`` is the one driver: it steps all
+members in lockstep, and a single fit is a batch of one.
 
 Fitting accepts a :class:`~falabel.labelling.LabelMatrix` (entries cast to
 the reals -1.0/0.0/1.0) or any (n, m) float array.
@@ -30,7 +35,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -47,9 +51,6 @@ class FitConfig:
 
     Parameters
     ----------
-    k : int
-        Latent dimension (one factor suffices for dichotomization; two
-        supports joint-plot exports).
     max_iter : int
         Iteration cap.
     tol : float
@@ -57,20 +58,17 @@ class FitConfig:
     seed : int
         Drives the random initialization route only.
     init : str
-        "svd" seeds W from the top-k eigenvectors of S scaled by the square
-        roots of their eigenvalues; "random" draws W from N(0, 0.01).  Each
-        column of the initial W is then flipped to sum to >= 0, which fixes
-        the sign of the fitted W.
+        "svd" seeds w from the top eigenvector of S scaled by the square root
+        of its eigenvalue; "random" draws w from N(0, 0.01).  The initial w
+        is then flipped to sum to >= 0, which fixes the sign of the fitted w.
     """
 
-    k: int = 1
     max_iter: int = 1000
     tol: float = 1e-4
     seed: int = 123
     init: str = "svd"
 
     def __post_init__(self):
-        _check_count("k", self.k, 1)
         _check_count("max_iter", self.max_iter, 1)
         if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
             raise ValidationError(f"tol must be a real number, got {self.tol!r}")
@@ -83,12 +81,12 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FAParams:
-    """Fitted Factor Analysis parameters.
+    """Fitted one-factor parameters.
 
     Attributes
     ----------
-    W : ndarray, shape (m, k)
-        Loading matrix.
+    W : ndarray, shape (m, 1)
+        The loadings w, as a one-column matrix.
     c : ndarray, shape (m,)
         Bias (column means of the training data).
     psi : ndarray, shape (m,)
@@ -98,30 +96,19 @@ class FAParams:
     W: np.ndarray
     c: np.ndarray
     psi: np.ndarray
-    k: int
     m: int
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float).copy()
         c = np.asarray(self.c, dtype=float).copy()
         psi = np.asarray(self.psi, dtype=float).copy()
-        if W.ndim != 2:
-            raise ValidationError(f"W must be 2-dimensional, got shape {W.shape}")
-        m, k = W.shape
-        if (k, m) != (self.k, self.m):
-            raise ValidationError(
-                f"W shape {W.shape} inconsistent with declared m={self.m}, k={self.k}"
-            )
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-        if self.k > self.m:
-            raise ValidationError(
-                f"k exceeds number of labelling functions (k={self.k}, m={self.m})"
-            )
-        if c.shape != (m,):
-            raise ValidationError(f"c must have shape ({m},), got {c.shape}")
-        if psi.shape != (m,):
-            raise ValidationError(f"psi must have shape ({m},), got {psi.shape}")
+        _check_count("m", self.m, 1)
+        if W.shape != (self.m, 1):
+            raise ValidationError(f"W must have shape ({self.m}, 1), got {W.shape}")
+        if c.shape != (self.m,):
+            raise ValidationError(f"c must have shape ({self.m},), got {c.shape}")
+        if psi.shape != (self.m,):
+            raise ValidationError(f"psi must have shape ({self.m},), got {psi.shape}")
         for name, arr in (("W", W), ("c", c), ("psi", psi)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite values")
@@ -140,10 +127,10 @@ class FAParams:
 
 @dataclass(frozen=True)
 class PosteriorMoments:
-    """Posterior factor moments: per-row means and the shared covariance G."""
+    """Posterior factor moments: per-row means and the shared variance G."""
 
-    mean: np.ndarray  # (n, k)
-    cov: np.ndarray  # (k, k)
+    mean: np.ndarray  # (n, 1)
+    cov: np.ndarray  # (1, 1)
 
 
 @dataclass(frozen=True)
@@ -186,84 +173,87 @@ def _second_moment(X: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _init_params(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
     if cfg.init == "svd":
         eigval, eigvec = np.linalg.eigh(S)  # ascending
-        W = eigvec[:, ::-1][:, : cfg.k] * np.sqrt(np.maximum(eigval[::-1][: cfg.k], 0.0))
+        W = eigvec[:, -1:] * np.sqrt(max(eigval[-1], 0.0))
     else:
         rng = np.random.default_rng(cfg.seed)
-        W = rng.normal(0.0, 0.1, size=(len(S), cfg.k))
-    # the sign rule; EM and VI map -W to -W exactly, so it fixes the fitted sign
+        W = rng.normal(0.0, 0.1, size=(len(S), 1))
+    # the sign rule; the update maps -w to -w exactly, so it fixes the fitted sign
     W = np.where(W.sum(axis=0) < 0.0, -W, W)
-    psi = np.maximum(np.diag(S) - (W**2).sum(axis=1), PSI_FLOOR)
+    psi = np.maximum(np.diag(S) - W[:, 0] ** 2, PSI_FLOOR)
     return W, psi
 
 
-def _T(x: np.ndarray) -> np.ndarray:
-    """Each member's matrix transposed."""
-    return x.swapaxes(-1, -2)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each member's dot product of the (m, 1) columns a and b, as a (1, 1) matrix.
+
+    A stacked (1, m) @ (m, 1) matmul takes the BLAS dot that np.vdot takes, so it
+    rounds as np.vdot does, alone or in a batch."""
+    return a.swapaxes(-1, -2) @ b
 
 
-@cache
-def _eye(k: int) -> np.ndarray:
-    """The k x k identity, built once and read-only."""
-    eye = np.eye(k)
-    eye.flags.writeable = False
-    return eye
+def _estep(S: np.ndarray, W: np.ndarray, psi: np.ndarray) -> tuple:
+    """The fit state (W, psi, S a, a^T S a, H) at (W, psi): the E-step's terms.
+
+    H = 1 + w^T Psi^-1 w >= 1 is the posterior precision and a = Psi^-1 w / H,
+    so the average E[z^2] is 1 / H + a^T S a.  The arguments may carry leading
+    member axes; S a is then (..., m, 1), and a^T S a and H are (..., 1, 1).
+    """
+    PW = (1.0 / psi)[..., None] * W
+    H = 1.0 + _dot(W, PW)
+    A = PW * (1.0 / H)
+    SA = S @ A
+    return W, psi, SA, _dot(A, SA), H
 
 
-def _em_estep(S: np.ndarray, W: np.ndarray, psi: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The EM state (W, psi, S A, average E[z z^T]) at (W, psi), and the mean
-    log-likelihood per row there.
+def _row_log_likelihood(S, W, psi, SA, AtSA, H) -> np.ndarray:
+    """The mean log-likelihood per row at the state's (W, psi).
 
-    With posterior precision H = I + W^T Psi^-1 W, G = H^-1 and A = Psi^-1 W G,
-    a centred row x has posterior mean A^T x, and the average E[z z^T] is
-    G + A^T S A.  The log-likelihood -1/2 (m log 2pi + log|Sigma| + tr(Sigma^-1 S))
-    takes log|Sigma| = sum log psi + log|H| and, from x^T Sigma^-1 x =
-    |x - W A^T x|^2_Psi^-1 + |A^T x|^2, tr(Sigma^-1 S) = tr(A^T S A) +
-    sum_j (S - 2 S A W^T + W A^T S A W^T)_jj / psi_j.  That form is stationary
-    in A, so the rounding of G enters it at second order; the equal
-    diag(S) . psi^-1 - sum(Psi^-1 W * S A) takes it at first order and drifts
-    by up to 1e-5 relative where psi sits at the floor.
-
-    The arguments may carry leading member axes, and the log-likelihood then
-    has their shape.
+    -1/2 (m log 2pi + log|Sigma| + tr(Sigma^-1 S)) takes log|Sigma| = sum log psi +
+    log H and, from x^T Sigma^-1 x = |x - w a^T x|^2_Psi^-1 + (a^T x)^2,
+    tr(Sigma^-1 S) = a^T S a + sum_j (S - 2 S a w^T + w a^T S a w^T)_jj / psi_j.
+    That form is stationary in a, so the rounding of 1 / H enters it at second
+    order; the equal diag(S) . psi^-1 - (Psi^-1 w) . S a takes it at first order
+    and drifts by up to 1e-5 relative where psi sits at the floor.
     """
     precision = 1.0 / psi
-    PW = precision[..., None] * W
-    H = _eye(W.shape[-1]) + (_T(W) * precision[..., None, :]) @ W
-    sign, logdet_H = np.linalg.slogdet(H)
-    if not sign.min() > 0:
-        raise NumericalError(f"posterior precision not positive definite (determinant sign {sign.min()})")
-    G = np.linalg.inv(H)
-    A = PW @ G
-    SA = S @ A
-    AtSA = _T(A) @ SA
-    # each member's dot products as stacked (1, N) @ (N, 1) matmuls: these take
-    # the BLAS dot that np.vdot takes, so they round as np.vdot does
-    row, column = W.shape[:-2] + (1, -1), W.shape[:-2] + (-1, 1)
     quad = (
-        S.diagonal(0, -2, -1)[..., None, :] @ precision[..., None]
-        + PW.reshape(row) @ (W @ AtSA - 2.0 * SA).reshape(column)
-        + A.reshape(row) @ SA.reshape(column)
+        _dot(S.diagonal(0, -2, -1)[..., None], precision[..., None])
+        + _dot(precision[..., None] * W, W * AtSA - 2.0 * SA)
+        + AtSA
     )[..., 0, 0]
-    logdet = np.log(psi).sum(axis=-1) + logdet_H
-    return (W, psi, SA, G + AtSA), -0.5 * (psi.shape[-1] * LOG_2PI + logdet + quad)
+    logdet = np.log(psi).sum(axis=-1) + np.log(H[..., 0, 0])
+    return -0.5 * (psi.shape[-1] * LOG_2PI + logdet + quad)
 
 
-def _em_step(S, W, psi, psi_floor):
-    """One EM update of (W, psi) from S: the map that the EM fit iterates."""
-    return _m_step(S, *_em_estep(S, W, psi)[0][2:], psi_floor)[:2]
+def _update(S, n, W, psi, SA, AtSA, H, psi_floor: float, route: str) -> tuple[tuple, np.ndarray]:
+    """One iteration of either route: the M-step from the carried E-step, then
+    the E-step at the new (w, psi); returns the new state and the route's objective.
 
+    The M-step is w = S a / E[z^2], taken as S a times 1 / E[z^2]: at m >= 2
+    that rounds as a LAPACK solve of w E[z^2] = S a does, so a fit keeps the
+    bits that a solve gave it.  psi_fit = diag(S) - S a * w, and psi clamps
+    psi_fit at ``psi_floor``.
 
-def _m_step(
-    S: np.ndarray, SA: np.ndarray, Ezz: np.ndarray, psi_floor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (W, psi, psi_fit) update shared by EM and VI.
-
-    Given SA = S A (the average x E[z]^T) and the average E[z z^T], W solves
-    W Ezz = S A; psi_fit = diag(S) - rowsum(S A * W), and psi clamps it at ``psi_floor``.
+    "em" traces the log-likelihood at the new (w, psi).  "vi" traces the
+    bound under the old posterior and the new (w, psi),
+    -n/2 (sum psi_fit / psi + sum(log 2pi + log psi) + E[z^2] - log G - 1):
+    the residual x - w a^T x and the posterior variance G through w, weighted
+    by psi^-1, average sum_j (S - 2 S a w^T + w E[z^2] w^T)_jj / psi_j, and as
+    w E[z^2] = S a, that is sum_j psi_fit_j / psi_j.
     """
-    W = _T(np.linalg.solve(_T(Ezz), _T(SA)))
-    psi_fit = S.diagonal(0, -2, -1) - np.einsum("...jk,...jk->...j", SA, W)
-    return W, np.maximum(psi_fit, psi_floor), psi_fit
+    G = 1.0 / H
+    Ezz = G + AtSA
+    W = SA * (1.0 / Ezz)
+    psi_fit = S.diagonal(0, -2, -1) - (SA * W)[..., 0]
+    state = _estep(S, W, np.maximum(psi_fit, psi_floor))
+    if route == "em":
+        return state, n * _row_log_likelihood(S, *state)
+    psi = state[1]
+    terms = (psi_fit / psi).sum(axis=-1) + (LOG_2PI + np.log(psi)).sum(axis=-1)
+    return state, -0.5 * n * (terms + Ezz[..., 0, 0] - np.log(G[..., 0, 0]) - 1.0)
+
+
+_OBJECTIVES = {"em": "log-likelihood", "vi": "evidence bound"}
 
 
 def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str) -> list:
@@ -323,14 +313,12 @@ def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str
     return results
 
 
-def _reduce_rows(data, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, int]:
+def _reduce_rows(data) -> tuple[np.ndarray, np.ndarray, int]:
     """Check the rows and reduce them to (c, S, n)."""
     X = _as_float_matrix(data)
-    n, m = X.shape
+    n = len(X)
     if n < 2:
         raise ValidationError(f"fitting requires n >= 2 rows, got {n}")
-    if cfg.k > m:
-        raise ValidationError(f"k exceeds number of labelling functions (k={cfg.k}, m={m})")
     if not np.isfinite(X).all():
         raise ValidationError("input matrix contains non-finite values")
     c = X.mean(axis=0)
@@ -340,25 +328,24 @@ def _reduce_rows(data, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, int]:
 def _fit_fa_batch(datas, cfgs, route: str) -> list:
     """Fit each (data, cfg) pair by ``route`` ("em" or "vi") in one lockstep batch.
 
-    Each member's rows are checked and reduced to (n, c, S) and its start
-    state is formed from its own initial (W, psi); then _fit_loop steps all
-    members at once by ``update(S, n, *state, PSI_FLOOR)``.  The members must
-    share m, k, max_iter and tol.  All or nothing: the first
-    ValidationError or NumericalError met ends the batch, and a LinAlgError
-    raises NumericalError("<error> at the initial parameters") in the setup.
+    Each member's rows are checked and reduced to (n, c, S), and its start
+    state is the E-step at its own initial (W, psi); then _fit_loop steps all
+    members at once by ``_update``.  The members must share m, max_iter and
+    tol.  All or nothing: the first ValidationError or NumericalError met
+    ends the batch, and a LinAlgError in the setup raises
+    NumericalError("<error> at the initial parameters").
 
     Returns
     -------
     list
         One (FAParams, FitReport) per member, in order.
     """
-    start, update, objective = _ROUTES[route]
     biases, states = [], []
     for data, cfg in zip(datas, cfgs):
-        c, S, n = _reduce_rows(data, cfg)
+        c, S, n = _reduce_rows(data)
         try:
             # n as a float: the objectives multiply by it without a cast, and as exactly
-            states.append((S, float(n), *start(S, *_init_params(S, cfg))))
+            states.append((S, float(n), *_estep(S, *_init_params(S, cfg))))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{exc} at the initial parameters") from None
         biases.append(c)
@@ -366,12 +353,12 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
 
     def step(state):
         S, n, *fit = state
-        fit, objectives = update(S, n, *fit, PSI_FLOOR)
+        fit, objectives = _update(S, n, *fit, PSI_FLOOR, route)
         return (S, n, *fit), objectives
 
-    fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg.max_iter, cfg.tol, route, objective)
+    fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg.max_iter, cfg.tol, route, _OBJECTIVES[route])
     return [
-        (FAParams(W=W, c=c, psi=psi, k=W.shape[1], m=len(c)), report)
+        (FAParams(W=W, c=c, psi=psi, m=len(c)), report)
         for c, ((_, _, W, psi, *_), report) in zip(biases, fits)
     ]
 
@@ -384,7 +371,7 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     data : LabelMatrix or (n, m) array
         Observations; labelling matrices are read as reals in {-1, 0, 1}.
     cfg : FitConfig
-        Latent dimension, initialization, and stopping rule.
+        Initialization and stopping rule.
 
     Returns
     -------
@@ -395,64 +382,16 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     return _fit_fa_batch([data], [cfg], "em")[0]
 
 
-def _em_update(S, n, W, psi, SA, Ezz, psi_floor):
-    """M-step from the carried E-step, then the state and log-likelihood at the new (W, psi)."""
-    state, row_ll = _em_estep(S, *_m_step(S, SA, Ezz, psi_floor)[:2])
-    return state, n * row_ll
-
-
-def _vi_estep(W: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal mean-field Gaussian posterior given (W, psi), as (A, v).
-
-    A centred row x has posterior mean A^T x, the exact posterior mean; the
-    diagonal variances v = 1 / diag(I + W^T Psi^-1 W) are shared by all
-    rows.  With k = 1 the family contains the exact posterior, so no
-    variational gap remains.
-    """
-    precision = 1.0 / psi
-    H = _eye(W.shape[-1]) + (_T(W) * precision[..., None, :]) @ W  # posterior precision
-    A = _T(np.linalg.solve(H, _T(precision[..., None] * W)))
-    return A, 1.0 / H.diagonal(0, -2, -1)
-
-
 def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     """Fit the Factor Analysis model by maximizing the evidence lower bound.
 
     Coordinate ascent alternates the closed-form mean-field update of the
-    per-row Gaussian posteriors q(z_i) with point updates of (W, psi).
-    Each block maximizes the bound exactly, so the trace is monotone.  At
-    k = 1 the variational family contains the exact posterior and the
-    final bound matches the marginal log-likelihood.
+    per-row Gaussian posteriors q(z_i) with point updates of (w, psi), and
+    each block maximizes the bound exactly, so the trace is monotone.  With
+    one factor the family holds the exact posterior: the iterates are those
+    of EM, and the final bound matches the marginal log-likelihood.
     """
     return _fit_fa_batch([data], [cfg], "vi")[0]
-
-
-def _vi_update(S, n, W, psi, psi_floor):
-    """E-step, M-step, and the bound -n/2 (fit + smear + sum(log 2pi + log psi) +
-    tr E[z z^T] - sum log v - k) under the old posterior and the new (W, psi).
-
-    Fit plus smear, the residual x - W A^T x and the posterior variance through W
-    weighted by psi^-1, averages sum_j (S - 2 S A W^T + W Ezz W^T)_jj / psi_j;
-    as the M-step's W solves W Ezz = S A, that is sum_j psi_fit_j / psi_j.
-    diag(H) >= 1 keeps v finite, so v[..., None] * I is diag(v) exactly."""
-    A, v = _vi_estep(W, psi)
-    SA = S @ A
-    Ezz = v[..., None] * _eye(v.shape[-1]) + _T(A) @ SA
-    W, psi, psi_fit = _m_step(S, SA, Ezz, psi_floor)
-    terms = (
-        (psi_fit / psi).sum(axis=-1)
-        + (LOG_2PI + np.log(psi)).sum(axis=-1)
-        + Ezz.trace(0, -2, -1)
-        - np.log(v).sum(axis=-1)
-    )
-    return (W, psi), -0.5 * n * (terms - v.shape[-1])
-
-
-# route -> (start(S, W, psi): the first state, the update, the objective's name)
-_ROUTES = {
-    "em": (lambda S, W, psi: _em_estep(S, W, psi)[0], _em_update, "log-likelihood"),
-    "vi": (lambda S, W, psi: (W, psi), _vi_update, "evidence bound"),
-}
 
 
 def posterior_moments(params: FAParams, data) -> PosteriorMoments:
@@ -461,19 +400,13 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
     Returns
     -------
     PosteriorMoments
-        ``cov`` is G = (I + W^T Psi^-1 W)^-1, shared by all rows;
-        ``mean`` row i is G W^T Psi^-1 (x_i - c).
+        ``cov`` is G = 1 / (1 + w^T Psi^-1 w), shared by all rows;
+        ``mean`` row i is G w^T Psi^-1 (x_i - c).
     """
     X = _as_float_matrix(data, params.m)
     precision = 1.0 / params.psi
-    H = np.eye(params.k) + (params.W.T * precision) @ params.W
-    try:
-        G = np.linalg.inv(H)
-        # inv returns a wrong inverse of some finite H that is singular in floating point
-        if np.isfinite(H).all() and np.linalg.cond(H) >= 1.0 / np.finfo(float).eps:
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        raise NumericalError("posterior precision is singular") from None
+    H = 1.0 + (params.W.T * precision) @ params.W
+    G = 1.0 / H
     mean = (X - params.c) @ (precision[:, None] * params.W) @ G
     if not (np.isfinite(H).all() and np.isfinite(mean).all()):
         raise NumericalError("posterior precision or factor means not finite")
@@ -483,14 +416,15 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
 def log_likelihood(params: FAParams, data) -> float:
     """Gaussian log-likelihood of the rows under N(c, W W^T + diag(psi))."""
     X = _as_float_matrix(data, params.m)
-    return float(len(X) * _em_estep(_second_moment(X, params.c), params.W, params.psi)[1])
+    S = _second_moment(X, params.c)
+    return float(len(X) * _row_log_likelihood(S, *_estep(S, params.W, params.psi)))
 
 
 def params_to_dict(params: FAParams) -> dict:
-    """The JSON fields of the parameters, floats at full precision."""
+    """The JSON fields of the parameters, floats at full precision; ``k`` is always 1."""
     return {
-        "k": params.k,
-        "m": params.m,
+        "k": 1,
+        "m": int(params.m),
         "W": params.W.tolist(),
         "c": params.c.tolist(),
         "psi": params.psi.tolist(),
@@ -499,10 +433,11 @@ def params_to_dict(params: FAParams) -> dict:
 
 def params_from_dict(payload: dict) -> FAParams:
     with _fields("model file"):
+        if _json_int(payload, "k") != 1:
+            raise ValidationError(f"field 'k' must be 1 (the model has one factor), got {payload['k']}")
         return FAParams(
             W=_json_number(payload, "W", 2),
             c=_json_number(payload, "c", 1),
             psi=_json_number(payload, "psi", 1),
-            k=_json_int(payload, "k"),
             m=_json_int(payload, "m"),
         )

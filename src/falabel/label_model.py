@@ -222,10 +222,10 @@ def export_factors(
     gold: GoldLabels | None = None,
     path=None,
 ) -> str:
-    """CSV of up to the first two factors, scores and predictions.
+    """CSV of the factor, scores and predictions.
 
-    Columns: factor1[,factor2],score,label_pred[,label_gold].  Returns the
-    CSV text; also writes it when ``path`` is given.
+    Columns: factor1,score,label_pred[,label_gold].  Returns the CSV text;
+    also writes it when ``path`` is given.
     """
     if gold is not None and gold.n != matrix.n:
         raise ValidationError(
@@ -233,9 +233,8 @@ def export_factors(
         )
     means = posterior_moments(model.params, matrix).mean
     preds = _label(model, means)
-    n_factors = min(model.params.k, 2)
-    header = [f"factor{i + 1}" for i in range(n_factors)] + ["score", "label_pred"]
-    columns = [*means[:, :n_factors].T.tolist(), preds.scores.tolist(), preds.labels.tolist()]
+    header = ["factor1", "score", "label_pred"]
+    columns = [means[:, 0].tolist(), preds.scores.tolist(), preds.labels.tolist()]
     if gold is not None:
         header.append("label_gold")
         columns.append(gold.values.tolist())

@@ -26,11 +26,17 @@ ABSTAIN = -1
 VALID_ENTRIES = (-1, 0, 1)
 
 
-def _frozen_array(values) -> np.ndarray:
-    raw = np.asarray(values)
-    if raw.dtype.kind == "f":
-        if not np.isfinite(raw).all() or not (raw == np.rint(raw)).all():
-            raise ValidationError("entries must be integers")
+def _frozen_array(values, what: str = "entries") -> np.ndarray:
+    """``values`` as a new read-only int64 array.  Ragged lists, non-numeric values
+    and fractional or non-finite floats are a ValidationError, so none is truncated."""
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # a ragged list
+        raise ValidationError(f"{what} must be a rectangular array") from None
+    if raw.dtype.kind not in "biuf" or (
+        raw.dtype.kind == "f" and not (np.isfinite(raw).all() and (raw == np.rint(raw)).all())
+    ):
+        raise ValidationError(f"{what} must be integers")
     arr = raw.astype(np.int64)  # a new array, never a view of the caller's
     arr.flags.writeable = False
     return arr

@@ -13,7 +13,7 @@ from .ci_baseline import ci_predict, fit_ci_em, majority_vote
 from .errors import NumericalError, ValidationError
 from .fa_core import FitConfig, _fit_fa_batch, fit_fa_em, fit_fa_vi
 from .label_model import build_label_model, predict
-from .labelling import GoldLabels, LabelMatrix, _check_count, _dump_json, _write_csv
+from .labelling import GoldLabels, LabelMatrix, _check_count, _dump_json, _frozen_array, _write_csv
 
 DEFAULT_SWEEP_SIZES = (10, 20, 30, 40, 50, 60)
 
@@ -73,9 +73,7 @@ class MetricsReport:
 
 
 def _label_array(labels, what: str) -> np.ndarray:
-    if isinstance(labels, GoldLabels):
-        labels = labels.values
-    arr = np.asarray(labels, dtype=np.int64)
+    arr = labels.values if isinstance(labels, GoldLabels) else _frozen_array(labels, f"{what} entries")
     if arr.ndim != 1:
         raise ValidationError(f"{what} must be a 1-d vector, got shape {arr.shape}")
     if arr.size and not np.isin(arr, (0, 1)).all():

@@ -14,26 +14,27 @@ settings.load_profile("falabel")
 
 @pytest.fixture
 def failing_em_member(monkeypatch):
-    """``fail(at)`` makes the EM step of every member with n rows raise
+    """``fail(at)`` makes the FA-EM step of every member with n rows raise
     LinAlgError("Singular matrix") at that member's step ``at[n]``, in a batch
-    or alone; other members step as before.  Each member counts its steps in
-    an extra state entry."""
+    or alone; other members step as before.  The members of a batch start
+    together and step in lockstep, so a member's step is the batch's."""
     from falabel import fa_core
 
-    start, update, objective = fa_core._ROUTES["em"]
+    fit_loop = fa_core._fit_loop
 
     def fail(at: dict):
-        def counting_start(S, W, psi):
-            return (*start(S, W, psi), 0.0)
+        def failing_loop(step, state, max_iter, tol, route, objective):
+            steps = 0
 
-        def counting_update(S, rows, *state):
-            *fit, steps, psi_floor = state
-            steps = steps + 1
-            if any(at.get(n) == step for n, step in zip(rows.tolist(), steps.tolist())):
-                raise np.linalg.LinAlgError("Singular matrix")
-            fit, objectives = update(S, rows, *fit, psi_floor)
-            return (*fit, steps), objectives
+            def failing_step(state):
+                nonlocal steps
+                steps += 1
+                if route == "em" and any(at.get(n) == steps for n in state[1].tolist()):
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return step(state)
 
-        monkeypatch.setitem(fa_core._ROUTES, "em", (counting_start, counting_update, objective))
+            return fit_loop(failing_step, state, max_iter, tol, route, objective)
+
+        monkeypatch.setattr(fa_core, "_fit_loop", failing_loop)
 
     return fail

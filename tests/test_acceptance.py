@@ -37,7 +37,7 @@ from falabel import (
     train_label_model,
 )
 from falabel.cli import main as cli_main
-from falabel.fa_core import PSI_FLOOR, _em_step
+from falabel.fa_core import PSI_FLOOR, _estep, _update
 
 MASTER_SEED = 123
 
@@ -80,7 +80,6 @@ def test_criterion_01_posterior_matches_quadrature():
             W=rng.uniform(-1.5, 1.5, size=(m, 1)),
             c=rng.uniform(-1.0, 1.0, size=m),
             psi=rng.uniform(0.3, 2.0, size=m),
-            k=1,
             m=m,
         )
         row = (rng.standard_normal() * params.W[:, 0] + params.c
@@ -143,8 +142,9 @@ def test_criterion_02_em_monotone_and_stationary():
         if diffs.size:
             worst_drop = max(worst_drop, float(-diffs.min()))
         Xc = matrix.values.astype(float) - params.c
-        W2, psi2 = _em_step(Xc.T @ Xc / matrix.n, params.W, params.psi, PSI_FLOOR)
-        extra = FAParams(W=W2, c=params.c, psi=psi2, k=cfg.k, m=matrix.m)
+        S = Xc.T @ Xc / matrix.n
+        (W2, psi2, *_), _ = _update(S, matrix.n, *_estep(S, params.W, params.psi), PSI_FLOOR, "em")
+        extra = FAParams(W=W2, c=params.c, psi=psi2, m=matrix.m)
         improvement = log_likelihood(extra, matrix) - log_likelihood(params, matrix)
         worst_step = max(worst_step, improvement)
     ok = worst_drop <= 1e-9 and worst_step < cfg.tol

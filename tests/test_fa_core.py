@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
@@ -25,26 +26,22 @@ from falabel import (
 from falabel.fa_core import (
     LOG_2PI,
     PSI_FLOOR,
-    _em_estep,
-    _em_step,
-    _em_update,
+    _estep,
     _fit_fa_batch,
     _fit_loop,
     _init_params,
-    _vi_estep,
-    _vi_update,
+    _update,
     params_from_dict,
     params_to_dict,
 )
 
 
 def quadrature_posterior(params: FAParams, row: np.ndarray) -> tuple[float, float]:
-    """Independent oracle: integrate p(z | row) on a dense grid (k=1 only).
+    """Independent oracle: integrate p(z | row) on a dense grid.
 
     Uses p(z|row) proportional to N(z; 0, 1) * prod_j N(row_j; W_j z + c_j, psi_j)
     over z in [-8, 8] with step 1e-3.
     """
-    assert params.k == 1
     z = np.arange(-8.0, 8.0 + 1e-3, 1e-3)
     log_w = norm.logpdf(z)
     for j in range(params.m):
@@ -70,40 +67,39 @@ def dense_gaussian_ll(params: FAParams, X: np.ndarray) -> float:
     return total
 
 
-def random_params(rng: np.random.Generator, m: int, k: int = 1) -> FAParams:
+def random_params(rng: np.random.Generator, m: int) -> FAParams:
     return FAParams(
-        W=rng.uniform(-1.5, 1.5, size=(m, k)),
+        W=rng.uniform(-1.5, 1.5, size=(m, 1)),
         c=rng.uniform(-1.0, 1.0, size=m),
         psi=rng.uniform(0.3, 2.0, size=m),
-        k=k,
         m=m,
     )
 
 
 def sample_rows(rng: np.random.Generator, params: FAParams, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, params.k))
+    z = rng.standard_normal((n, 1))
     eps = rng.standard_normal((n, params.m)) * np.sqrt(params.psi)
     return z @ params.W.T + params.c + eps
 
 
 class TestPosteriorMoments:
     def test_single_lf_hand_value(self):
-        params = FAParams(W=[[1.0]], c=[0.0], psi=[1.0], k=1, m=1)
+        params = FAParams(W=[[1.0]], c=[0.0], psi=[1.0], m=1)
         moments = posterior_moments(params, np.array([[2.0]]))
         assert moments.cov[0, 0] == pytest.approx(0.5)
         assert moments.mean[0, 0] == pytest.approx(1.0)
 
     def test_two_lf_hand_value(self):
-        params = FAParams(W=[[1.0], [1.0]], c=[0.0, 0.0], psi=[1.0, 1.0], k=1, m=2)
+        params = FAParams(W=[[1.0], [1.0]], c=[0.0, 0.0], psi=[1.0, 1.0], m=2)
         moments = posterior_moments(params, np.array([[1.0, 1.0]]))
         assert moments.cov[0, 0] == pytest.approx(1.0 / 3.0)
         assert moments.mean[0, 0] == pytest.approx(2.0 / 3.0)
 
     def test_zero_loadings_recover_prior(self):
-        params = FAParams(W=np.zeros((3, 2)), c=[0.1, 0.2, 0.3], psi=[1.0, 2.0, 0.5], k=2, m=3)
+        params = FAParams(W=np.zeros((3, 1)), c=[0.1, 0.2, 0.3], psi=[1.0, 2.0, 0.5], m=3)
         moments = posterior_moments(params, np.array([[1.0, -1.0, 0.5], [0.0, 0.0, 0.0]]))
-        assert moments.cov == pytest.approx(np.eye(2))
-        assert moments.mean == pytest.approx(np.zeros((2, 2)))
+        assert moments.cov == pytest.approx(np.eye(1))
+        assert moments.mean == pytest.approx(np.zeros((2, 1)))
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(20240517)
@@ -117,24 +113,14 @@ class TestPosteriorMoments:
             assert moments.cov[0, 0] == pytest.approx(q_var, abs=1e-4)
 
     def test_dimension_mismatch(self):
-        params = FAParams(W=[[1.0]], c=[0.0], psi=[1.0], k=1, m=1)
+        params = FAParams(W=[[1.0]], c=[0.0], psi=[1.0], m=1)
         with pytest.raises(ValidationError, match="columns"):
             posterior_moments(params, np.zeros((2, 3)))
-
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_singular_posterior_precision_raises_numerical_error(self, m):
-        # collinear, huge loadings: I + W^T Psi^-1 W rounds to a finite singular
-        # matrix, which np.linalg.inv rejects at m = 3, 5 and inverts wrongly at m = 2, 4
-        params = FAParams(W=np.full((m, 2), 1e150), c=np.zeros(m), psi=np.ones(m), k=2, m=m)
-        H = np.eye(2) + (params.W.T / params.psi) @ params.W
-        assert np.isfinite(H).all() and np.linalg.matrix_rank(H) < 2
-        with pytest.raises(NumericalError, match="singular"):
-            posterior_moments(params, np.zeros((4, m)))
 
 
 class TestLogLikelihood:
     def test_row_at_bias_zero_loadings(self):
-        params = FAParams(W=np.zeros((2, 1)), c=[0.5, -0.5], psi=[1.0, 1.0], k=1, m=2)
+        params = FAParams(W=np.zeros((2, 1)), c=[0.5, -0.5], psi=[1.0, 1.0], m=2)
         ll = log_likelihood(params, np.array([[0.5, -0.5]]))
         assert ll == pytest.approx(-np.log(2 * np.pi), abs=1e-9)
 
@@ -168,16 +154,13 @@ class TestLogLikelihood:
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(17)
-        params = random_params(rng, 3, k=2)
+        params = random_params(rng, 3)
         X = sample_rows(rng, params, 5)
-        W_flipped = params.W.copy()
-        W_flipped[:, 1] *= -1.0
-        flipped = FAParams(W=W_flipped, c=params.c, psi=params.psi, k=2, m=3)
+        flipped = FAParams(W=-params.W, c=params.c, psi=params.psi, m=3)
         assert log_likelihood(flipped, X) == log_likelihood(params, X)
         m0 = posterior_moments(params, X).mean
         m1 = posterior_moments(flipped, X).mean
-        np.testing.assert_allclose(m1[:, 1], -m0[:, 1], atol=1e-12)
-        np.testing.assert_allclose(m1[:, 0], m0[:, 0], atol=1e-12)
+        np.testing.assert_allclose(m1, -m0, atol=1e-12)
 
 
 class TestFitEM:
@@ -221,8 +204,9 @@ class TestFitEM:
         params, report = fit_fa_em(m, cfg)
         assert report.converged
         Xc = m.values.astype(float) - params.c
-        W2, psi2 = _em_step(Xc.T @ Xc / m.n, params.W, params.psi, PSI_FLOOR)
-        extra = FAParams(W=W2, c=params.c, psi=psi2, k=1, m=5)
+        S = Xc.T @ Xc / m.n
+        (W2, psi2, *_), _ = _update(S, m.n, *_estep(S, params.W, params.psi), PSI_FLOOR, "em")
+        extra = FAParams(W=W2, c=params.c, psi=psi2, m=5)
         before = log_likelihood(params, m)
         after = log_likelihood(extra, m)
         assert after - before < cfg.tol
@@ -237,16 +221,12 @@ class TestFitEM:
         with pytest.raises(ValidationError):
             fit_fa_em(np.ones((1, 3)))
 
-    def test_rejects_k_above_m(self):
-        with pytest.raises(ValidationError, match="k exceeds"):
-            fit_fa_em(np.random.default_rng(0).standard_normal((10, 2)), FitConfig(k=3))
-
     @pytest.mark.parametrize("init", ["svd", "random"])
     def test_initial_loadings_columns_sum_to_non_negative(self, init):
         X = np.random.default_rng(3).integers(-1, 2, size=(40, 5)).astype(float)
         Xc = X - X.mean(axis=0)
         for seed in range(10):
-            W, _ = _init_params(Xc.T @ Xc / len(Xc), FitConfig(k=2, init=init, seed=seed))
+            W, _ = _init_params(Xc.T @ Xc / len(Xc), FitConfig(init=init, seed=seed))
             assert (W.sum(axis=0) >= 0.0).all()
 
     @pytest.mark.parametrize("fit", [fit_fa_em, fit_fa_vi])
@@ -263,7 +243,7 @@ class TestFitEM:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("max_iter", 2.5), ("max_iter", True), ("k", 1.5), ("seed", 2.5), ("seed", np.float64(3.0)),
+        [("max_iter", 2.5), ("max_iter", True), ("seed", 2.5), ("seed", np.float64(3.0)),
          ("tol", "x"), ("tol", False)],
     )
     def test_non_integer_count_or_non_real_tol_rejected(self, field, value):
@@ -280,15 +260,9 @@ class TestFitEM:
             fit_ci_em(matrix, max_iter=2.5)
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = FitConfig(k=np.int64(1), max_iter=np.int32(3), tol=np.float32(1e-3), seed=np.uint8(7))
+        cfg = FitConfig(max_iter=np.int32(3), tol=np.float32(1e-3), seed=np.uint8(7))
         _, report = fit_fa_em(np.random.default_rng(0).standard_normal((30, 3)), cfg)
         assert report.iterations <= 3
-
-    @pytest.mark.parametrize("psi", [-1.0, -4.0])
-    def test_posterior_precision_without_positive_determinant_raises(self, psi):
-        # H = 1 + 4 / psi is 0 or negative
-        with pytest.raises(NumericalError, match="posterior precision"):
-            _em_estep(np.eye(1), np.array([[2.0]]), np.array([psi]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(31)
@@ -312,9 +286,10 @@ class TestFitVI:
         assert abs(vi_report.final_log_likelihood - em_report.final_log_likelihood) < 1e-3 * n
 
     def test_zero_loadings_estep_is_prior(self):
-        A, v = _vi_estep(np.zeros((3, 1)), np.ones(3))
-        np.testing.assert_allclose(A, 0.0, atol=1e-15)
-        np.testing.assert_allclose(v, 1.0, atol=1e-15)
+        _, _, SA, AtSA, H = _estep(np.eye(3), np.zeros((3, 1)), np.ones(3))
+        np.testing.assert_allclose(SA, 0.0, atol=1e-15)
+        np.testing.assert_allclose(AtSA, 0.0, atol=1e-15)
+        np.testing.assert_allclose(1.0 / H, 1.0, atol=1e-15)
 
     def test_centered_single_column_means_zero(self):
         X = np.full((10, 1), 0.7)
@@ -323,14 +298,14 @@ class TestFitVI:
         np.testing.assert_allclose(moments.mean, 0.0, atol=1e-12)
 
     def test_elbo_equals_ll_at_k1(self):
-        # mean-field family contains the exact posterior when k = 1
+        # the mean-field family contains the exact posterior of the one factor
         rng = np.random.default_rng(44)
         params = random_params(rng, 3)
         X = sample_rows(rng, params, 20)
         Xc = X - X.mean(axis=0)
-        A, v = _vi_estep(params.W, params.psi)
+        A, v = exact_posterior(params.W, params.psi)
         bound = reference_elbo(Xc.T @ Xc / len(Xc), len(Xc), params.W, params.psi, A, v)
-        centered = FAParams(W=params.W, c=np.zeros(3), psi=params.psi, k=1, m=3)
+        centered = FAParams(W=params.W, c=np.zeros(3), psi=params.psi, m=3)
         assert bound == pytest.approx(log_likelihood(centered, Xc), abs=1e-8)
 
     def test_monotone_trace(self):
@@ -347,12 +322,12 @@ class TestFitVI:
 class TestParamsIO:
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(12)
-        params = random_params(rng, 4, k=2)
+        params = random_params(rng, 4)
         loaded = params_from_dict(json.loads(json.dumps(params_to_dict(params))))
         np.testing.assert_array_equal(loaded.W, params.W)
         np.testing.assert_array_equal(loaded.c, params.c)
         np.testing.assert_array_equal(loaded.psi, params.psi)
-        assert (loaded.k, loaded.m) == (params.k, params.m)
+        assert loaded.m == params.m
 
     def test_negative_psi_rejected(self):
         text = json.dumps({"k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [-0.5]})
@@ -363,6 +338,18 @@ class TestParamsIO:
         text = json.dumps({"k": 2, "m": 1, "W": [[1.0, 0.0]], "c": [0.0], "psi": [1.0]})
         with pytest.raises(ValidationError):
             params_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("m", [2, np.int64(2)])
+    def test_integer_m_roundtrips(self, m):
+        # m = np.int64(2) made the file unwritable (a bare TypeError from json)
+        params = FAParams(W=[[1.0], [0.5]], c=[0.0, 0.0], psi=[1.0, 1.0], m=m)
+        assert params_from_dict(json.loads(json.dumps(params_to_dict(params)))).m == 2
+
+    @pytest.mark.parametrize("m", [2.0, True, 0])
+    def test_m_that_is_not_a_positive_integer_rejected(self, m):
+        # m = 2.0 was accepted and written as 2.0, which no reader accepts
+        with pytest.raises(ValidationError, match="^m must be "):
+            FAParams(W=[[1.0]], c=[0.0], psi=[1.0], m=m)
 
     def test_malformed_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -425,15 +412,12 @@ def row_wise_fit_fa(X, cfg, route):
     """
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / len(Xc)
-    row_wise, second_moment, start = {
-        "em": (row_wise_em_update, _em_update, lambda S, W, psi: _em_estep(S, W, psi)[0]),
-        "vi": (row_wise_vi_update, _vi_update, lambda S, W, psi: (W, psi)),
-    }[route]
+    row_wise = {"em": row_wise_em_update, "vi": row_wise_vi_update}[route]
     steps = []
 
     def step(state):  # a batch of one: each state array has a member axis
         state = tuple(x[0] for x in state)
-        new_state, value = second_moment(S, len(Xc), *start(S, *state), PSI_FLOOR)
+        new_state, value = _update(S, len(Xc), *_estep(S, *state), PSI_FLOOR, route)
         steps.append(((new_state[:2], value), row_wise(Xc, *state, PSI_FLOOR)))
         (W, psi), value = steps[-1][1]
         return (W[None], psi[None]), np.array([value])
@@ -449,11 +433,7 @@ def lf_matrices_and_configs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # rows drawn from a pool of patterns: a small pool repeats rows, a large one rarely does
     pool = rng.choice([-1, 0, 1], p=rng.dirichlet(np.ones(3)), size=(draw(st.integers(1, 300)), m))
-    cfg = FitConfig(
-        k=draw(st.integers(1, min(2, m))),
-        init=draw(st.sampled_from(["svd", "random"])),
-        seed=draw(st.integers(0, 2**16)),
-    )
+    cfg = FitConfig(init=draw(st.sampled_from(["svd", "random"])), seed=draw(st.integers(0, 2**16)))
     return pool[rng.integers(0, len(pool), size=n)].astype(float), cfg
 
 
@@ -468,11 +448,6 @@ def test_second_moment_fit_matches_row_wise_fit(data, route):
         np.testing.assert_allclose(W1, W0, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(psi1, psi0, rtol=0.0, atol=1e-9)
         assert abs(value1 - value0) <= atol
-    if cfg.k == 2:
-        # k = 2 is not identified: on a handful of rows the iterations amplify
-        # last-bit differences (the row-wise fit itself moved psi by 1e-4 on a
-        # 6x5 matrix when only its row order changed), so only steps compare
-        return
     params, report = (fit_fa_em if route == "em" else fit_fa_vi)(X, cfg)
     assert (report.iterations, report.converged) == (expected.iterations, expected.converged)
     np.testing.assert_allclose(report.ll_trace, expected.ll_trace, rtol=0.0, atol=atol)
@@ -490,9 +465,20 @@ def test_no_trace_step_falls(data):
             assert after - before >= -1e-9 * max(1.0, abs(before)), (report.route, before, after)
 
 
+@given(lf_matrices_and_configs(), st.integers(1, 5))
+def test_em_and_vi_take_the_same_iterates(data, max_iter):
+    # the routes share one update and differ only in the objective they trace
+    X, cfg = data
+    cfg = replace(cfg, max_iter=max_iter)
+    (em, em_report), (vi, vi_report) = fit_fa_em(X, cfg), fit_fa_vi(X, cfg)
+    assume(em_report.iterations == vi_report.iterations == max_iter)
+    assert em.W.tobytes() == vi.W.tobytes()
+    assert em.psi.tobytes() == vi.psi.tobytes()
+
+
 # Reference: the log-likelihood from an m x m Cholesky factor and solve of
 # Sigma, and the bound from the residual map R = I - A W^T, as the fits
-# computed them before their objectives came from k x k terms.
+# computed them before their objectives came from scalar terms.
 
 
 def reference_gaussian_ll(S, n, W, psi):
@@ -501,6 +487,12 @@ def reference_gaussian_ll(S, n, W, psi):
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     quad = float(np.trace(np.linalg.solve(sigma, S)))
     return -0.5 * n * (len(psi) * LOG_2PI + logdet + quad)
+
+
+def exact_posterior(W, psi):
+    """(A, v): a centred row x has posterior mean A^T x and variance v."""
+    H = 1.0 + (W.T / psi) @ W
+    return W / psi[:, None] / H, 1.0 / H[0]
 
 
 def reference_elbo(S, n, W, psi, A, v):
@@ -522,15 +514,14 @@ def fit_states(draw):
 
     Loadings stay at most about 1: with loadings of 3 and psi at 1e-6, Sigma is
     so ill-conditioned that the Cholesky reference itself drifts by more than
-    1e-9 (mpmath put it 1.2e-9 off and the k x k form 2e-16 off in one case)."""
+    1e-9 (mpmath put it 1.2e-9 off and the scalar form 2e-16 off in one case)."""
     n, m = draw(st.integers(2, 200)), draw(st.integers(1, 12))
-    k = draw(st.integers(1, min(2, m)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.choice([-1.0, 0.0, 1.0], p=rng.dirichlet(np.ones(3)), size=(n, m))
     X[:, rng.random(m) < 0.2] = 1.0
     psi_floor = draw(st.sampled_from([1e-6, 1e-3]))
     psi = np.where(rng.random(m) < 0.3, psi_floor, rng.uniform(0.05, 2.0, size=m))
-    return X, rng.normal(0.0, draw(st.sampled_from([0.1, 0.5, 1.0])), size=(m, k)), psi, psi_floor
+    return X, rng.normal(0.0, draw(st.sampled_from([0.1, 0.5, 1.0])), size=(m, 1)), psi, psi_floor
 
 
 @given(fit_states())
@@ -546,13 +537,12 @@ def test_objectives_match_the_m_by_m_references(state):
         magnitude = 0.5 * n * (len(psi) * LOG_2PI + np.abs(np.log(psi)).sum() + (np.diag(S) / psi).sum())
         assert abs(value - expected) <= 1e-9 * magnitude, (value, expected, magnitude)
 
-    (W1, psi1, *_), value = _em_update(S, n, *_em_estep(S, W, psi)[0], psi_floor)
+    (W1, psi1, *_), value = _update(S, n, *_estep(S, W, psi), psi_floor, "em")
     assert (psi1 == psi_floor).any() or not (np.diag(S) == 0).any()
     close(value, reference_gaussian_ll(S, n, W1, psi1), psi1)
-    A, v = _vi_estep(W, psi)
-    (W1, psi1), value = _vi_update(S, n, W, psi, psi_floor)
-    close(value, reference_elbo(S, n, W1, psi1, A, v), psi1)
-    params = FAParams(W=W, c=X.mean(axis=0), psi=psi, k=W.shape[1], m=W.shape[0])
+    (W1, psi1, *_), value = _update(S, n, *_estep(S, W, psi), psi_floor, "vi")
+    close(value, reference_elbo(S, n, W1, psi1, *exact_posterior(W, psi)), psi1)
+    params = FAParams(W=W, c=X.mean(axis=0), psi=psi, m=W.shape[0])
     close(log_likelihood(params, X), reference_gaussian_ll(S, n, W, psi), psi)
 
 
@@ -565,11 +555,10 @@ OVERFLOWING = np.array([[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0], [1e200, 1.0, 0.0]
 
 @st.composite
 def lf_batches(draw):
-    """1-12 LF matrices sharing m and k, each with its own n, init and seed;
+    """1-12 LF matrices sharing m, each with its own n, init and seed;
     one of them may be the overflowing matrix, its columns cycled to m.
     Returns (matrices, configs, index of the overflowing member or None)."""
     m = draw(st.integers(1, 8))
-    k = draw(st.integers(1, min(2, m)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     datas, cfgs = [], []
     for _ in range(draw(st.integers(1, 12))):
@@ -577,7 +566,7 @@ def lf_batches(draw):
         pool = rng.choice([-1, 0, 1], p=rng.dirichlet(np.ones(3)), size=(draw(st.integers(1, 300)), m))
         datas.append(pool[rng.integers(0, len(pool), size=n)].astype(float))
         init = draw(st.sampled_from(["svd", "random"]))
-        cfgs.append(FitConfig(k=k, init=init, seed=draw(st.integers(0, 2**16))))
+        cfgs.append(FitConfig(init=init, seed=draw(st.integers(0, 2**16))))
     overflowing = draw(st.none() | st.integers(0, len(datas) - 1))
     if overflowing is not None:
         datas[overflowing] = OVERFLOWING[:, np.arange(m) % 3]

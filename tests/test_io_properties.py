@@ -76,12 +76,10 @@ def label_matrices(draw):
 @st.composite
 def label_models(draw):
     m = draw(st.integers(1, 4))
-    k = draw(st.integers(1, m))
     params = FAParams(
-        W=draw(arrays(float, (m, k), elements=finite)),
+        W=draw(arrays(float, (m, 1), elements=finite)),
         c=draw(arrays(float, m, elements=finite)),
         psi=draw(arrays(float, m, elements=positive)),
-        k=k,
         m=m,
     )
     return LabelModel(
@@ -327,7 +325,7 @@ def test_label_model_json_roundtrip(model):
     loaded = roundtrip(model, save_label_model, load_label_model)
     for name in ("W", "c", "psi"):
         np.testing.assert_array_equal(getattr(loaded.params, name), getattr(model.params, name))
-    assert (loaded.params.k, loaded.params.m) == (model.params.k, model.params.m)
+    assert loaded.params.m == model.params.m
     rule = ("threshold_kind", "threshold_value", "train_factor_mean", "train_factor_std", "orientation")
     for name in rule:
         assert getattr(loaded, name) == getattr(model, name)

@@ -32,7 +32,7 @@ from falabel.label_model import _latent_threshold, _normal_cdf
 
 
 def make_model(threshold=0.0, orientation=1, kind="median"):
-    params = FAParams(W=[[1.0], [0.5]], c=[0.0, 0.0], psi=[0.5, 0.5], k=1, m=2)
+    params = FAParams(W=[[1.0], [0.5]], c=[0.0, 0.0], psi=[0.5, 0.5], m=2)
     return LabelModel(
         params=params,
         threshold_kind=kind,
@@ -148,7 +148,7 @@ class TestTrainLabelModel:
         matrix, _ = generate(balanced_spec(seed=3))
         params, _ = fit_fa_em(matrix, FitConfig(seed=1))
         flipped_params = FAParams(
-            W=-params.W, c=params.c, psi=params.psi, k=params.k, m=params.m
+            W=-params.W, c=params.c, psi=params.psi, m=params.m
         )
         model0 = build_label_model(params, matrix)
         model1 = build_label_model(flipped_params, matrix)
@@ -226,12 +226,6 @@ class TestExportFactors:
         lines = text.strip().split("\n")
         assert lines[0] == "factor1,score,label_pred"
         assert len(lines) == 4
-
-    def test_k2_adds_second_factor(self, tmp_path):
-        train, _ = generate(balanced_spec(seed=17))
-        model = train_label_model(train, FitConfig(k=2))
-        text = export_factors(model, train)
-        assert text.startswith("factor1,factor2,score,label_pred")
 
     def test_gold_column_and_length_check(self, tmp_path):
         train, gold = generate(balanced_spec(n=50, seed=18))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import falabel.metrics_eval as metrics_eval
 from falabel import (
     FitConfig,
+    GoldLabels,
     LabelMatrix,
     NumericalError,
     SyntheticSpec,
@@ -109,6 +110,28 @@ class TestImbalanceIndex:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             imbalance_index(np.array([], dtype=int))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: evaluate([0.5], [1]), "predictions entries must be integers"),
+        (lambda: evaluate([1], [0.5]), "gold labels entries must be integers"),
+        (lambda: evaluate(["a"], [1]), "predictions entries must be integers"),
+        (lambda: imbalance_index([0.7, 1]), "gold labels entries must be integers"),
+        (lambda: GoldLabels(["a"]), "entries must be integers"),
+        (lambda: LabelMatrix(values=[["1"]], lf_names=("a",)), "entries must be integers"),
+        (lambda: evaluate([[1], [0, 1]], [1, 0]), "predictions entries must be a rectangular array"),
+        (lambda: GoldLabels([[1], [0, 1]]), "entries must be a rectangular array"),
+    ],
+    ids=["fractional-prediction", "fractional-gold", "string-prediction", "fractional-imbalance",
+         "string-gold-labels", "string-matrix-entry", "ragged-prediction", "ragged-gold-labels"],
+)
+def test_a_fractional_or_non_numeric_label_is_rejected(call, message):
+    # evaluate and imbalance_index truncated 0.5 and 0.7 to 0 and scored them; a string or
+    # a ragged list raised a bare ValueError, and a matrix read the string "1" as a vote
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
 
 
 def small_world(seed=0, n_train=200, n_test=120):
@@ -259,8 +282,8 @@ def one_cell_at_a_time(train, test, gold_test, sizes, repeats, seed, methods, cf
 
 @st.composite
 def sweep_worlds(draw):
-    """A small random world and sweep settings: k = 1 or 2, svd or random init,
-    all four methods in a random order."""
+    """A small random world and sweep settings: svd or random init, all four
+    methods in a random order."""
     m = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = SyntheticSpec(
@@ -271,7 +294,7 @@ def sweep_worlds(draw):
     train, _ = generate(spec)
     test, gold = generate(replace(spec, n=draw(st.integers(5, 80)), seed=spec.seed + 1))
     sizes = tuple(draw(st.lists(st.integers(2, train.n), min_size=1, max_size=3, unique=True)))
-    cfg = FitConfig(k=draw(st.integers(1, 2)), init=draw(st.sampled_from(["svd", "random"])))
+    cfg = FitConfig(init=draw(st.sampled_from(["svd", "random"])))
     return dict(
         train=train, test=test, gold_test=gold, sizes=sizes, repeats=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**16)), methods=tuple(draw(st.permutations(list(metrics_eval.METHODS)))),

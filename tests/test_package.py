@@ -1,6 +1,8 @@
-"""The package surface: the public names, and no import left without a use."""
+"""The package surface: the public names, no import left without a use, and
+no private function left without a caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,28 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def names_read(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a bare name or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a helper that only the tests call is dead code of the package
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    read = sum(map(names_read, trees), Counter())
+    uncalled = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and read[node.name] == names_read(node)[node.name]  # read in its own body only, if at all
+    ]
+    assert uncalled == []
