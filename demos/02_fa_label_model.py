@@ -49,12 +49,12 @@ print(f"VI : {rep_vi.iterations:4d} iterations, objective {rep_vi.final_log_like
 print(f"objective gap: {abs(rep_em.final_log_likelihood - rep_vi.final_log_likelihood):.2e}")
 
 print("\nfitted loadings (one per LF) and noise variances:")
-for name, w, p in zip(train.lf_names, params_em.W[:, 0], params_em.psi):
+for name, w, p in zip(train.lf_names, params_em.w, params_em.psi):
     print(f"  {name:<5} loading {w:+.3f}   noise {p:.3f}")
 
 moments = posterior_moments(params_em, train)
-print(f"\nposterior factor: shared variance {moments.cov[0, 0]:.4f}, "
-      f"train scores in [{moments.mean[:, 0].min():.2f}, {moments.mean[:, 0].max():.2f}]")
+print(f"\nposterior factor: shared variance {moments.var:.4f}, "
+      f"train scores in [{moments.mean.min():.2f}, {moments.mean.max():.2f}]")
 
 model = train_label_model(train, cfg)
 print(f"label model: threshold {model.threshold_value:+.4f} ({model.threshold_kind}), "

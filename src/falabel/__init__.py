@@ -38,7 +38,6 @@ _EXPORTS = {
         "LabelModel",
         "Predictions",
         "build_label_model",
-        "export_factors",
         "load_label_model",
         "orient_factor",
         "predict",

@@ -21,7 +21,7 @@ THRESHOLD_FLAGS = {"median": "median", "mean": "mean", "cdf-youden": "cdf_youden
 def _fit_config(args):
     from .fa_core import FitConfig
 
-    return FitConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed, init=args.init)
+    return FitConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed)
 
 
 def _parse_per_lf(text: str, m: int, what: str) -> tuple[float, ...]:
@@ -228,7 +228,6 @@ def _add_fit_flags(p: argparse.ArgumentParser, thresholds=tuple(THRESHOLD_FLAGS)
     p.add_argument("--seed", type=int, default=123, help="random seed (default 123)")
     p.add_argument("--tol", type=float, default=1e-4, help="convergence tolerance (default 1e-4)")
     p.add_argument("--max-iter", type=int, default=1000, help="iteration cap (default 1000)")
-    p.add_argument("--init", choices=("svd", "random"), default="svd", help="initialization")
     p.add_argument(
         "--threshold",
         choices=thresholds,

@@ -7,9 +7,10 @@ Gaussian factor z:
 
 so the marginal over rows is N(c, Sigma) with Sigma = w w^T + diag(psi).
 The bias c is fixed at the column means (its closed-form maximum-likelihood
-value); w and psi are fitted either by expectation-maximization or by
-coordinate-ascent variational inference on the evidence lower bound.  The
-loadings w are stored as the one column of an (m, 1) matrix W.
+value); the loadings w and the noise variances psi, both (m,) vectors, are
+fitted either by expectation-maximization or by coordinate-ascent
+variational inference on the evidence lower bound.  Both fit from one start,
+the top eigenvector of S below, so no fit draws random numbers.
 
 Both fits see the rows only through n, c and S = (X - c)^T (X - c) / n.  The
 posterior precision of z is the scalar H = 1 + w^T Psi^-1 w >= 1, its variance
@@ -19,10 +20,10 @@ after one O(n m^2) pass.  With one factor the mean-field family holds the exact
 posterior, so both routes take the same update; they differ only in the
 objective that they trace.
 
-Every step also works on a stack of problems: S, n, W, psi and the carried
+Every step also works on a stack of problems: S, n, w, psi and the carried
 E-step terms may carry a leading member axis.  The steps use per-member
 operations only (stacked matmul, diagonals, and dot products as stacked
-(1, N) @ (N, 1) matmuls), so a member's numbers are bit-identical whether it
+(1, m) @ (m, 1) matmuls), so a member's numbers are bit-identical whether it
 is fitted alone or in a batch.  ``_fit_loop`` is the one driver: it steps all
 members in lockstep, and a single fit is a batch of one.
 
@@ -54,83 +55,71 @@ class FitConfig:
     max_iter : int
         Iteration cap.
     tol : float
-        Absolute objective improvement below which the fit stops.
+        Absolute objective improvement below which the fit stops; finite and > 0.
     seed : int
-        Drives the random initialization route only.
-    init : str
-        "svd" seeds w from the top eigenvector of S scaled by the square root
-        of its eigenvalue; "random" draws w from N(0, 0.01).  The initial w
-        is then flipped to sum to >= 0, which fixes the sign of the fitted w.
+        Drives CI-EM's starting jitter; the FA fits start from S alone.
     """
 
     max_iter: int = 1000
     tol: float = 1e-4
     seed: int = 123
-    init: str = "svd"
 
     def __post_init__(self):
         _check_count("max_iter", self.max_iter, 1)
         if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
             raise ValidationError(f"tol must be a real number, got {self.tol!r}")
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError(f"tol must be finite and > 0, got {self.tol}")
         _check_count("seed", self.seed, 0)
-        if self.init not in ("svd", "random"):
-            raise ValidationError(f"init must be 'svd' or 'random', got {self.init!r}")
 
 
 @dataclass(frozen=True)
 class FAParams:
-    """Fitted one-factor parameters.
+    """Fitted one-factor parameters: three vectors of one length, the LF count
+    ``m`` (a property, ``len(c)``).
 
     Attributes
     ----------
-    W : ndarray, shape (m, 1)
-        The loadings w, as a one-column matrix.
+    w : ndarray, shape (m,)
+        The loadings.
     c : ndarray, shape (m,)
         Bias (column means of the training data).
     psi : ndarray, shape (m,)
         Diagonal noise variances, all strictly positive.
     """
 
-    W: np.ndarray
+    w: np.ndarray
     c: np.ndarray
     psi: np.ndarray
-    m: int
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float).copy()
-        c = np.asarray(self.c, dtype=float).copy()
-        psi = np.asarray(self.psi, dtype=float).copy()
-        _check_count("m", self.m, 1)
-        if W.shape != (self.m, 1):
-            raise ValidationError(f"W must have shape ({self.m}, 1), got {W.shape}")
-        if c.shape != (self.m,):
-            raise ValidationError(f"c must have shape ({self.m},), got {c.shape}")
-        if psi.shape != (self.m,):
-            raise ValidationError(f"psi must have shape ({self.m},), got {psi.shape}")
-        for name, arr in (("W", W), ("c", c), ("psi", psi)):
+        for name in ("c", "w", "psi"):  # c first: w and psi must take its shape
+            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            if arr.ndim != 1 or not arr.size or arr.shape != np.shape(self.c):
+                raise ValidationError(f"{name} must have shape (m,) with m = len(c) >= 1, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite values")
-        if not (psi > 0).all():
-            raise ValidationError(f"psi entries must be > 0, got min {psi.min()}")
-        for arr in (W, c, psi):
             arr.flags.writeable = False
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "psi", psi)
+            object.__setattr__(self, name, arr)
+        if not (self.psi > 0).all():
+            raise ValidationError(f"psi entries must be > 0, got min {self.psi.min()}")
+
+    @property
+    def m(self) -> int:
+        """The number of LFs."""
+        return len(self.c)
 
     def sigma(self) -> np.ndarray:
-        """Model covariance Sigma = W W^T + diag(psi)."""
-        return self.W @ self.W.T + np.diag(self.psi)
+        """Model covariance Sigma = w w^T + diag(psi)."""
+        return np.outer(self.w, self.w) + np.diag(self.psi)
 
 
 @dataclass(frozen=True)
 class PosteriorMoments:
     """Posterior factor moments: per-row means and the shared variance G."""
 
-    mean: np.ndarray  # (n, 1)
-    cov: np.ndarray  # (1, 1)
+    mean: np.ndarray  # (n,)
+    var: float
 
 
 @dataclass(frozen=True)
@@ -170,43 +159,41 @@ def _second_moment(X: np.ndarray, c: np.ndarray) -> np.ndarray:
     return Xc.T @ Xc / max(len(Xc), 1)
 
 
-def _init_params(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.init == "svd":
-        eigval, eigvec = np.linalg.eigh(S)  # ascending
-        W = eigvec[:, -1:] * np.sqrt(max(eigval[-1], 0.0))
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        W = rng.normal(0.0, 0.1, size=(len(S), 1))
+def _init_params(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The svd start: w is the top eigenvector of S scaled by the square root of
+    its eigenvalue, flipped so that its entries sum to >= 0."""
+    eigval, eigvec = np.linalg.eigh(S)  # ascending
+    w = eigvec[:, -1] * np.sqrt(max(eigval[-1], 0.0))
     # the sign rule; the update maps -w to -w exactly, so it fixes the fitted sign
-    W = np.where(W.sum(axis=0) < 0.0, -W, W)
-    psi = np.maximum(np.diag(S) - W[:, 0] ** 2, PSI_FLOOR)
-    return W, psi
+    if w.sum() < 0.0:
+        w = -w
+    return w, np.maximum(np.diag(S) - w**2, PSI_FLOOR)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each member's dot product of the (m, 1) columns a and b, as a (1, 1) matrix.
+    """Each member's dot product of the vectors a and b (leading axes run over members).
 
     A stacked (1, m) @ (m, 1) matmul takes the BLAS dot that np.vdot takes, so it
     rounds as np.vdot does, alone or in a batch."""
-    return a.swapaxes(-1, -2) @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _estep(S: np.ndarray, W: np.ndarray, psi: np.ndarray) -> tuple:
-    """The fit state (W, psi, S a, a^T S a, H) at (W, psi): the E-step's terms.
+def _estep(S: np.ndarray, w: np.ndarray, psi: np.ndarray) -> tuple:
+    """The fit state (w, psi, S a, a^T S a, H) at (w, psi): the E-step's terms.
 
     H = 1 + w^T Psi^-1 w >= 1 is the posterior precision and a = Psi^-1 w / H,
     so the average E[z^2] is 1 / H + a^T S a.  The arguments may carry leading
-    member axes; S a is then (..., m, 1), and a^T S a and H are (..., 1, 1).
+    member axes; S a is then (..., m), and a^T S a and H are (...,).
     """
-    PW = (1.0 / psi)[..., None] * W
-    H = 1.0 + _dot(W, PW)
-    A = PW * (1.0 / H)
-    SA = S @ A
-    return W, psi, SA, _dot(A, SA), H
+    pw = (1.0 / psi) * w
+    H = 1.0 + _dot(w, pw)
+    a = pw * (1.0 / H)[..., None]
+    Sa = (S @ a[..., None])[..., 0]
+    return w, psi, Sa, _dot(a, Sa), H
 
 
-def _row_log_likelihood(S, W, psi, SA, AtSA, H) -> np.ndarray:
-    """The mean log-likelihood per row at the state's (W, psi).
+def _row_log_likelihood(S, w, psi, Sa, aSa, H) -> np.ndarray:
+    """The mean log-likelihood per row at the state's (w, psi).
 
     -1/2 (m log 2pi + log|Sigma| + tr(Sigma^-1 S)) takes log|Sigma| = sum log psi +
     log H and, from x^T Sigma^-1 x = |x - w a^T x|^2_Psi^-1 + (a^T x)^2,
@@ -216,16 +203,12 @@ def _row_log_likelihood(S, W, psi, SA, AtSA, H) -> np.ndarray:
     and drifts by up to 1e-5 relative where psi sits at the floor.
     """
     precision = 1.0 / psi
-    quad = (
-        _dot(S.diagonal(0, -2, -1)[..., None], precision[..., None])
-        + _dot(precision[..., None] * W, W * AtSA - 2.0 * SA)
-        + AtSA
-    )[..., 0, 0]
-    logdet = np.log(psi).sum(axis=-1) + np.log(H[..., 0, 0])
+    quad = _dot(S.diagonal(0, -2, -1), precision) + _dot(precision * w, w * aSa[..., None] - 2.0 * Sa) + aSa
+    logdet = np.log(psi).sum(axis=-1) + np.log(H)
     return -0.5 * (psi.shape[-1] * LOG_2PI + logdet + quad)
 
 
-def _update(S, n, W, psi, SA, AtSA, H, psi_floor: float, route: str) -> tuple[tuple, np.ndarray]:
+def _update(S, n, w, psi, Sa, aSa, H, psi_floor: float, route: str) -> tuple[tuple, np.ndarray]:
     """One iteration of either route: the M-step from the carried E-step, then
     the E-step at the new (w, psi); returns the new state and the route's objective.
 
@@ -242,15 +225,15 @@ def _update(S, n, W, psi, SA, AtSA, H, psi_floor: float, route: str) -> tuple[tu
     w E[z^2] = S a, that is sum_j psi_fit_j / psi_j.
     """
     G = 1.0 / H
-    Ezz = G + AtSA
-    W = SA * (1.0 / Ezz)
-    psi_fit = S.diagonal(0, -2, -1) - (SA * W)[..., 0]
-    state = _estep(S, W, np.maximum(psi_fit, psi_floor))
+    Ezz = G + aSa
+    w = Sa * (1.0 / Ezz)[..., None]
+    psi_fit = S.diagonal(0, -2, -1) - Sa * w
+    state = _estep(S, w, np.maximum(psi_fit, psi_floor))
     if route == "em":
         return state, n * _row_log_likelihood(S, *state)
     psi = state[1]
     terms = (psi_fit / psi).sum(axis=-1) + (LOG_2PI + np.log(psi)).sum(axis=-1)
-    return state, -0.5 * n * (terms + Ezz[..., 0, 0] - np.log(G[..., 0, 0]) - 1.0)
+    return state, -0.5 * n * (terms + Ezz - np.log(G) - 1.0)
 
 
 _OBJECTIVES = {"em": "log-likelihood", "vi": "evidence bound"}
@@ -325,14 +308,14 @@ def _reduce_rows(data) -> tuple[np.ndarray, np.ndarray, int]:
     return c, _second_moment(X, c), n
 
 
-def _fit_fa_batch(datas, cfgs, route: str) -> list:
-    """Fit each (data, cfg) pair by ``route`` ("em" or "vi") in one lockstep batch.
+def _fit_fa_batch(datas, cfg: FitConfig, route: str) -> list:
+    """Fit each data by ``route`` ("em" or "vi") under ``cfg`` in one lockstep batch.
 
     Each member's rows are checked and reduced to (n, c, S), and its start
-    state is the E-step at its own initial (W, psi); then _fit_loop steps all
-    members at once by ``_update``.  The members must share m, max_iter and
-    tol.  All or nothing: the first ValidationError or NumericalError met
-    ends the batch, and a LinAlgError in the setup raises
+    state is the E-step at its own svd start (w, psi); then _fit_loop steps
+    all members at once by ``_update``.  The members must share m.  All or
+    nothing: the first ValidationError or NumericalError met ends the batch,
+    and a LinAlgError in the setup raises
     NumericalError("<error> at the initial parameters").
 
     Returns
@@ -341,15 +324,14 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
         One (FAParams, FitReport) per member, in order.
     """
     biases, states = [], []
-    for data, cfg in zip(datas, cfgs):
+    for data in datas:
         c, S, n = _reduce_rows(data)
         try:
             # n as a float: the objectives multiply by it without a cast, and as exactly
-            states.append((S, float(n), *_estep(S, *_init_params(S, cfg))))
+            states.append((S, float(n), *_estep(S, *_init_params(S))))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{exc} at the initial parameters") from None
         biases.append(c)
-    cfg = cfgs[0]  # max_iter and tol: the members share them
 
     def step(state):
         S, n, *fit = state
@@ -357,10 +339,7 @@ def _fit_fa_batch(datas, cfgs, route: str) -> list:
         return (S, n, *fit), objectives
 
     fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg.max_iter, cfg.tol, route, _OBJECTIVES[route])
-    return [
-        (FAParams(W=W, c=c, psi=psi, m=len(c)), report)
-        for c, ((_, _, W, psi, *_), report) in zip(biases, fits)
-    ]
+    return [(FAParams(w=w, c=c, psi=psi), report) for c, ((_, _, w, psi, *_), report) in zip(biases, fits)]
 
 
 def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -371,7 +350,7 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     data : LabelMatrix or (n, m) array
         Observations; labelling matrices are read as reals in {-1, 0, 1}.
     cfg : FitConfig
-        Initialization and stopping rule.
+        Stopping rule; the fit always starts from the svd of S.
 
     Returns
     -------
@@ -379,7 +358,7 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
         Fitted parameters (c fixed at the column means) and the
         log-likelihood trace, which is non-decreasing up to the psi clamp.
     """
-    return _fit_fa_batch([data], [cfg], "em")[0]
+    return _fit_fa_batch([data], cfg, "em")[0]
 
 
 def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -391,7 +370,7 @@ def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     one factor the family holds the exact posterior: the iterates are those
     of EM, and the final bound matches the marginal log-likelihood.
     """
-    return _fit_fa_batch([data], [cfg], "vi")[0]
+    return _fit_fa_batch([data], cfg, "vi")[0]
 
 
 def posterior_moments(params: FAParams, data) -> PosteriorMoments:
@@ -400,32 +379,33 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
     Returns
     -------
     PosteriorMoments
-        ``cov`` is G = 1 / (1 + w^T Psi^-1 w), shared by all rows;
-        ``mean`` row i is G w^T Psi^-1 (x_i - c).
+        ``var`` is G = 1 / (1 + w^T Psi^-1 w), shared by all rows;
+        ``mean[i]`` is G w^T Psi^-1 (x_i - c).
     """
     X = _as_float_matrix(data, params.m)
     precision = 1.0 / params.psi
-    H = 1.0 + (params.W.T * precision) @ params.W
+    H = 1.0 + _dot(params.w * precision, params.w)
     G = 1.0 / H
-    mean = (X - params.c) @ (precision[:, None] * params.W) @ G
-    if not (np.isfinite(H).all() and np.isfinite(mean).all()):
+    mean = (X - params.c) @ (precision * params.w) * G
+    if not (np.isfinite(H) and np.isfinite(mean).all()):
         raise NumericalError("posterior precision or factor means not finite")
-    return PosteriorMoments(mean=mean, cov=G)
+    return PosteriorMoments(mean=mean, var=float(G))
 
 
 def log_likelihood(params: FAParams, data) -> float:
-    """Gaussian log-likelihood of the rows under N(c, W W^T + diag(psi))."""
+    """Gaussian log-likelihood of the rows under N(c, w w^T + diag(psi))."""
     X = _as_float_matrix(data, params.m)
     S = _second_moment(X, params.c)
-    return float(len(X) * _row_log_likelihood(S, *_estep(S, params.W, params.psi)))
+    return float(len(X) * _row_log_likelihood(S, *_estep(S, params.w, params.psi)))
 
 
 def params_to_dict(params: FAParams) -> dict:
-    """The JSON fields of the parameters, floats at full precision; ``k`` is always 1."""
+    """The JSON fields of the parameters, floats at full precision: ``k`` is always
+    1, and ``W`` holds the loadings as m one-element lists."""
     return {
         "k": 1,
-        "m": int(params.m),
-        "W": params.W.tolist(),
+        "m": params.m,
+        "W": params.w[:, None].tolist(),
         "c": params.c.tolist(),
         "psi": params.psi.tolist(),
     }
@@ -435,9 +415,9 @@ def params_from_dict(payload: dict) -> FAParams:
     with _fields("model file"):
         if _json_int(payload, "k") != 1:
             raise ValidationError(f"field 'k' must be 1 (the model has one factor), got {payload['k']}")
-        return FAParams(
-            W=_json_number(payload, "W", 2),
-            c=_json_number(payload, "c", 1),
-            psi=_json_number(payload, "psi", 1),
-            m=_json_int(payload, "m"),
-        )
+        m, W = _json_int(payload, "m"), _json_number(payload, "W", 2)
+        c, psi = _json_number(payload, "c", 1), _json_number(payload, "psi", 1)
+        for key, arr, shape in (("W", W, (m, 1)), ("c", c, (m,)), ("psi", psi, (m,))):
+            if arr.shape != shape:
+                raise ValidationError(f"field {key!r} must have shape {shape} as field 'm' is {m}, got {arr.shape}")
+        return FAParams(w=W[:, 0], c=c, psi=psi)

@@ -115,16 +115,21 @@ def youden_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float
     """Cut maximizing Youden's J = TPR - FPR under the rule ``score > t``.
 
     Candidates are every observed score plus one cut below the minimum
-    (predict-all-positive); among maximizers the smallest cut wins.
+    (predict-all-positive); among maximizers the smallest cut wins.  Scores
+    must be finite and gold labels in {0, 1}.
 
     Returns
     -------
     (threshold, j_statistic)
     """
     scores = np.asarray(scores, dtype=float)
-    gold = np.asarray(gold, dtype=int)
+    gold = np.asarray(gold)  # no integer cast, which would take a label of 0.5 as 0
     if scores.shape != gold.shape:
         raise ValidationError("scores and gold labels must have equal length")
+    if not np.isfinite(scores).all():
+        raise ValidationError("scores must be finite")
+    if not np.isin(gold, (0, 1)).all():
+        raise ValidationError("gold labels must be in {0, 1}")
     n_pos = int((gold == 1).sum())
     n_neg = int((gold == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -161,7 +166,7 @@ def build_label_model(
     if threshold_kind == "cdf_youden" and dev is None:
         raise ValidationError("threshold_kind 'cdf_youden' requires a labelled dev set")
 
-    z_raw = posterior_moments(params, train).mean[:, 0]
+    z_raw = posterior_moments(params, train).mean
     orientation = orient_factor(z_raw, train)
     oriented = orientation * z_raw
     train_mean = float(oriented.mean())
@@ -173,7 +178,7 @@ def build_label_model(
         dev_matrix, dev_gold = dev
         if dev_gold.n != dev_matrix.n:
             raise ValidationError("dev gold labels must match the dev matrix row count")
-        dev_scores = orientation * posterior_moments(params, dev_matrix).mean[:, 0]
+        dev_scores = orientation * posterior_moments(params, dev_matrix).mean
         dev_cdf = _normal_cdf((dev_scores - train_mean) / train_std)
         threshold_value, _ = youden_threshold(dev_cdf, dev_gold.values)
     else:
@@ -202,43 +207,13 @@ def predict(model: LabelModel, matrix: LabelMatrix) -> Predictions:
     comparison; for cdf_youden the oriented score is first standardized by
     the training-factor moments and pushed through the normal CDF.
     """
-    return _label(model, posterior_moments(model.params, matrix).mean)
-
-
-def _label(model: LabelModel, factor_means: np.ndarray) -> Predictions:
-    """:func:`predict` on rows whose posterior factor means are ``factor_means``."""
-    scores = model.orientation * factor_means[:, 0]
+    scores = model.orientation * posterior_moments(model.params, matrix).mean
     if model.threshold_kind == "cdf_youden":
         u = _normal_cdf((scores - model.train_factor_mean) / model.train_factor_std)
         labels = u > model.threshold_value
     else:
         labels = scores > model.orientation * model.threshold_value
     return Predictions(labels=labels.astype(np.int64), scores=scores)
-
-
-def export_factors(
-    model: LabelModel,
-    matrix: LabelMatrix,
-    gold: GoldLabels | None = None,
-    path=None,
-) -> str:
-    """CSV of the factor, scores and predictions.
-
-    Columns: factor1,score,label_pred[,label_gold].  Returns the CSV text;
-    also writes it when ``path`` is given.
-    """
-    if gold is not None and gold.n != matrix.n:
-        raise ValidationError(
-            f"gold labels have {gold.n} rows but the matrix has {matrix.n}"
-        )
-    means = posterior_moments(model.params, matrix).mean
-    preds = _label(model, means)
-    header = ["factor1", "score", "label_pred"]
-    columns = [means[:, 0].tolist(), preds.scores.tolist(), preds.labels.tolist()]
-    if gold is not None:
-        header.append("label_gold")
-        columns.append(gold.values.tolist())
-    return _write_csv([header, *zip(*columns)], path)
 
 
 def save_predictions(preds: Predictions, path) -> None:

@@ -205,8 +205,8 @@ def robustness_sweep(
     For every (size, repeat) cell a subsample of training rows is drawn
     without replacement; all methods see the identical subsample and are
     evaluated on the fixed test set.  ``seed`` is the one master seed: it
-    overrides ``cfg.seed``, and each cell's subsample and fit seed are
-    spawned from it, so results are bit-reproducible.
+    overrides ``cfg.seed``, and each cell's subsample and CI-EM seed are
+    spawned from it (FA fits draw none), so results are bit-reproducible.
 
     Each FA method fits all its cells in one lockstep batch (see
     ``fa_core._fit_fa_batch``), which is all or nothing.  If it raises, that
@@ -249,7 +249,7 @@ def robustness_sweep(
     for method, route in _FA_ROUTES.items():
         if method in methods:
             with suppress(ValidationError, NumericalError):  # else its cells are fitted one by one below
-                fa_fits[method] = _fit_fa_batch(subs, cfgs, route)
+                fa_fits[method] = _fit_fa_batch(subs, cfg, route)
 
     records = []
     for si, size in enumerate(sizes):

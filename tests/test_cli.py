@@ -398,14 +398,43 @@ def test_a_two_factor_model_file_exits_2_naming_k(tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "compare", "sweep"])
-def test_there_is_no_k_flag(world, capsys, command):
+def test_a_model_file_whose_m_disagrees_with_w_exits_2(tmp_path, capsys):
+    (tmp_path / "m.csv").write_text(SAVED_MATRIX)
+    (tmp_path / "model.json").write_text(json.dumps({**SAVED_MODEL, "m": 4}))
+    argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 2
+    assert "field 'W' must have shape (4, 1) as field 'm' is 4, got (3, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def run_with_flag(world, command, *flag):
+    """``command`` on the world's files with ``flag`` appended; its exit code."""
     tmp, paths = world
     inputs = [paths["train"]] if command == "fit" else [paths["train"], paths["test"], paths["gold"]]
-    argv = [command, *map(str, inputs), "--out", str(tmp / "out"), "--k", "2"]
-    assert main(argv) == 2
-    assert "unrecognized arguments: --k 2" in capsys.readouterr().err
+    code = main([command, *map(str, inputs), "--out", str(tmp / "out"), *flag])
     assert not (tmp / "out").exists()
+    return code
+
+
+@pytest.mark.parametrize("command", ["fit", "compare", "sweep"])
+def test_there_is_no_k_flag(world, capsys, command):
+    assert run_with_flag(world, command, "--k", "2") == 2
+    assert "unrecognized arguments: --k 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "compare", "sweep"])
+def test_there_is_no_init_flag(world, capsys, command):
+    # the fit always starts from the svd of S
+    assert run_with_flag(world, command, "--init", "random") == 2
+    assert "unrecognized arguments: --init random" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "compare", "sweep"])
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_2(world, capsys, command, tol):
+    # --tol inf stopped every fit after two iterations and reported it converged
+    assert run_with_flag(world, command, "--tol", tol) == 2
+    assert capsys.readouterr().err == f"error: tol must be finite and > 0, got {tol}\n"
 
 
 def test_dev_matrix_without_dev_gold_exits_2(world, capsys):
@@ -723,13 +752,12 @@ def test_unwritable_output_exits_2(world, capsys, argv):
     "argv",
     [
         ["fit", "{train}", "--route", "ci-em", "--seed", "-3", "--out", "{tmp}/m.json"],
-        ["fit", "{train}", "--init", "random", "--seed", "-3", "--out", "{tmp}/m.json"],
         ["fit", "{train}", "--seed", "-3", "--out", "{tmp}/m.json"],
         ["compare", "{train}", "{test}", "{gold}", "--seed", "-3", "--out", "{tmp}/c.csv"],
         ["sweep", "{train}", "{test}", "{gold}", "--sizes", "10", "--repeats", "1", "--seed", "-3",
          "--out", "{tmp}/s.csv"],
     ],
-    ids=["fit-ci-em", "fit-random-init", "fit-svd-init", "compare", "sweep"],
+    ids=["fit-ci-em", "fit-svd-init", "compare", "sweep"],
 )
 def test_negative_seed_exits_2(world, capsys, argv):
     tmp, paths = world

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -39,14 +40,14 @@ from falabel.fa_core import (
 def quadrature_posterior(params: FAParams, row: np.ndarray) -> tuple[float, float]:
     """Independent oracle: integrate p(z | row) on a dense grid.
 
-    Uses p(z|row) proportional to N(z; 0, 1) * prod_j N(row_j; W_j z + c_j, psi_j)
+    Uses p(z|row) proportional to N(z; 0, 1) * prod_j N(row_j; w_j z + c_j, psi_j)
     over z in [-8, 8] with step 1e-3.
     """
     z = np.arange(-8.0, 8.0 + 1e-3, 1e-3)
     log_w = norm.logpdf(z)
     for j in range(params.m):
         log_w = log_w + norm.logpdf(
-            row[j], loc=params.W[j, 0] * z + params.c[j], scale=np.sqrt(params.psi[j])
+            row[j], loc=params.w[j] * z + params.c[j], scale=np.sqrt(params.psi[j])
         )
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
@@ -57,7 +58,7 @@ def quadrature_posterior(params: FAParams, row: np.ndarray) -> tuple[float, floa
 
 def dense_gaussian_ll(params: FAParams, X: np.ndarray) -> float:
     """Naive O(m^3) oracle: explicit inverse and determinant, row by row."""
-    sigma = params.W @ params.W.T + np.diag(params.psi)
+    sigma = np.outer(params.w, params.w) + np.diag(params.psi)
     inv = np.linalg.inv(sigma)
     _, logdet = np.linalg.slogdet(sigma)
     total = 0.0
@@ -69,37 +70,36 @@ def dense_gaussian_ll(params: FAParams, X: np.ndarray) -> float:
 
 def random_params(rng: np.random.Generator, m: int) -> FAParams:
     return FAParams(
-        W=rng.uniform(-1.5, 1.5, size=(m, 1)),
+        w=rng.uniform(-1.5, 1.5, size=m),
         c=rng.uniform(-1.0, 1.0, size=m),
         psi=rng.uniform(0.3, 2.0, size=m),
-        m=m,
     )
 
 
 def sample_rows(rng: np.random.Generator, params: FAParams, n: int) -> np.ndarray:
     z = rng.standard_normal((n, 1))
     eps = rng.standard_normal((n, params.m)) * np.sqrt(params.psi)
-    return z @ params.W.T + params.c + eps
+    return z * params.w + params.c + eps
 
 
 class TestPosteriorMoments:
     def test_single_lf_hand_value(self):
-        params = FAParams(W=[[1.0]], c=[0.0], psi=[1.0], m=1)
+        params = FAParams(w=[1.0], c=[0.0], psi=[1.0])
         moments = posterior_moments(params, np.array([[2.0]]))
-        assert moments.cov[0, 0] == pytest.approx(0.5)
-        assert moments.mean[0, 0] == pytest.approx(1.0)
+        assert moments.var == pytest.approx(0.5)
+        assert moments.mean[0] == pytest.approx(1.0)
 
     def test_two_lf_hand_value(self):
-        params = FAParams(W=[[1.0], [1.0]], c=[0.0, 0.0], psi=[1.0, 1.0], m=2)
+        params = FAParams(w=[1.0, 1.0], c=[0.0, 0.0], psi=[1.0, 1.0])
         moments = posterior_moments(params, np.array([[1.0, 1.0]]))
-        assert moments.cov[0, 0] == pytest.approx(1.0 / 3.0)
-        assert moments.mean[0, 0] == pytest.approx(2.0 / 3.0)
+        assert moments.var == pytest.approx(1.0 / 3.0)
+        assert moments.mean[0] == pytest.approx(2.0 / 3.0)
 
     def test_zero_loadings_recover_prior(self):
-        params = FAParams(W=np.zeros((3, 1)), c=[0.1, 0.2, 0.3], psi=[1.0, 2.0, 0.5], m=3)
+        params = FAParams(w=np.zeros(3), c=[0.1, 0.2, 0.3], psi=[1.0, 2.0, 0.5])
         moments = posterior_moments(params, np.array([[1.0, -1.0, 0.5], [0.0, 0.0, 0.0]]))
-        assert moments.cov == pytest.approx(np.eye(1))
-        assert moments.mean == pytest.approx(np.zeros((2, 1)))
+        assert moments.var == pytest.approx(1.0)
+        assert moments.mean == pytest.approx(np.zeros(2))
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(20240517)
@@ -109,18 +109,18 @@ class TestPosteriorMoments:
             row = sample_rows(rng, params, 1)[0]
             moments = posterior_moments(params, row[None, :])
             q_mean, q_var = quadrature_posterior(params, row)
-            assert moments.mean[0, 0] == pytest.approx(q_mean, abs=1e-4)
-            assert moments.cov[0, 0] == pytest.approx(q_var, abs=1e-4)
+            assert moments.mean[0] == pytest.approx(q_mean, abs=1e-4)
+            assert moments.var == pytest.approx(q_var, abs=1e-4)
 
     def test_dimension_mismatch(self):
-        params = FAParams(W=[[1.0]], c=[0.0], psi=[1.0], m=1)
+        params = FAParams(w=[1.0], c=[0.0], psi=[1.0])
         with pytest.raises(ValidationError, match="columns"):
             posterior_moments(params, np.zeros((2, 3)))
 
 
 class TestLogLikelihood:
     def test_row_at_bias_zero_loadings(self):
-        params = FAParams(W=np.zeros((2, 1)), c=[0.5, -0.5], psi=[1.0, 1.0], m=2)
+        params = FAParams(w=np.zeros(2), c=[0.5, -0.5], psi=[1.0, 1.0])
         ll = log_likelihood(params, np.array([[0.5, -0.5]]))
         assert ll == pytest.approx(-np.log(2 * np.pi), abs=1e-9)
 
@@ -156,7 +156,7 @@ class TestLogLikelihood:
         rng = np.random.default_rng(17)
         params = random_params(rng, 3)
         X = sample_rows(rng, params, 5)
-        flipped = FAParams(W=-params.W, c=params.c, psi=params.psi, m=3)
+        flipped = FAParams(w=-params.w, c=params.c, psi=params.psi)
         assert log_likelihood(flipped, X) == log_likelihood(params, X)
         m0 = posterior_moments(params, X).mean
         m1 = posterior_moments(flipped, X).mean
@@ -205,8 +205,8 @@ class TestFitEM:
         assert report.converged
         Xc = m.values.astype(float) - params.c
         S = Xc.T @ Xc / m.n
-        (W2, psi2, *_), _ = _update(S, m.n, *_estep(S, params.W, params.psi), PSI_FLOOR, "em")
-        extra = FAParams(W=W2, c=params.c, psi=psi2, m=5)
+        (w2, psi2, *_), _ = _update(S, m.n, *_estep(S, params.w, params.psi), PSI_FLOOR, "em")
+        extra = FAParams(w=w2, c=params.c, psi=psi2)
         before = log_likelihood(params, m)
         after = log_likelihood(extra, m)
         assert after - before < cfg.tol
@@ -221,21 +221,18 @@ class TestFitEM:
         with pytest.raises(ValidationError):
             fit_fa_em(np.ones((1, 3)))
 
-    @pytest.mark.parametrize("init", ["svd", "random"])
-    def test_initial_loadings_columns_sum_to_non_negative(self, init):
+    def test_initial_loadings_columns_sum_to_non_negative(self):
         X = np.random.default_rng(3).integers(-1, 2, size=(40, 5)).astype(float)
         Xc = X - X.mean(axis=0)
-        for seed in range(10):
-            W, _ = _init_params(Xc.T @ Xc / len(Xc), FitConfig(init=init, seed=seed))
-            assert (W.sum(axis=0) >= 0.0).all()
+        w, _ = _init_params(Xc.T @ Xc / len(Xc))
+        assert w.sum() >= 0.0
 
     @pytest.mark.parametrize("fit", [fit_fa_em, fit_fa_vi])
-    @pytest.mark.parametrize("init", ["svd", "random"])
-    def test_overflowing_second_moment_raises_numerical_error(self, fit, init):
+    def test_overflowing_second_moment_raises_numerical_error(self, fit):
         # finite rows whose squares overflow: S holds inf
         X = np.array([[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0], [1e200, 1.0, 0.0], [-1e200, 0.0, 0.0]])
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            fit(X, FitConfig(init=init))
+            fit(X, FitConfig())
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
@@ -253,6 +250,14 @@ class TestFitEM:
             FitConfig(**{field: value})
         assert str(info.value) == f"{field} must be {kind}, got {value!r}"
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        # tol=inf stopped every fit after two iterations and reported it converged
+        matrix = LabelMatrix(values=[[1, 0], [0, 1], [1, 1]], lf_names=("a", "b"))
+        for fit in (lambda: fit_fa_em(matrix, FitConfig(tol=tol)), lambda: fit_ci_em(matrix, tol=tol)):
+            with pytest.raises(ValidationError, match=f"^tol must be finite and > 0, got {tol}$"):
+                fit()
+
     def test_fit_ci_em_rejects_a_fractional_max_iter(self):
         # it ignored the cap and ran to convergence
         matrix = LabelMatrix(values=[[1, 0], [0, 1], [1, 1]], lf_names=("a", "b"))
@@ -267,9 +272,9 @@ class TestFitEM:
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((50, 3))
-        p1, r1 = fit_fa_em(X, FitConfig(seed=5, init="random"))
-        p2, r2 = fit_fa_em(X, FitConfig(seed=5, init="random"))
-        np.testing.assert_array_equal(p1.W, p2.W)
+        p1, r1 = fit_fa_em(X, FitConfig(seed=5))
+        p2, r2 = fit_fa_em(X, FitConfig(seed=5))
+        np.testing.assert_array_equal(p1.w, p2.w)
         assert r1.ll_trace == r2.ll_trace
 
 
@@ -286,9 +291,9 @@ class TestFitVI:
         assert abs(vi_report.final_log_likelihood - em_report.final_log_likelihood) < 1e-3 * n
 
     def test_zero_loadings_estep_is_prior(self):
-        _, _, SA, AtSA, H = _estep(np.eye(3), np.zeros((3, 1)), np.ones(3))
-        np.testing.assert_allclose(SA, 0.0, atol=1e-15)
-        np.testing.assert_allclose(AtSA, 0.0, atol=1e-15)
+        _, _, Sa, aSa, H = _estep(np.eye(3), np.zeros(3), np.ones(3))
+        np.testing.assert_allclose(Sa, 0.0, atol=1e-15)
+        np.testing.assert_allclose(aSa, 0.0, atol=1e-15)
         np.testing.assert_allclose(1.0 / H, 1.0, atol=1e-15)
 
     def test_centered_single_column_means_zero(self):
@@ -303,9 +308,9 @@ class TestFitVI:
         params = random_params(rng, 3)
         X = sample_rows(rng, params, 20)
         Xc = X - X.mean(axis=0)
-        A, v = exact_posterior(params.W, params.psi)
-        bound = reference_elbo(Xc.T @ Xc / len(Xc), len(Xc), params.W, params.psi, A, v)
-        centered = FAParams(W=params.W, c=np.zeros(3), psi=params.psi, m=3)
+        A, v = exact_posterior(params.w, params.psi)
+        bound = reference_elbo(Xc.T @ Xc / len(Xc), len(Xc), params.w, params.psi, A, v)
+        centered = FAParams(w=params.w, c=np.zeros(3), psi=params.psi)
         assert bound == pytest.approx(log_likelihood(centered, Xc), abs=1e-8)
 
     def test_monotone_trace(self):
@@ -324,7 +329,7 @@ class TestParamsIO:
         rng = np.random.default_rng(12)
         params = random_params(rng, 4)
         loaded = params_from_dict(json.loads(json.dumps(params_to_dict(params))))
-        np.testing.assert_array_equal(loaded.W, params.W)
+        np.testing.assert_array_equal(loaded.w, params.w)
         np.testing.assert_array_equal(loaded.c, params.c)
         np.testing.assert_array_equal(loaded.psi, params.psi)
         assert loaded.m == params.m
@@ -341,15 +346,30 @@ class TestParamsIO:
 
     @pytest.mark.parametrize("m", [2, np.int64(2)])
     def test_integer_m_roundtrips(self, m):
-        # m = np.int64(2) made the file unwritable (a bare TypeError from json)
-        params = FAParams(W=[[1.0], [0.5]], c=[0.0, 0.0], psi=[1.0, 1.0], m=m)
+        # the file's m is a JSON integer however the vectors' length was given
+        params = FAParams(w=np.ones(m), c=np.zeros(m), psi=np.ones(m))
         assert params_from_dict(json.loads(json.dumps(params_to_dict(params)))).m == 2
 
     @pytest.mark.parametrize("m", [2.0, True, 0])
     def test_m_that_is_not_a_positive_integer_rejected(self, m):
-        # m = 2.0 was accepted and written as 2.0, which no reader accepts
-        with pytest.raises(ValidationError, match="^m must be "):
-            FAParams(W=[[1.0]], c=[0.0], psi=[1.0], m=m)
+        # the file's m must be a JSON integer, and the length of W, c and psi
+        with pytest.raises(ValidationError, match="field 'm'"):
+            params_from_dict({"k": 1, "m": m, "W": [[1.0], [0.5]], "c": [0.0, 0.0], "psi": [1.0, 1.0]})
+
+    @pytest.mark.parametrize(
+        "field, value", [("m", 3), ("W", [[1.0], [0.5], [0.2]]), ("c", [0.0]), ("psi", [1.0, 1.0, 1.0])]
+    )
+    def test_m_that_disagrees_with_w_c_or_psi_rejected(self, field, value):
+        payload = {"k": 1, "m": 2, "W": [[1.0], [0.5]], "c": [0.0, 0.0], "psi": [1.0, 1.0], field: value}
+        with pytest.raises(ValidationError, match="field 'm' is "):
+            params_from_dict(payload)
+
+    @pytest.mark.parametrize("field", ["w", "c", "psi"])
+    @pytest.mark.parametrize("value", [[1.0], [[1.0], [0.5]], []])
+    def test_vectors_of_another_length_or_shape_rejected(self, field, value):
+        vectors = {"w": [1.0, 0.5], "c": [0.0, 0.0], "psi": [1.0, 1.0]}
+        with pytest.raises(ValidationError, match=r"must have shape \(m,\) with m = len\(c\) >= 1"):
+            FAParams(**{**vectors, field: value})
 
     def test_malformed_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -418,11 +438,12 @@ def row_wise_fit_fa(X, cfg, route):
     def step(state):  # a batch of one: each state array has a member axis
         state = tuple(x[0] for x in state)
         new_state, value = _update(S, len(Xc), *_estep(S, *state), PSI_FLOOR, route)
-        steps.append(((new_state[:2], value), row_wise(Xc, *state, PSI_FLOOR)))
-        (W, psi), value = steps[-1][1]
-        return (W[None], psi[None]), np.array([value])
+        # the row-wise references hold the loadings as the one column of W
+        (W, psi), row_wise_value = row_wise(Xc, state[0][:, None], state[1], PSI_FLOOR)
+        steps.append(((new_state[:2], value), ((W[:, 0], psi), row_wise_value)))
+        return (W[None, :, 0], psi[None]), np.array([row_wise_value])
 
-    initial = tuple(x[None] for x in _init_params(S, cfg))
+    initial = tuple(x[None] for x in _init_params(S))
     state, report = _fit_loop(step, initial, cfg.max_iter, cfg.tol, route, "objective")[0]
     return state, report, steps
 
@@ -433,7 +454,7 @@ def lf_matrices_and_configs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # rows drawn from a pool of patterns: a small pool repeats rows, a large one rarely does
     pool = rng.choice([-1, 0, 1], p=rng.dirichlet(np.ones(3)), size=(draw(st.integers(1, 300)), m))
-    cfg = FitConfig(init=draw(st.sampled_from(["svd", "random"])), seed=draw(st.integers(0, 2**16)))
+    cfg = FitConfig(seed=draw(st.integers(0, 2**16)))
     return pool[rng.integers(0, len(pool), size=n)].astype(float), cfg
 
 
@@ -451,7 +472,7 @@ def test_second_moment_fit_matches_row_wise_fit(data, route):
     params, report = (fit_fa_em if route == "em" else fit_fa_vi)(X, cfg)
     assert (report.iterations, report.converged) == (expected.iterations, expected.converged)
     np.testing.assert_allclose(report.ll_trace, expected.ll_trace, rtol=0.0, atol=atol)
-    np.testing.assert_allclose(params.W, W, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(params.w, W, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(params.psi, psi, rtol=0.0, atol=1e-9)
 
 
@@ -472,7 +493,7 @@ def test_em_and_vi_take_the_same_iterates(data, max_iter):
     cfg = replace(cfg, max_iter=max_iter)
     (em, em_report), (vi, vi_report) = fit_fa_em(X, cfg), fit_fa_vi(X, cfg)
     assume(em_report.iterations == vi_report.iterations == max_iter)
-    assert em.W.tobytes() == vi.W.tobytes()
+    assert em.w.tobytes() == vi.w.tobytes()
     assert em.psi.tobytes() == vi.psi.tobytes()
 
 
@@ -481,21 +502,23 @@ def test_em_and_vi_take_the_same_iterates(data, max_iter):
 # computed them before their objectives came from scalar terms.
 
 
-def reference_gaussian_ll(S, n, W, psi):
-    sigma = W @ W.T + np.diag(psi)
+def reference_gaussian_ll(S, n, w, psi):
+    sigma = np.outer(w, w) + np.diag(psi)
     L = np.linalg.cholesky(sigma)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     quad = float(np.trace(np.linalg.solve(sigma, S)))
     return -0.5 * n * (len(psi) * LOG_2PI + logdet + quad)
 
 
-def exact_posterior(W, psi):
+def exact_posterior(w, psi):
     """(A, v): a centred row x has posterior mean A^T x and variance v."""
+    W = w[:, None]
     H = 1.0 + (W.T / psi) @ W
     return W / psi[:, None] / H, 1.0 / H[0]
 
 
-def reference_elbo(S, n, W, psi, A, v):
+def reference_elbo(S, n, w, psi, A, v):
+    W = w[:, None]
     m, k = W.shape
     precision = 1.0 / psi
     R = np.eye(m) - A @ W.T  # a centred row x leaves the residual R^T x
@@ -521,12 +544,12 @@ def fit_states(draw):
     X[:, rng.random(m) < 0.2] = 1.0
     psi_floor = draw(st.sampled_from([1e-6, 1e-3]))
     psi = np.where(rng.random(m) < 0.3, psi_floor, rng.uniform(0.05, 2.0, size=m))
-    return X, rng.normal(0.0, draw(st.sampled_from([0.1, 0.5, 1.0])), size=(m, 1)), psi, psi_floor
+    return X, rng.normal(0.0, draw(st.sampled_from([0.1, 0.5, 1.0])), size=m), psi, psi_floor
 
 
 @given(fit_states())
 def test_objectives_match_the_m_by_m_references(state):
-    X, W, psi, psi_floor = state
+    X, w, psi, psi_floor = state
     n = len(X)
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / n
@@ -537,13 +560,13 @@ def test_objectives_match_the_m_by_m_references(state):
         magnitude = 0.5 * n * (len(psi) * LOG_2PI + np.abs(np.log(psi)).sum() + (np.diag(S) / psi).sum())
         assert abs(value - expected) <= 1e-9 * magnitude, (value, expected, magnitude)
 
-    (W1, psi1, *_), value = _update(S, n, *_estep(S, W, psi), psi_floor, "em")
+    (w1, psi1, *_), value = _update(S, n, *_estep(S, w, psi), psi_floor, "em")
     assert (psi1 == psi_floor).any() or not (np.diag(S) == 0).any()
-    close(value, reference_gaussian_ll(S, n, W1, psi1), psi1)
-    (W1, psi1, *_), value = _update(S, n, *_estep(S, W, psi), psi_floor, "vi")
-    close(value, reference_elbo(S, n, W1, psi1, *exact_posterior(W, psi)), psi1)
-    params = FAParams(W=W, c=X.mean(axis=0), psi=psi, m=W.shape[0])
-    close(log_likelihood(params, X), reference_gaussian_ll(S, n, W, psi), psi)
+    close(value, reference_gaussian_ll(S, n, w1, psi1), psi1)
+    (w1, psi1, *_), value = _update(S, n, *_estep(S, w, psi), psi_floor, "vi")
+    close(value, reference_elbo(S, n, w1, psi1, *exact_posterior(w, psi)), psi1)
+    params = FAParams(w=w, c=X.mean(axis=0), psi=psi)
+    close(log_likelihood(params, X), reference_gaussian_ll(S, n, w, psi), psi)
 
 
 # The batch contract: the driver steps many fits at once, and each member's
@@ -555,42 +578,40 @@ OVERFLOWING = np.array([[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0], [1e200, 1.0, 0.0]
 
 @st.composite
 def lf_batches(draw):
-    """1-12 LF matrices sharing m, each with its own n, init and seed;
-    one of them may be the overflowing matrix, its columns cycled to m.
-    Returns (matrices, configs, index of the overflowing member or None)."""
+    """1-12 LF matrices sharing m, each with its own n; one of them may be the
+    overflowing matrix, its columns cycled to m.  Returns (matrices, index of
+    the overflowing member or None)."""
     m = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    datas, cfgs = [], []
+    datas = []
     for _ in range(draw(st.integers(1, 12))):
         n = draw(st.integers(2, 300))
         pool = rng.choice([-1, 0, 1], p=rng.dirichlet(np.ones(3)), size=(draw(st.integers(1, 300)), m))
         datas.append(pool[rng.integers(0, len(pool), size=n)].astype(float))
-        init = draw(st.sampled_from(["svd", "random"]))
-        cfgs.append(FitConfig(init=init, seed=draw(st.integers(0, 2**16))))
     overflowing = draw(st.none() | st.integers(0, len(datas) - 1))
     if overflowing is not None:
         datas[overflowing] = OVERFLOWING[:, np.arange(m) % 3]
-    return datas, cfgs, overflowing
+    return datas, overflowing
 
 
 @given(lf_batches(), st.sampled_from(["em", "vi"]))
 def test_batched_fit_equals_one_at_a_time_fits(batch, route):
-    datas, cfgs, overflowing = batch
+    (datas, overflowing), cfg = batch, FitConfig()
     fit = fit_fa_em if route == "em" else fit_fa_vi
     with np.errstate(all="ignore"):
         if overflowing is not None:
             # the batch is all or nothing: it raises the failing member's solo error
             with pytest.raises(NumericalError) as solo:
-                fit(datas[overflowing], cfgs[overflowing])
+                fit(datas[overflowing], cfg)
             with pytest.raises(NumericalError) as batched:
-                _fit_fa_batch(datas, cfgs, route)
+                _fit_fa_batch(datas, cfg, route)
             assert str(batched.value) == str(solo.value)
             return
-        results = _fit_fa_batch(datas, cfgs, route)
+        results = _fit_fa_batch(datas, cfg, route)
         assert len(results) == len(datas)
-        for X, cfg, (batched_params, batched_report) in zip(datas, cfgs, results):
+        for X, (batched_params, batched_report) in zip(datas, results):
             params, report = fit(X, cfg)
-            assert batched_params.W.tobytes() == params.W.tobytes()
+            assert batched_params.w.tobytes() == params.w.tobytes()
             assert batched_params.psi.tobytes() == params.psi.tobytes()
             assert batched_params.c.tobytes() == params.c.tobytes()
             assert np.array(batched_report.ll_trace).tobytes() == np.array(report.ll_trace).tobytes()
@@ -633,6 +654,6 @@ def test_a_failed_batch_raises_its_first_failure(failing_em_member):
     datas = [generate(SyntheticSpec(n=n, seed=n, **spec))[0] for n in (40, 50, 60)]
     failing_em_member({50: 3, 60: 6})
     with pytest.raises(NumericalError, match="^Singular matrix at iteration 3$"):
-        _fit_fa_batch(datas, [FitConfig()] * 3, "em")
+        _fit_fa_batch(datas, FitConfig(), "em")
     with pytest.raises(NumericalError, match="^Singular matrix at iteration 6$"):
         fit_fa_em(datas[2])

@@ -77,10 +77,9 @@ def label_matrices(draw):
 def label_models(draw):
     m = draw(st.integers(1, 4))
     params = FAParams(
-        W=draw(arrays(float, (m, 1), elements=finite)),
+        w=draw(arrays(float, m, elements=finite)),
         c=draw(arrays(float, m, elements=finite)),
         psi=draw(arrays(float, m, elements=positive)),
-        m=m,
     )
     return LabelModel(
         params=params,
@@ -323,7 +322,7 @@ def test_int_cells_matches_the_two_pass_reference(n, m, allowed, data):
 @given(label_models())
 def test_label_model_json_roundtrip(model):
     loaded = roundtrip(model, save_label_model, load_label_model)
-    for name in ("W", "c", "psi"):
+    for name in ("w", "c", "psi"):
         np.testing.assert_array_equal(getattr(loaded.params, name), getattr(model.params, name))
     assert loaded.params.m == model.params.m
     rule = ("threshold_kind", "threshold_value", "train_factor_mean", "train_factor_std", "orientation")

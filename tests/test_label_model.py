@@ -11,13 +11,11 @@ from falabel import label_model
 from falabel import (
     FAParams,
     FitConfig,
-    GoldLabels,
     LabelMatrix,
     LabelModel,
     SyntheticSpec,
     ValidationError,
     build_label_model,
-    export_factors,
     fit_fa_em,
     fit_fa_vi,
     generate,
@@ -32,7 +30,7 @@ from falabel.label_model import _latent_threshold, _normal_cdf
 
 
 def make_model(threshold=0.0, orientation=1, kind="median"):
-    params = FAParams(W=[[1.0], [0.5]], c=[0.0, 0.0], psi=[0.5, 0.5], m=2)
+    params = FAParams(w=[1.0, 0.5], c=[0.0, 0.0], psi=[0.5, 0.5])
     return LabelModel(
         params=params,
         threshold_kind=kind,
@@ -89,6 +87,20 @@ class TestThresholds:
         with pytest.raises(ValidationError):
             youden_threshold(np.array([0.1, 0.9]), np.array([1, 1]))
 
+    @pytest.mark.parametrize(
+        "scores, gold, message",
+        [
+            ([0.1, 0.2, 0.3], [0, 1, 2], "gold labels must be in"),  # gave (0.1, 1.0)
+            ([0.1, 0.2, 0.3], [0, 1, -1], "gold labels must be in"),
+            ([0.1, 0.2, 0.3], [0, 1, 0.5], "gold labels must be in"),
+            ([0.1, np.nan, 0.3], [0, 1, 0], "scores must be finite"),  # gave a nan cut
+            ([0.1, np.inf, 0.3], [0, 1, 0], "scores must be finite"),
+        ],
+    )
+    def test_youden_rejects_gold_outside_0_1_and_non_finite_scores(self, scores, gold, message):
+        with pytest.raises(ValidationError, match=message):
+            youden_threshold(np.array(scores), np.array(gold))
+
 
 class TestOrientFactor:
     def test_positive_correlation(self):
@@ -141,15 +153,13 @@ class TestPredict:
 
 class TestTrainLabelModel:
     def test_sign_invariance_full_pipeline(self):
-        # negating W and rebuilding must flip the orientation and leave
+        # negating w and rebuilding must flip the orientation and leave
         # the predictions untouched
         from falabel import fit_fa_em
 
         matrix, _ = generate(balanced_spec(seed=3))
         params, _ = fit_fa_em(matrix, FitConfig(seed=1))
-        flipped_params = FAParams(
-            W=-params.W, c=params.c, psi=params.psi, m=params.m
-        )
+        flipped_params = FAParams(w=-params.w, c=params.c, psi=params.psi)
         model0 = build_label_model(params, matrix)
         model1 = build_label_model(flipped_params, matrix)
         assert model1.orientation == -model0.orientation
@@ -217,26 +227,6 @@ class TestTrainLabelModel:
         assert acc > 0.85
 
 
-class TestExportFactors:
-    def test_k1_export(self, tmp_path):
-        train, _ = generate(balanced_spec(seed=16))
-        model = train_label_model(train)
-        small, _ = generate(balanced_spec(n=3, seed=15))
-        text = export_factors(model, small)
-        lines = text.strip().split("\n")
-        assert lines[0] == "factor1,score,label_pred"
-        assert len(lines) == 4
-
-    def test_gold_column_and_length_check(self, tmp_path):
-        train, gold = generate(balanced_spec(n=50, seed=18))
-        model = train_label_model(train)
-        text = export_factors(model, train, gold=gold)
-        assert text.startswith("factor1,score,label_pred,label_gold")
-        short_gold = GoldLabels(values=gold.values[:10])
-        with pytest.raises(ValidationError):
-            export_factors(model, train, gold=short_gold)
-
-
 class TestLabelModelIO:
     def test_roundtrip(self, tmp_path):
         train, _ = generate(balanced_spec(seed=19))
@@ -244,7 +234,7 @@ class TestLabelModelIO:
         p = tmp_path / "model.json"
         save_label_model(model, p)
         loaded = load_label_model(p)
-        np.testing.assert_array_equal(loaded.params.W, model.params.W)
+        np.testing.assert_array_equal(loaded.params.w, model.params.w)
         assert loaded.threshold_kind == model.threshold_kind
         assert loaded.threshold_value == model.threshold_value
         assert loaded.orientation == model.orientation
