@@ -65,7 +65,7 @@ rows = [
     ("factor model (median split)", preds.labels),
     ("majority vote", majority_vote(test)),
 ]
-ci_params, _ = fit_ci_em(train, seed=123)
+ci_params, _ = fit_ci_em(train, cfg)
 rows.append(("CI-EM baseline", (ci_posterior(ci_params, test) > 0.5).astype(np.int64)))
 rows.append(("Bayes oracle (true params)", bayes_oracle(spec_test, test)))
 

@@ -12,6 +12,7 @@ generator, tracks the Bayes oracle closely.
 import numpy as np
 
 from falabel import (
+    FitConfig,
     SyntheticSpec,
     bayes_oracle,
     ci_posterior,
@@ -40,7 +41,7 @@ for prior in (0.5, 0.3, 0.2, 0.1):
 
     fa = predict(train_label_model(train), test).labels
     mv = majority_vote(test)
-    ci_params, _ = fit_ci_em(train, seed=123)
+    ci_params, _ = fit_ci_em(train, FitConfig(seed=123))
     ci = (ci_posterior(ci_params, test) > 0.5).astype(np.int64)
     oracle = bayes_oracle(spec_test, test)
 
@@ -52,7 +53,7 @@ print("\ntraining-size robustness (balanced data, 5 repeats per size):")
 train, _ = generate(SyntheticSpec(n=3000, class_prior=0.5, seed=123, **kwargs))
 test, gold = generate(SyntheticSpec(n=1500, class_prior=0.5, seed=124, **kwargs))
 result = robustness_sweep(
-    train, test, gold, sizes=(10, 20, 30, 40, 50, 60, 1000), repeats=5, seed=123
+    train, test, gold, sizes=(10, 20, 30, 40, 50, 60, 1000), repeats=5, cfg=FitConfig(seed=123)
 )
 print(f"  {'method':<10} " + " ".join(f"{s:>8}" for s in result.sizes))
 for method in result.methods:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .fa_core import FitConfig, FitReport, _fit_loop
 from .label_model import Predictions
-from .labelling import LabelMatrix, _dump_json, _fields, _json_number, _read_json
+from .labelling import LabelMatrix, _dump_json, _fields, _float_array, _json_number, _read_json
 
 EMISSION_VALUES = (-1, 0, 1)
 PROB_FLOOR = 1e-6
@@ -37,7 +37,7 @@ class CIParams:
     def __post_init__(self):
         if not 0.0 < self.class_prior < 1.0:
             raise ValidationError(f"class_prior must be in (0, 1), got {self.class_prior}")
-        emissions = np.asarray(self.emissions, dtype=float).copy()
+        emissions = _float_array(self.emissions, "emissions").copy()
         if emissions.ndim != 3 or emissions.shape[1:] != (2, 3):
             raise ValidationError(
                 f"emissions must have shape (m, 2, 3), got {emissions.shape}"
@@ -68,30 +68,24 @@ def _log_class_scores(E: np.ndarray, class_prior: float, emissions: np.ndarray) 
     return E @ log_em + np.log([1.0 - class_prior, class_prior])
 
 
-def fit_ci_em(
-    matrix: LabelMatrix,
-    max_iter: int = 1000,
-    tol: float = 1e-4,
-    seed: int = 123,
-) -> tuple[CIParams, FitReport]:
+def fit_ci_em(matrix: LabelMatrix, cfg: FitConfig = FitConfig()) -> tuple[CIParams, FitReport]:
     """EM for the mixture-of-products model with a latent Bernoulli class.
 
     Responsibilities start from a majority-vote soft assignment plus a
-    seeded jitter to break symmetry; probabilities are floored at
+    jitter seeded by ``cfg.seed`` to break symmetry; probabilities are floored at
     PROB_FLOOR and renormalized after every M-step.  After convergence
     the classes are canonicalized so class 1 better matches vote value 1: by
     mean P(emit 1 | class), then LF by LF, with gaps of 1e-9 or less tying.
     """
     if matrix.n < 2:
         raise ValidationError(f"CI fitting requires n >= 2 rows, got {matrix.n}")
-    FitConfig(max_iter=max_iter, tol=tol, seed=seed)  # checks the three settings
     # rows as m-byte keys; votes + 1 makes byte order the order of np.unique(axis=0)
     codes = np.ascontiguousarray(matrix.values, dtype=np.int8) + 1
     keys, inverse = np.unique(codes.view(np.dtype((np.void, matrix.m))).ravel(), return_inverse=True)
     patterns = keys.view(np.int8).reshape(-1, matrix.m) - 1
     E, counts = _one_hot(patterns), np.bincount(inverse).astype(float)  # (u, 3m), (u,)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     mv = majority_vote(matrix)
     r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
     # the state: class-1 responsibility summed over each distinct row's copies
@@ -114,7 +108,7 @@ def fit_ci_em(
         mass1 = counts * np.exp(scores[:, 1] - row_ll)
         return (np.array([prior]), emissions[None], mass1[None]), np.array([counts @ row_ll])
 
-    [((prior, emissions, _), report)] = _fit_loop(step, (mass1[None],), max_iter, tol, "em", "likelihood")
+    [((prior, emissions, _), report)] = _fit_loop(step, (mass1[None],), cfg, "ci-em")
     prior = float(prior)
 
     # canonicalize by the first gap above 1e-9, so rounding cannot decide

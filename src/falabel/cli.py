@@ -161,7 +161,6 @@ def cmd_sweep(args) -> int:
         gold,
         sizes=sizes,
         repeats=args.repeats,
-        seed=args.seed,
         methods=methods,
         cfg=_fit_config(args),
         threshold_kind=THRESHOLD_FLAGS[args.threshold],

@@ -40,15 +40,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .labelling import LabelMatrix, _check_count, _fields, _json_int, _json_number
+from .labelling import LabelMatrix, _check_count, _fields, _float_array, _json_int, _json_number
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 PSI_FLOOR = 1e-6  # clamps the noise variances at every update, so constant columns keep psi > 0
+# each fitting method's name, its route, and the objective that it traces
+_OBJECTIVES = {"fa-em": "log-likelihood", "fa-vi": "evidence bound", "ci-em": "log-likelihood"}
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs shared by both fitting routes.
+    """The settings of every fit: FA-EM, FA-VI, CI-EM and the sweep take one.
 
     Parameters
     ----------
@@ -57,7 +59,7 @@ class FitConfig:
     tol : float
         Absolute objective improvement below which the fit stops; finite and > 0.
     seed : int
-        Drives CI-EM's starting jitter; the FA fits start from S alone.
+        Drives CI-EM's starting jitter and the sweep's subsamples; FA fits draw none.
     """
 
     max_iter: int = 1000
@@ -94,7 +96,7 @@ class FAParams:
 
     def __post_init__(self):
         for name in ("c", "w", "psi"):  # c first: w and psi must take its shape
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr = _float_array(getattr(self, name), name).copy()
             if arr.ndim != 1 or not arr.size or arr.shape != np.shape(self.c):
                 raise ValidationError(f"{name} must have shape (m,) with m = len(c) >= 1, got {arr.shape}")
             if not np.isfinite(arr).all():
@@ -126,8 +128,8 @@ class PosteriorMoments:
 class FitReport:
     """Optimization trace of a fit.
 
-    ``final_log_likelihood`` holds the route's objective: the Gaussian
-    log-likelihood for "em" and the evidence lower bound for "vi".
+    ``route`` is the method, "fa-em", "fa-vi" or "ci-em", and ``final_log_likelihood``
+    its objective: the evidence lower bound for "fa-vi", else the log-likelihood.
     """
 
     iterations: int
@@ -137,19 +139,21 @@ class FitReport:
     route: str
 
     def __post_init__(self):
-        if self.route not in ("em", "vi"):
-            raise ValidationError(f"route must be 'em' or 'vi', got {self.route!r}")
+        if self.route not in _OBJECTIVES:
+            raise ValidationError(f"route must be one of {tuple(_OBJECTIVES)}, got {self.route!r}")
         if self.iterations != len(self.ll_trace):
             raise ValidationError("iterations must equal the trace length")
 
 
 def _as_float_matrix(data, m: int | None = None) -> np.ndarray:
-    """``data`` as a float matrix; given the model's ``m``, it must have m columns."""
-    X = np.asarray(data.values if isinstance(data, LabelMatrix) else data, dtype=float)
+    """``data`` as a finite float matrix; given the model's ``m``, it must have m columns."""
+    X = _float_array(data.values if isinstance(data, LabelMatrix) else data, "data")
     if X.ndim != 2:
         raise ValidationError(f"data must be a 2-d array, got shape {X.shape}")
     if m is not None and X.shape[1] != m:
         raise ValidationError(f"matrix has {X.shape[1]} columns but the model expects {m}")
+    if not np.isfinite(X).all():
+        raise ValidationError("input matrix contains non-finite values")
     return X
 
 
@@ -208,16 +212,16 @@ def _row_log_likelihood(S, w, psi, Sa, aSa, H) -> np.ndarray:
     return -0.5 * (psi.shape[-1] * LOG_2PI + logdet + quad)
 
 
-def _update(S, n, w, psi, Sa, aSa, H, psi_floor: float, route: str) -> tuple[tuple, np.ndarray]:
-    """One iteration of either route: the M-step from the carried E-step, then
+def _update(S, n, w, psi, Sa, aSa, H, route: str) -> tuple[tuple, np.ndarray]:
+    """One iteration of either FA route: the M-step from the carried E-step, then
     the E-step at the new (w, psi); returns the new state and the route's objective.
 
     The M-step is w = S a / E[z^2], taken as S a times 1 / E[z^2]: at m >= 2
     that rounds as a LAPACK solve of w E[z^2] = S a does, so a fit keeps the
     bits that a solve gave it.  psi_fit = diag(S) - S a * w, and psi clamps
-    psi_fit at ``psi_floor``.
+    psi_fit at PSI_FLOOR.
 
-    "em" traces the log-likelihood at the new (w, psi).  "vi" traces the
+    "fa-em" traces the log-likelihood at the new (w, psi).  "fa-vi" traces the
     bound under the old posterior and the new (w, psi),
     -n/2 (sum psi_fit / psi + sum(log 2pi + log psi) + E[z^2] - log G - 1):
     the residual x - w a^T x and the posterior variance G through w, weighted
@@ -228,33 +232,30 @@ def _update(S, n, w, psi, Sa, aSa, H, psi_floor: float, route: str) -> tuple[tup
     Ezz = G + aSa
     w = Sa * (1.0 / Ezz)[..., None]
     psi_fit = S.diagonal(0, -2, -1) - Sa * w
-    state = _estep(S, w, np.maximum(psi_fit, psi_floor))
-    if route == "em":
+    state = _estep(S, w, np.maximum(psi_fit, PSI_FLOOR))
+    if route == "fa-em":
         return state, n * _row_log_likelihood(S, *state)
     psi = state[1]
     terms = (psi_fit / psi).sum(axis=-1) + (LOG_2PI + np.log(psi)).sum(axis=-1)
     return state, -0.5 * n * (terms + Ezz - np.log(G) - 1.0)
 
 
-_OBJECTIVES = {"em": "log-likelihood", "vi": "evidence bound"}
-
-
-def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str) -> list:
-    """The one iteration loop: every fitter steps a batch of members through it.
+def _fit_loop(step, state, cfg: FitConfig, route: str) -> list:
+    """The one iteration loop: every fitter, named by ``route``, steps a batch of members through it.
 
     ``state`` is a tuple of arrays whose leading axis runs over the members;
     ``step(state)`` returns the next state of those members and each one's
     objective there, so a member's final objective belongs to its returned
     state.  All active members step at once, and a member leaves the batch
     when an iteration after its first improves its objective by less than
-    ``tol`` (converged) or at ``max_iter``.  As each step is built from
+    ``cfg.tol`` (converged) or at ``cfg.max_iter``.  As each step is built from
     per-member operations only, every member's trace, iteration count and
     result are bit-identical to running it alone.
 
     Any failure ends the whole batch: a step that raises LinAlgError raises
     NumericalError("<error> at iteration N"), a NumericalError from the step
     passes through, and a member's non-finite objective raises
-    NumericalError("non-finite <objective> at iteration N").
+    NumericalError("non-finite <_OBJECTIVES[route]> at iteration N").
 
     Returns
     -------
@@ -274,11 +275,11 @@ def _fit_loop(step, state, max_iter: int, tol: float, route: str, objective: str
         keep = []  # positions in the batch of the members that go on
         for i, (j, value) in enumerate(zip(members, values.tolist())):
             if not math.isfinite(value):
-                raise NumericalError(f"non-finite {objective} at iteration {it + 1}")
+                raise NumericalError(f"non-finite {_OBJECTIVES[route]} at iteration {it + 1}")
             trace = traces[j]
-            converged = it > 0 and value - trace[-1] < tol
+            converged = it > 0 and value - trace[-1] < cfg.tol
             trace.append(value)
-            if converged or it + 1 == max_iter:
+            if converged or it + 1 == cfg.max_iter:
                 report = FitReport(
                     iterations=len(trace),
                     final_log_likelihood=trace[-1],
@@ -302,14 +303,12 @@ def _reduce_rows(data) -> tuple[np.ndarray, np.ndarray, int]:
     n = len(X)
     if n < 2:
         raise ValidationError(f"fitting requires n >= 2 rows, got {n}")
-    if not np.isfinite(X).all():
-        raise ValidationError("input matrix contains non-finite values")
     c = X.mean(axis=0)
     return c, _second_moment(X, c), n
 
 
 def _fit_fa_batch(datas, cfg: FitConfig, route: str) -> list:
-    """Fit each data by ``route`` ("em" or "vi") under ``cfg`` in one lockstep batch.
+    """Fit each data by ``route`` ("fa-em" or "fa-vi") under ``cfg`` in one lockstep batch.
 
     Each member's rows are checked and reduced to (n, c, S), and its start
     state is the E-step at its own svd start (w, psi); then _fit_loop steps
@@ -335,10 +334,10 @@ def _fit_fa_batch(datas, cfg: FitConfig, route: str) -> list:
 
     def step(state):
         S, n, *fit = state
-        fit, objectives = _update(S, n, *fit, PSI_FLOOR, route)
+        fit, objectives = _update(S, n, *fit, route)
         return (S, n, *fit), objectives
 
-    fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg.max_iter, cfg.tol, route, _OBJECTIVES[route])
+    fits = _fit_loop(step, tuple(map(np.stack, zip(*states))), cfg, route)
     return [(FAParams(w=w, c=c, psi=psi), report) for c, ((_, _, w, psi, *_), report) in zip(biases, fits)]
 
 
@@ -358,7 +357,7 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
         Fitted parameters (c fixed at the column means) and the
         log-likelihood trace, which is non-decreasing up to the psi clamp.
     """
-    return _fit_fa_batch([data], cfg, "em")[0]
+    return _fit_fa_batch([data], cfg, "fa-em")[0]
 
 
 def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
@@ -370,7 +369,7 @@ def fit_fa_vi(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     one factor the family holds the exact posterior: the iterates are those
     of EM, and the final bound matches the marginal log-likelihood.
     """
-    return _fit_fa_batch([data], cfg, "vi")[0]
+    return _fit_fa_batch([data], cfg, "fa-vi")[0]
 
 
 def posterior_moments(params: FAParams, data) -> PosteriorMoments:

@@ -86,12 +86,11 @@ def orient_factor(z_train: np.ndarray, matrix: LabelMatrix) -> int:
     z_train = np.asarray(z_train, dtype=float)
     if z_train.shape[0] != matrix.n:
         raise ValidationError("factor vector length must match the matrix row count")
-    voted = matrix.values != ABSTAIN
-    has_vote = voted.any(axis=1)
+    n_votes = (matrix.values != ABSTAIN).sum(axis=1)
+    has_vote = n_votes > 0
     if has_vote.sum() < 2:
         return 1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vote_mean = np.where(voted, matrix.values, 0).sum(axis=1)[has_vote] / voted.sum(axis=1)[has_vote]
+    vote_mean = (matrix.values == 1).sum(axis=1)[has_vote] / n_votes[has_vote]
     z = z_train[has_vote]
     if np.std(z) == 0 or np.std(vote_mean) == 0:
         return 1

@@ -24,6 +24,7 @@ from .errors import ValidationError
 
 ABSTAIN = -1
 VALID_ENTRIES = (-1, 0, 1)
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # a CSV cell after the strip; int() alone also takes "١" or "0_1"
 
 
 def _frozen_array(values, what: str = "entries") -> np.ndarray:
@@ -40,6 +41,14 @@ def _frozen_array(values, what: str = "entries") -> np.ndarray:
     arr = raw.astype(np.int64)  # a new array, never a view of the caller's
     arr.flags.writeable = False
     return arr
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array (maybe a view); a ragged list or a non-number is a ValidationError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -283,7 +292,7 @@ def _read_csv(path, text: str) -> tuple[list[str], list[list[str]]]:
 
 
 def _int_cells(path, rows, allowed, noun: str, where=lambda i, j: f"line {i + 2}") -> np.ndarray:
-    """The cells of ``rows`` as an int64 array, each in ``allowed``.
+    """The cells of ``rows`` as an int64 array, each ``_INTEGER`` after the strip and in ``allowed``.
 
     Else a ValidationError names the first bad cell in row-major order as the
     ``noun`` at ``where(i, j)`` (data row i, column j; by default its line).
@@ -292,12 +301,13 @@ def _int_cells(path, rows, allowed, noun: str, where=lambda i, j: f"line {i + 2}
     values = []
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
+            text = cell.strip()
             try:
-                values.append(int(cell.strip()))
+                if not _INTEGER.fullmatch(text):
+                    raise ValueError
+                values.append(int(text))  # raises too beyond int's digit limit
             except ValueError:
-                raise ValidationError(
-                    f"{Path(path)}: non-integer {noun} {cell!r} at {where(i, j)}"
-                ) from None
+                raise ValidationError(f"{Path(path)}: non-integer {noun} {cell!r} at {where(i, j)}") from None
             if values[-1] not in allowed:
                 raise ValidationError(
                     f"{Path(path)}: {noun} {values[-1]} at {where(i, j)} is not in {allowed_text}"

@@ -36,7 +36,7 @@ def _fa_labeller(params, report, train, threshold_kind, dev):
 
 
 def _fit_ci_em(train, cfg, threshold_kind, dev):
-    params, report = fit_ci_em(train, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
+    params, report = fit_ci_em(train, cfg)
     return params, report, lambda matrix: ci_predict(params, matrix).labels
 
 
@@ -45,8 +45,6 @@ def _majority(train, cfg, threshold_kind, dev):
 
 
 METHODS = {"fa-em": _fit_fa_em, "fa-vi": _fit_fa_vi, "ci-em": _fit_ci_em, "majority": _majority}
-# the FA methods' fitting routes: the sweep fits all cells of each in one batch
-_FA_ROUTES = {"fa-em": "em", "fa-vi": "vi"}
 
 
 @dataclass(frozen=True)
@@ -195,18 +193,17 @@ def robustness_sweep(
     gold_test: GoldLabels,
     sizes: tuple[int, ...] = DEFAULT_SWEEP_SIZES,
     repeats: int = 5,
-    seed: int = 123,
     methods: tuple[str, ...] = ("fa-em", "ci-em", "majority"),
-    cfg: FitConfig | None = None,
+    cfg: FitConfig = FitConfig(),
     threshold_kind: str = "median",
 ) -> SweepResult:
     """Accuracy of each method as the training set shrinks.
 
     For every (size, repeat) cell a subsample of training rows is drawn
     without replacement; all methods see the identical subsample and are
-    evaluated on the fixed test set.  ``seed`` is the one master seed: it
-    overrides ``cfg.seed``, and each cell's subsample and CI-EM seed are
-    spawned from it (FA fits draw none), so results are bit-reproducible.
+    evaluated on the fixed test set.  ``cfg.seed`` is the one master seed:
+    each cell's subsample and CI-EM seed are spawned from it (FA fits draw
+    none), so results are bit-reproducible, and ``SweepResult.seed`` records it.
 
     Each FA method fits all its cells in one lockstep batch (see
     ``fa_core._fit_fa_batch``), which is all or nothing.  If it raises, that
@@ -216,7 +213,6 @@ def robustness_sweep(
     the error of fitting it alone.
     """
     _check_count("repeats", repeats, 1)
-    cfg = replace(FitConfig() if cfg is None else cfg, seed=seed)  # checks the seed
     if not sizes:
         raise ValidationError("at least one size is required")
     if len(set(sizes)) != len(sizes):
@@ -236,7 +232,7 @@ def robustness_sweep(
         raise ValidationError("test gold labels must match the test matrix row count")
 
     # one spawned seed per (size, repeat) cell, shared across methods
-    children = np.random.SeedSequence(seed).spawn(len(sizes) * repeats)
+    children = np.random.SeedSequence(cfg.seed).spawn(len(sizes) * repeats)
     subs, cfgs = [], []  # per cell, in (size, repeat) order
     for si, size in enumerate(sizes):
         for rep in range(repeats):
@@ -246,10 +242,10 @@ def robustness_sweep(
             subs.append(LabelMatrix(values=train.values[idx], lf_names=train.lf_names))
             cfgs.append(replace(cfg, seed=int(child.generate_state(1)[0])))
     fa_fits = {}
-    for method, route in _FA_ROUTES.items():
+    for method in ("fa-em", "fa-vi"):  # the sweep fits all cells of each FA method in one batch
         if method in methods:
             with suppress(ValidationError, NumericalError):  # else its cells are fitted one by one below
-                fa_fits[method] = _fit_fa_batch(subs, cfg, route)
+                fa_fits[method] = _fit_fa_batch(subs, cfg, method)
 
     records = []
     for si, size in enumerate(sizes):
@@ -273,5 +269,5 @@ def robustness_sweep(
         sizes=tuple(sizes),
         methods=tuple(methods),
         repeats=repeats,
-        seed=seed,
+        seed=cfg.seed,
     )

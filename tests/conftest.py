@@ -23,17 +23,17 @@ def failing_em_member(monkeypatch):
     fit_loop = fa_core._fit_loop
 
     def fail(at: dict):
-        def failing_loop(step, state, max_iter, tol, route, objective):
+        def failing_loop(step, state, cfg, route):
             steps = 0
 
             def failing_step(state):
                 nonlocal steps
                 steps += 1
-                if route == "em" and any(at.get(n) == steps for n in state[1].tolist()):
+                if route == "fa-em" and any(at.get(n) == steps for n in state[1].tolist()):
                     raise np.linalg.LinAlgError("Singular matrix")
                 return step(state)
 
-            return fit_loop(failing_step, state, max_iter, tol, route, objective)
+            return fit_loop(failing_step, state, cfg, route)
 
         monkeypatch.setattr(fa_core, "_fit_loop", failing_loop)
 

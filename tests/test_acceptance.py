@@ -37,7 +37,7 @@ from falabel import (
     train_label_model,
 )
 from falabel.cli import main as cli_main
-from falabel.fa_core import PSI_FLOOR, _estep, _update
+from falabel.fa_core import _estep, _update
 
 MASTER_SEED = 123
 
@@ -142,7 +142,7 @@ def test_criterion_02_em_monotone_and_stationary():
             worst_drop = max(worst_drop, float(-diffs.min()))
         Xc = matrix.values.astype(float) - params.c
         S = Xc.T @ Xc / matrix.n
-        (w2, psi2, *_), _ = _update(S, matrix.n, *_estep(S, params.w, params.psi), PSI_FLOOR, "em")
+        (w2, psi2, *_), _ = _update(S, matrix.n, *_estep(S, params.w, params.psi), "fa-em")
         extra = FAParams(w=w2, c=params.c, psi=psi2)
         improvement = log_likelihood(extra, matrix) - log_likelihood(params, matrix)
         worst_step = max(worst_step, improvement)
@@ -227,7 +227,7 @@ def test_criterion_06_training_size_robustness():
     train, _, test, test_gold, _ = imbalanced_world()
     result = robustness_sweep(
         train, test, test_gold, sizes=(10, 1000), repeats=5,
-        seed=MASTER_SEED, methods=("fa-em",),
+        cfg=FitConfig(seed=MASTER_SEED), methods=("fa-em",),
     )
     summary = {row["size"]: row["accuracy_mean"] for row in result.summary()}
     gap = abs(summary[10] - summary[1000])
@@ -247,7 +247,7 @@ def test_criterion_07_baseline_oracles():
             values=rng.integers(-1, 2, size=(100, m)),
             lf_names=tuple(f"lf{i}" for i in range(m)),
         )
-        params, _ = fit_ci_em(matrix, seed=int(rng.integers(0, 2**31)))
+        params, _ = fit_ci_em(matrix, FitConfig(seed=int(rng.integers(0, 2**31))))
         fast = ci_posterior(params, matrix)
         for i, row in enumerate(matrix.values):
             joint = []

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from falabel import (
     CIParams,
+    FitConfig,
     LabelMatrix,
     ValidationError,
     ci_posterior,
@@ -57,6 +58,16 @@ class TestCIParams:
         with pytest.raises(ValidationError):
             CIParams(class_prior=0.5, emissions=emissions)
 
+    @pytest.mark.parametrize(
+        "emissions",
+        [[[[0.2, 0.3, 0.5], [0.2, 0.8]]], [[[0.2, 0.3, 0.5], ["a", 0.3, 0.5]]]],
+        ids=["ragged", "string"],
+    )
+    def test_rejects_ragged_or_non_numeric_tables(self, emissions):
+        # numpy's bare ValueError came through
+        with pytest.raises(ValidationError, match="^emissions must be a rectangular array of numbers$"):
+            CIParams(class_prior=0.5, emissions=emissions)
+
 
 class TestCIPosterior:
     def test_all_abstain_row_returns_prior(self):
@@ -103,13 +114,13 @@ class TestFitCIEM:
                 values=rng.integers(-1, 2, size=(60, 4)),
                 lf_names=tuple(f"lf{i}" for i in range(4)),
             )
-            _, report = fit_ci_em(matrix, seed=seed)
+            _, report = fit_ci_em(matrix, FitConfig(seed=seed))
             assert (np.diff(report.ll_trace) >= -1e-9).all()
 
     def test_perfectly_separating_lfs(self):
         values = np.array([[1, 1], [1, 1], [0, 0], [0, 0]])
         matrix = LabelMatrix(values=values, lf_names=("a", "b"))
-        params, _ = fit_ci_em(matrix, seed=0)
+        params, _ = fit_ci_em(matrix, FitConfig(seed=0))
         posterior = ci_posterior(params, matrix)
         np.testing.assert_allclose(
             posterior, brute_force_posterior(params, matrix), atol=1e-12
@@ -123,7 +134,7 @@ class TestFitCIEM:
             values=rng.integers(-1, 2, size=(50, 3)),
             lf_names=("a", "b", "c"),
         )
-        params, _ = fit_ci_em(matrix, seed=1)
+        params, _ = fit_ci_em(matrix, FitConfig(seed=1))
         swapped = CIParams(
             class_prior=1.0 - params.class_prior,
             emissions=params.emissions[:, ::-1, :].copy(),
@@ -145,7 +156,7 @@ class TestFitCIEM:
         y = rng.integers(0, 2, size=n)
         votes = np.where(rng.random((n, 3)) < 0.85, y[:, None], 1 - y[:, None])
         matrix = LabelMatrix(values=votes, lf_names=("a", "b", "c"))
-        params, _ = fit_ci_em(matrix, seed=3)
+        params, _ = fit_ci_em(matrix, FitConfig(seed=3))
         assert params.emissions[:, 1, 2].mean() > params.emissions[:, 0, 2].mean()
         posterior = ci_posterior(params, matrix)
         acc = ((posterior > 0.5).astype(int) == y).mean()
@@ -158,8 +169,8 @@ class TestFitCIEM:
         rows = np.array([[1, 0], [-1, 1]])
         interleaved = LabelMatrix(values=np.tile(rows, (copies, 1)), lf_names=("a", "b"))
         blocked = LabelMatrix(values=np.repeat(rows, copies, axis=0), lf_names=("a", "b"))
-        p1, _ = fit_ci_em(interleaved, seed=seed)
-        p2, _ = fit_ci_em(blocked, seed=seed)
+        p1, _ = fit_ci_em(interleaved, FitConfig(seed=seed))
+        p2, _ = fit_ci_em(blocked, FitConfig(seed=seed))
         assert p1.class_prior == pytest.approx(p2.class_prior, abs=1e-9)
         np.testing.assert_allclose(p1.emissions, p2.emissions, rtol=0.0, atol=1e-9)
         np.testing.assert_array_equal(
@@ -172,7 +183,7 @@ class TestFitCIEM:
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
-            fit_ci_em(LabelMatrix(values=[[1, 0], [0, 1]], lf_names=("a", "b")), seed=-3)
+            fit_ci_em(LabelMatrix(values=[[1, 0], [0, 1]], lf_names=("a", "b")), FitConfig(seed=-3))
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(15)
@@ -180,15 +191,15 @@ class TestFitCIEM:
             values=rng.integers(-1, 2, size=(40, 3)),
             lf_names=("a", "b", "c"),
         )
-        p1, r1 = fit_ci_em(matrix, seed=11)
-        p2, r2 = fit_ci_em(matrix, seed=11)
+        p1, r1 = fit_ci_em(matrix, FitConfig(seed=11))
+        p2, r2 = fit_ci_em(matrix, FitConfig(seed=11))
         np.testing.assert_array_equal(p1.emissions, p2.emissions)
         assert r1.ll_trace == r2.ll_trace
 
     def test_degenerate_constant_lf(self):
         values = np.column_stack([np.ones(30, dtype=int), np.zeros(30, dtype=int)])
         matrix = LabelMatrix(values=values, lf_names=("a", "b"))
-        params, report = fit_ci_em(matrix, seed=2)
+        params, report = fit_ci_em(matrix, FitConfig(seed=2))
         assert (np.diff(report.ll_trace) >= -1e-9).all()
         assert (params.emissions >= 1e-6).all()
 
@@ -237,18 +248,18 @@ def test_capped_fit_reports_likelihood_of_returned_params(max_iter):
         values=np.random.default_rng(8).integers(-1, 2, size=(500, 5)),
         lf_names=tuple(f"lf{i}" for i in range(5)),
     )
-    params, report = fit_ci_em(matrix, max_iter=max_iter, seed=4)
+    params, report = fit_ci_em(matrix, FitConfig(max_iter=max_iter, seed=4))
     assert not report.converged and report.iterations == max_iter
     scores = _log_class_scores(_one_hot(matrix.values), params.class_prior, params.emissions)
     recomputed = float(logsumexp(scores, axis=1).sum())
     assert recomputed == pytest.approx(report.final_log_likelihood, rel=1e-12, abs=0.0)
 
 
-def row_wise_fit_ci_em(matrix: LabelMatrix, max_iter=1000, tol=1e-4, seed=123):
+def row_wise_fit_ci_em(matrix: LabelMatrix, cfg=FitConfig()):
     """Reference: the same EM over every row, with an (n, m, 3) one-hot and
     one einsum for each of the M-step and the E-step."""
     E = np.stack([matrix.values == v for v in EMISSION_VALUES], axis=2).astype(float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     mv = majority_vote(matrix)
     r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
     r1 = np.clip(r1, 0.05, 0.95)
@@ -264,15 +275,16 @@ def row_wise_fit_ci_em(matrix: LabelMatrix, max_iter=1000, tol=1e-4, seed=123):
         resp1 = np.exp(scores[:, 1] - row_ll)
         return (np.array([prior]), emissions[None], resp1[None]), np.array([row_ll.sum()])
 
-    (prior, emissions, _), report = _fit_loop(step, (r1[None],), max_iter, tol, "em", "likelihood")[0]
+    (prior, emissions, _), report = _fit_loop(step, (r1[None],), cfg, "ci-em")[0]
     if emissions[:, 0, 2].mean() > emissions[:, 1, 2].mean():
         prior, emissions = 1.0 - prior, emissions[:, ::-1, :]
     return prior, emissions, report
 
 
 def assert_fit_matches_row_wise(matrix: LabelMatrix, **kwargs):
-    params, report = fit_ci_em(matrix, **kwargs)
-    prior, emissions, expected = row_wise_fit_ci_em(matrix, **kwargs)
+    cfg = FitConfig(**kwargs)
+    params, report = fit_ci_em(matrix, cfg)
+    prior, emissions, expected = row_wise_fit_ci_em(matrix, cfg)
     assert (report.iterations, report.converged) == (expected.iterations, expected.converged)
     tied = abs(emissions[:, 0, 2].mean() - emissions[:, 1, 2].mean()) < 1e-9
     if tied and not np.allclose(params.emissions, emissions, rtol=0.0, atol=1e-9):
@@ -319,7 +331,7 @@ class TestCompressedFitEdgeCases:
     def test_every_row_the_same_pattern(self, row):
         matrix = lf_matrix(np.tile(row, (50, 1)))
         assert_fit_matches_row_wise(matrix, seed=6)
-        posterior = ci_posterior(fit_ci_em(matrix, seed=6)[0], matrix)
+        posterior = ci_posterior(fit_ci_em(matrix, FitConfig(seed=6))[0], matrix)
         assert np.isfinite(posterior).all() and np.ptp(posterior) == 0.0
 
     def test_every_row_distinct(self):

@@ -50,7 +50,7 @@ class TestFit:
         model = load_label_model(model_path)
         assert model.params.m == 4
         report = json.loads(report_path.read_text())
-        assert report["route"] == "em" and report["converged"]
+        assert report["route"] == "fa-em" and report["converged"]
 
     def test_fit_deterministic(self, world):
         tmp, paths = world
@@ -61,10 +61,12 @@ class TestFit:
 
     def test_fit_ci_route(self, world):
         tmp, paths = world
-        out = tmp / "ci.json"
-        assert main(["fit", str(paths["train"]), "--route", "ci-em", "--out", str(out)]) == 0
+        out, report = tmp / "ci.json", tmp / "ci_report.json"
+        code = main(["fit", str(paths["train"]), "--route", "ci-em", "--out", str(out), "--report", str(report)])
+        assert code == 0
         payload = json.loads(out.read_text())
         assert "emissions" in payload and "class_prior" in payload
+        assert json.loads(report.read_text())["route"] == "ci-em"  # it was "em", as FA-EM's
 
     def test_fit_vi_route(self, world):
         tmp, paths = world
@@ -74,7 +76,7 @@ class TestFit:
             ["fit", str(paths["train"]), "--route", "fa-vi", "--out", str(out), "--report", str(report)]
         )
         assert code == 0
-        assert json.loads(report.read_text())["route"] == "vi"
+        assert json.loads(report.read_text())["route"] == "fa-vi"
 
     def test_fit_majority_rejected(self, world, capsys):
         tmp, paths = world

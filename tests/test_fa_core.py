@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from falabel import (
     log_likelihood,
     posterior_moments,
 )
+from falabel import fa_core
 from falabel.fa_core import (
     LOG_2PI,
     PSI_FLOOR,
@@ -118,6 +120,42 @@ class TestPosteriorMoments:
             posterior_moments(params, np.zeros((2, 3)))
 
 
+# A non-finite row is the fit's ValidationError wherever the rows go: log_likelihood
+# returned nan for it, and posterior_moments raised a NumericalError.
+@pytest.mark.parametrize(
+    "run",
+    [
+        fit_fa_em,
+        fit_fa_vi,
+        lambda X: log_likelihood(FAParams(w=[1.0], c=[0.0], psi=[1.0]), X),
+        lambda X: posterior_moments(FAParams(w=[1.0], c=[0.0], psi=[1.0]), X),
+    ],
+    ids=["fit_fa_em", "fit_fa_vi", "log_likelihood", "posterior_moments"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rows_rejected(run, bad):
+    with pytest.raises(ValidationError, match="^input matrix contains non-finite values$"):
+        run([[bad], [1.0]])
+
+
+# A ragged or non-numeric input raised numpy's bare ValueError.
+@pytest.mark.parametrize(
+    "run, what",
+    [
+        (lambda: FAParams(w=[1.0, [2.0]], c=[0.0, 0.0], psi=[1.0, 1.0]), "w"),
+        (lambda: FAParams(w=["a"], c=[0.0], psi=[1.0]), "w"),
+        (lambda: FAParams(w=[1.0], c=[[0.0], 0.0], psi=[1.0]), "c"),
+        (lambda: posterior_moments(FAParams(w=[1.0], c=[0.0], psi=[1.0]), [["a"]]), "data"),
+        (lambda: fit_fa_em([[1.0, 2.0], [1.0]]), "data"),
+        (lambda: log_likelihood(FAParams(w=[1.0], c=[0.0], psi=[1.0]), [[1.0], [{}]]), "data"),
+    ],
+    ids=["ragged-w", "string-w", "ragged-c", "string-rows", "ragged-rows", "object-rows"],
+)
+def test_ragged_or_non_numeric_input_rejected(run, what):
+    with pytest.raises(ValidationError, match=f"^{what} must be a rectangular array of numbers$"):
+        run()
+
+
 class TestLogLikelihood:
     def test_row_at_bias_zero_loadings(self):
         params = FAParams(w=np.zeros(2), c=[0.5, -0.5], psi=[1.0, 1.0])
@@ -205,7 +243,7 @@ class TestFitEM:
         assert report.converged
         Xc = m.values.astype(float) - params.c
         S = Xc.T @ Xc / m.n
-        (w2, psi2, *_), _ = _update(S, m.n, *_estep(S, params.w, params.psi), PSI_FLOOR, "em")
+        (w2, psi2, *_), _ = _update(S, m.n, *_estep(S, params.w, params.psi), "fa-em")
         extra = FAParams(w=w2, c=params.c, psi=psi2)
         before = log_likelihood(params, m)
         after = log_likelihood(extra, m)
@@ -254,7 +292,7 @@ class TestFitEM:
     def test_non_finite_tol_rejected(self, tol):
         # tol=inf stopped every fit after two iterations and reported it converged
         matrix = LabelMatrix(values=[[1, 0], [0, 1], [1, 1]], lf_names=("a", "b"))
-        for fit in (lambda: fit_fa_em(matrix, FitConfig(tol=tol)), lambda: fit_ci_em(matrix, tol=tol)):
+        for fit in (lambda: fit_fa_em(matrix, FitConfig(tol=tol)), lambda: fit_ci_em(matrix, FitConfig(tol=tol))):
             with pytest.raises(ValidationError, match=f"^tol must be finite and > 0, got {tol}$"):
                 fit()
 
@@ -262,7 +300,7 @@ class TestFitEM:
         # it ignored the cap and ran to convergence
         matrix = LabelMatrix(values=[[1, 0], [0, 1], [1, 1]], lf_names=("a", "b"))
         with pytest.raises(ValidationError, match="^max_iter must be an integer, got 2.5$"):
-            fit_ci_em(matrix, max_iter=2.5)
+            fit_ci_em(matrix, FitConfig(max_iter=2.5))
 
     def test_numpy_integer_counts_accepted(self):
         cfg = FitConfig(max_iter=np.int32(3), tol=np.float32(1e-3), seed=np.uint8(7))
@@ -321,7 +359,7 @@ class TestFitVI:
         )
         _, report = fit_fa_vi(m)
         assert (np.diff(report.ll_trace) >= -1e-9).all()
-        assert report.route == "vi"
+        assert report.route == "fa-vi"
 
 
 class TestParamsIO:
@@ -432,19 +470,19 @@ def row_wise_fit_fa(X, cfg, route):
     """
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / len(Xc)
-    row_wise = {"em": row_wise_em_update, "vi": row_wise_vi_update}[route]
+    row_wise = {"fa-em": row_wise_em_update, "fa-vi": row_wise_vi_update}[route]
     steps = []
 
     def step(state):  # a batch of one: each state array has a member axis
         state = tuple(x[0] for x in state)
-        new_state, value = _update(S, len(Xc), *_estep(S, *state), PSI_FLOOR, route)
+        new_state, value = _update(S, len(Xc), *_estep(S, *state), route)
         # the row-wise references hold the loadings as the one column of W
         (W, psi), row_wise_value = row_wise(Xc, state[0][:, None], state[1], PSI_FLOOR)
         steps.append(((new_state[:2], value), ((W[:, 0], psi), row_wise_value)))
         return (W[None, :, 0], psi[None]), np.array([row_wise_value])
 
     initial = tuple(x[None] for x in _init_params(S))
-    state, report = _fit_loop(step, initial, cfg.max_iter, cfg.tol, route, "objective")[0]
+    state, report = _fit_loop(step, initial, cfg, route)[0]
     return state, report, steps
 
 
@@ -458,7 +496,7 @@ def lf_matrices_and_configs(draw):
     return pool[rng.integers(0, len(pool), size=n)].astype(float), cfg
 
 
-@given(lf_matrices_and_configs(), st.sampled_from(["em", "vi"]))
+@given(lf_matrices_and_configs(), st.sampled_from(["fa-em", "fa-vi"]))
 def test_second_moment_fit_matches_row_wise_fit(data, route):
     X, cfg = data
     (W, psi), expected, steps = row_wise_fit_fa(X, cfg, route)
@@ -469,7 +507,7 @@ def test_second_moment_fit_matches_row_wise_fit(data, route):
         np.testing.assert_allclose(W1, W0, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(psi1, psi0, rtol=0.0, atol=1e-9)
         assert abs(value1 - value0) <= atol
-    params, report = (fit_fa_em if route == "em" else fit_fa_vi)(X, cfg)
+    params, report = (fit_fa_em if route == "fa-em" else fit_fa_vi)(X, cfg)
     assert (report.iterations, report.converged) == (expected.iterations, expected.converged)
     np.testing.assert_allclose(report.ll_trace, expected.ll_trace, rtol=0.0, atol=atol)
     np.testing.assert_allclose(params.w, W, rtol=0.0, atol=1e-9)
@@ -481,7 +519,7 @@ def test_no_trace_step_falls(data):
     # EM and coordinate ascent never lower their objective: 1e-9 relative allows rounding only
     X, cfg = data
     matrix = LabelMatrix(values=X.astype(int), lf_names=[f"lf{j}" for j in range(X.shape[1])])
-    for _, report in (fit_fa_em(X, cfg), fit_fa_vi(X, cfg), fit_ci_em(matrix, seed=cfg.seed)):
+    for _, report in (fit_fa_em(X, cfg), fit_fa_vi(X, cfg), fit_ci_em(matrix, cfg)):
         for before, after in zip(report.ll_trace, report.ll_trace[1:]):
             assert after - before >= -1e-9 * max(1.0, abs(before)), (report.route, before, after)
 
@@ -560,10 +598,12 @@ def test_objectives_match_the_m_by_m_references(state):
         magnitude = 0.5 * n * (len(psi) * LOG_2PI + np.abs(np.log(psi)).sum() + (np.diag(S) / psi).sum())
         assert abs(value - expected) <= 1e-9 * magnitude, (value, expected, magnitude)
 
-    (w1, psi1, *_), value = _update(S, n, *_estep(S, w, psi), psi_floor, "em")
+    with patch.object(fa_core, "PSI_FLOOR", psi_floor):  # the floor the update clamps at
+        (w1, psi1, *_), value = _update(S, n, *_estep(S, w, psi), "fa-em")
     assert (psi1 == psi_floor).any() or not (np.diag(S) == 0).any()
     close(value, reference_gaussian_ll(S, n, w1, psi1), psi1)
-    (w1, psi1, *_), value = _update(S, n, *_estep(S, w, psi), psi_floor, "vi")
+    with patch.object(fa_core, "PSI_FLOOR", psi_floor):
+        (w1, psi1, *_), value = _update(S, n, *_estep(S, w, psi), "fa-vi")
     close(value, reference_elbo(S, n, w1, psi1, *exact_posterior(w, psi)), psi1)
     params = FAParams(w=w, c=X.mean(axis=0), psi=psi)
     close(log_likelihood(params, X), reference_gaussian_ll(S, n, w, psi), psi)
@@ -594,10 +634,10 @@ def lf_batches(draw):
     return datas, overflowing
 
 
-@given(lf_batches(), st.sampled_from(["em", "vi"]))
+@given(lf_batches(), st.sampled_from(["fa-em", "fa-vi"]))
 def test_batched_fit_equals_one_at_a_time_fits(batch, route):
     (datas, overflowing), cfg = batch, FitConfig()
-    fit = fit_fa_em if route == "em" else fit_fa_vi
+    fit = fit_fa_em if route == "fa-em" else fit_fa_vi
     with np.errstate(all="ignore"):
         if overflowing is not None:
             # the batch is all or nothing: it raises the failing member's solo error
@@ -627,7 +667,7 @@ def test_batched_fit_equals_one_at_a_time_fits(batch, route):
     [
         (np.linalg.LinAlgError("Singular matrix"), "Singular matrix at iteration 3"),
         (NumericalError("posterior precision not positive definite"), "posterior precision not positive definite"),
-        (None, "non-finite objective at iteration 3"),
+        (None, "non-finite log-likelihood at iteration 3"),
     ],
 )
 def test_a_failing_member_fails_the_whole_batch(failure, message):
@@ -641,7 +681,7 @@ def test_a_failing_member_fails_the_whole_batch(failure, message):
         return (x,), np.where(x == 3, np.nan, -1.0 / x)
 
     with pytest.raises(NumericalError) as info:
-        _fit_loop(step, (np.array([10.0, 0.0, 20.0]),), 50, 1e-9, "em", "objective")
+        _fit_loop(step, (np.array([10.0, 0.0, 20.0]),), FitConfig(max_iter=50, tol=1e-9), "fa-em")
     assert str(info.value) == message
     if isinstance(failure, NumericalError):
         assert info.value is failure  # passed through unchanged
@@ -654,6 +694,6 @@ def test_a_failed_batch_raises_its_first_failure(failing_em_member):
     datas = [generate(SyntheticSpec(n=n, seed=n, **spec))[0] for n in (40, 50, 60)]
     failing_em_member({50: 3, 60: 6})
     with pytest.raises(NumericalError, match="^Singular matrix at iteration 3$"):
-        _fit_fa_batch(datas, FitConfig(), "em")
+        _fit_fa_batch(datas, FitConfig(), "fa-em")
     with pytest.raises(NumericalError, match="^Singular matrix at iteration 6$"):
         fit_fa_em(datas[2])

@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import re
 import tempfile
 from pathlib import Path
 
@@ -268,11 +269,20 @@ def test_edge_files_read_as_the_general_reader_reads_them(tmp_path, content):
     assert outcome(load_gold_labels, path) == outcome(general_gold_labels, path)
 
 
+def ascii_int(cell: str) -> int:
+    """``int`` of the stripped cell, limited to ASCII and to no digit underscores:
+    ``int`` alone also reads "١" (U+0661) and "0_1" as 1."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def two_pass_int_cells(path, rows, allowed, noun, where=lambda i, j: f"line {i + 2}"):
     """The two-pass form of ``_int_cells``, kept as its reference: a bulk parse,
     then, when that fails, a scan for the first bad cell in row-major order."""
     try:
-        cells = map(int, map(str.strip, itertools.chain.from_iterable(rows)))
+        cells = map(ascii_int, itertools.chain.from_iterable(rows))
         values = np.fromiter(cells, np.int64, len(rows) * len(rows[0])).reshape(len(rows), -1)
         if np.isin(values, allowed).all():
             return values
@@ -282,7 +292,7 @@ def two_pass_int_cells(path, rows, allowed, noun, where=lambda i, j: f"line {i +
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             try:
-                value = int(cell.strip())
+                value = ascii_int(cell)
             except ValueError:
                 raise ValidationError(
                     f"{Path(path)}: non-integer {noun} {cell!r} at {where(i, j)}"
@@ -296,7 +306,7 @@ def two_pass_int_cells(path, rows, allowed, noun, where=lambda i, j: f"line {i +
 integer_cells = st.sampled_from(["-1", "0", "1", " 1", "0\t", "+1", "01", "-0"])
 bad_cells = st.one_of(
     st.sampled_from(
-        ["2", "-2", str(2**63), str(-(2**64)), "1" * 4301, "1.0", "x", "", "1_0", "1e0", "- 1"]
+        ["2", "-2", str(2**63), str(-(2**64)), "1" * 4301, "1.0", "x", "", "1_0", "1e0", "- 1", "\u0661", "0_1"]
     ),
     st.text(max_size=3),
 )
@@ -350,6 +360,27 @@ def test_predictions_csv_roundtrip(labels, data):
     scores = data.draw(arrays(float, labels.shape, elements=finite))
     preds = Predictions(labels=labels, scores=scores)
     np.testing.assert_array_equal(roundtrip(preds, save_predictions, _load_prediction_labels), labels)
+
+
+@pytest.mark.parametrize("cell, expected", [("\u0661", None), ("0_1", None), (" 01 ", 1), ("+1", 1)])
+@pytest.mark.parametrize(
+    "header, prefix, load",
+    [
+        ("a", "", lambda path: load_label_matrix(path).values[:, 0].tolist()),
+        ("y", "", lambda path: load_gold_labels(path).values.tolist()),
+        ("index,score,label", "0,0.5,", lambda path: _load_prediction_labels(path).tolist()),
+    ],
+    ids=["matrix", "gold", "predictions"],
+)
+def test_a_cell_is_an_ascii_integer(tmp_path, cell, expected, header, prefix, load):
+    # int() alone read the Arabic-Indic digit one and "0_1" as votes of 1
+    path = tmp_path / "f.csv"
+    path.write_text(f"{header}\n{prefix}0\n{prefix}{cell}\n", encoding="utf-8")
+    if expected is None:
+        with pytest.raises(ValidationError, match=f"non-integer [a-z]+ {re.escape(repr(cell))} at "):
+            load(path)
+    else:
+        assert load(path) == [0, expected]
 
 
 @given(label_matrices().filter(lambda matrix: matrix.n >= 2))

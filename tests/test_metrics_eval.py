@@ -150,7 +150,7 @@ class TestRobustnessSweep:
     def test_output_shape(self):
         train, test, gold = small_world()
         result = robustness_sweep(
-            train, test, gold, sizes=(10, 20), repeats=3, seed=7
+            train, test, gold, sizes=(10, 20), repeats=3, cfg=FitConfig(seed=7)
         )
         assert len(result.records) == 2 * 3 * 3  # sizes x methods x repeats
         assert len(result.summary()) == 2 * 3  # methods x sizes
@@ -160,7 +160,7 @@ class TestRobustnessSweep:
 
         train, test, gold = small_world(seed=5)
         result = robustness_sweep(
-            train, test, gold, sizes=(train.n,), repeats=1, seed=7, methods=("fa-em",)
+            train, test, gold, sizes=(train.n,), repeats=1, cfg=FitConfig(seed=7), methods=("fa-em",)
         )
         model = train_label_model(train, FitConfig(seed=7))
         direct = evaluate(predict(model, test).labels, gold)
@@ -168,8 +168,8 @@ class TestRobustnessSweep:
 
     def test_bit_reproducible(self):
         train, test, gold = small_world(seed=6)
-        r1 = robustness_sweep(train, test, gold, sizes=(15, 30), repeats=2, seed=42)
-        r2 = robustness_sweep(train, test, gold, sizes=(15, 30), repeats=2, seed=42)
+        r1 = robustness_sweep(train, test, gold, sizes=(15, 30), repeats=2, cfg=FitConfig(seed=42))
+        r2 = robustness_sweep(train, test, gold, sizes=(15, 30), repeats=2, cfg=FitConfig(seed=42))
         assert r1.to_csv() == r2.to_csv()
 
     def test_size_exceeding_rows_rejected(self):
@@ -180,7 +180,7 @@ class TestRobustnessSweep:
     def test_record_order(self):
         train, test, gold = small_world(seed=8)
         result = robustness_sweep(
-            train, test, gold, sizes=(10, 20), repeats=2, seed=1,
+            train, test, gold, sizes=(10, 20), repeats=2, cfg=FitConfig(seed=1),
             methods=("fa-em", "majority"),
         )
         keys = [(r.size, r.method, r.repeat) for r in result.records]
@@ -188,7 +188,7 @@ class TestRobustnessSweep:
 
     def test_csv_header(self):
         train, test, gold = small_world(seed=9)
-        result = robustness_sweep(train, test, gold, sizes=(10,), repeats=1, seed=3)
+        result = robustness_sweep(train, test, gold, sizes=(10,), repeats=1, cfg=FitConfig(seed=3))
         assert result.to_csv().startswith("method,size,repeat,accuracy,precision,recall,f1")
 
     @pytest.mark.parametrize(
@@ -199,7 +199,7 @@ class TestRobustnessSweep:
     def test_duplicate_sizes_or_methods_rejected(self, kwargs):
         train, test, gold = small_world(seed=10)
         with pytest.raises(ValidationError, match="must be distinct"):
-            robustness_sweep(train, test, gold, repeats=2, seed=5, **{"sizes": (10,), **kwargs})
+            robustness_sweep(train, test, gold, repeats=2, cfg=FitConfig(seed=5), **{"sizes": (10,), **kwargs})
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -214,13 +214,13 @@ class TestRobustnessSweep:
     def test_bad_count_rejected(self, kwargs, message):
         train, test, gold = small_world(seed=10)
         with pytest.raises(ValidationError) as exc:
-            robustness_sweep(train, test, gold, seed=5, **{"sizes": (10,), "repeats": 1, **kwargs})
+            robustness_sweep(train, test, gold, cfg=FitConfig(seed=5), **{"sizes": (10,), "repeats": 1, **kwargs})
         assert str(exc.value) == message
 
     def test_negative_seed_rejected(self):
         train, test, gold = small_world(seed=10)
         with pytest.raises(ValidationError, match="seed must be >= 0"):
-            robustness_sweep(train, test, gold, sizes=(10,), repeats=1, seed=-3)
+            robustness_sweep(train, test, gold, sizes=(10,), repeats=1, cfg=FitConfig(seed=-3))
 
     @pytest.mark.parametrize("ci_fails, fa_fails, expected", [
         ((20, 0), {1, 3}, "fa cell 1"),  # (10, fa-em, 1) comes before (20, ci-em, 0)
@@ -254,13 +254,28 @@ class TestRobustnessSweep:
         monkeypatch.setattr(metrics_eval, "fit_fa_em", failing_fa)
         monkeypatch.setitem(metrics_eval.METHODS, "ci-em", failing_ci)
         with pytest.raises(NumericalError, match=expected):
-            robustness_sweep(train, test, gold, sizes=(10, 20), repeats=2, seed=4, methods=("ci-em", "fa-em"))
+            robustness_sweep(
+                train, test, gold, sizes=(10, 20), repeats=2, cfg=FitConfig(seed=4), methods=("ci-em", "fa-em")
+            )
 
 
-def one_cell_at_a_time(train, test, gold_test, sizes, repeats, seed, methods, cfg, threshold_kind):
+def test_sweep_master_seed_is_cfg_seed():
+    # the sweep overwrote cfg.seed with its own seed argument, 123 by default
+    train, test, gold = small_world(seed=12)
+    world = dict(
+        train=train, test=test, gold_test=gold, sizes=(10, 20), repeats=2,
+        methods=tuple(metrics_eval.METHODS), cfg=FitConfig(seed=7), threshold_kind="median",
+    )
+    result = robustness_sweep(**world)
+    assert result.seed == 7
+    assert result.to_csv() == one_cell_at_a_time(**world)
+    assert result.to_csv() != robustness_sweep(**{**world, "cfg": FitConfig()}).to_csv()
+
+
+def one_cell_at_a_time(train, test, gold_test, sizes, repeats, methods, cfg, threshold_kind):
     """Reference: the sweep loop as it ran before the FA cells were batched,
     fitting every (size, method, repeat) cell alone through the method table."""
-    children = np.random.SeedSequence(seed).spawn(len(sizes) * repeats)
+    children = np.random.SeedSequence(cfg.seed).spawn(len(sizes) * repeats)
     subsamples = {}
     for si, size in enumerate(sizes):
         for rep in range(repeats):
@@ -295,8 +310,8 @@ def sweep_worlds(draw):
     sizes = tuple(draw(st.lists(st.integers(2, train.n), min_size=1, max_size=3, unique=True)))
     return dict(
         train=train, test=test, gold_test=gold, sizes=sizes, repeats=draw(st.integers(1, 3)),
-        seed=draw(st.integers(0, 2**16)), methods=tuple(draw(st.permutations(list(metrics_eval.METHODS)))),
-        cfg=FitConfig(), threshold_kind=draw(st.sampled_from(["median", "mean"])),
+        methods=tuple(draw(st.permutations(list(metrics_eval.METHODS)))),
+        cfg=FitConfig(seed=draw(st.integers(0, 2**16))), threshold_kind=draw(st.sampled_from(["median", "mean"])),
     )
 
 
@@ -316,8 +331,8 @@ def test_sweep_csv_equals_one_cell_at_a_time(world):
 def test_sweep_fit_failure_raises_what_one_cell_at_a_time_raises(failing_em_member):
     train, test, gold = small_world(seed=3)
     world = dict(
-        train=train, test=test, gold_test=gold, sizes=(10, 20, 30), repeats=2, seed=7,
-        methods=("ci-em", "fa-em"), cfg=FitConfig(), threshold_kind="median",
+        train=train, test=test, gold_test=gold, sizes=(10, 20, 30), repeats=2,
+        methods=("ci-em", "fa-em"), cfg=FitConfig(seed=7), threshold_kind="median",
     )
     # the batch fails at iteration 3, by a size-30 cell; alone, the size-20 cells
     # fail first in sweep order, at iteration 5

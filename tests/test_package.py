@@ -2,6 +2,7 @@
 no private function left without a caller."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -66,3 +67,21 @@ def test_every_private_function_has_a_caller_in_src():
         and read[node.name] == names_read(node)[node.name]  # read in its own body only, if at all
     ]
     assert uncalled == []
+
+
+FIT_SETTINGS = {"max_iter", "tol", "seed"}
+
+
+def test_fit_settings_come_in_one_fit_config():
+    # fit_ci_em took loose max_iter/tol/seed, and robustness_sweep a seed that overrode cfg.seed
+    for name in ("fit_fa_em", "fit_fa_vi", "fit_ci_em", "train_label_model", "robustness_sweep"):
+        parameters = inspect.signature(getattr(falabel, name)).parameters
+        assert "cfg" in parameters and not FIT_SETTINGS & set(parameters), name
+    loose = [
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and FIT_SETTINGS & {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+    ]
+    assert loose == []
