@@ -23,6 +23,7 @@ from .labelling import (
     LabelMatrix,
     _dump_json,
     _fields,
+    _float_array,
     _int_cells,
     _json_int,
     _json_number,
@@ -83,7 +84,7 @@ def orient_factor(z_train: np.ndarray, matrix: LabelMatrix) -> int:
     abstain everywhere are excluded.  Returns +1 on non-negative or
     undefined correlation, -1 otherwise.
     """
-    z_train = np.asarray(z_train, dtype=float)
+    z_train = _float_array(z_train, "factor vector")
     if z_train.shape[0] != matrix.n:
         raise ValidationError("factor vector length must match the matrix row count")
     n_votes = (matrix.values != ABSTAIN).sum(axis=1)
@@ -101,8 +102,10 @@ def orient_factor(z_train: np.ndarray, matrix: LabelMatrix) -> int:
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """The standard normal CDF of a 1-d array, Phi(x) = erfc(-x / sqrt 2) / 2."""
-    return 0.5 * np.fromiter(map(math.erfc, (x * -math.sqrt(0.5)).tolist()), float, len(x))
+    """The standard normal CDF of a 1-d array, Phi(x) = erfc(-x / sqrt 2) / 2, with one
+    ``math.erfc`` call per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return 0.5 * np.fromiter(map(math.erfc, (values * -math.sqrt(0.5)).tolist()), float, len(values))[inverse]
 
 
 def _latent_threshold(kind: str, z_raw: np.ndarray) -> float:
@@ -121,7 +124,7 @@ def youden_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float
     -------
     (threshold, j_statistic)
     """
-    scores = np.asarray(scores, dtype=float)
+    scores = _float_array(scores, "scores")
     gold = np.asarray(gold)  # no integer cast, which would take a label of 0.5 as 0
     if scores.shape != gold.shape:
         raise ValidationError("scores and gold labels must have equal length")

@@ -22,6 +22,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+try:
+    from re import _parser as _sre_parse  # Python 3.11+
+except ImportError:  # Python 3.10
+    import sre_parse as _sre_parse
+
 ABSTAIN = -1
 VALID_ENTRIES = (-1, 0, 1)
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # a CSV cell after the strip; int() alone also takes "١" or "0_1"
@@ -49,6 +54,33 @@ def _float_array(values, what: str) -> np.ndarray:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+
+
+def _needles(items, fold: bool) -> frozenset[str]:
+    """Strings one of which every match of the parsed regex sequence ``items`` contains.
+
+    Each maximal run of ASCII literals is a candidate set of one needle; a group
+    that sets or clears no flag gives its own sequence's set, and a branch the
+    union of its branches' sets.  Every other op is opaque.  The first candidate
+    whose shortest needle is longest wins, without the needles that contain
+    another one.  With no candidate the set is ``{""}``, which every record
+    contains, so a branch with such a branch gives ``{""}`` too.  ``fold``
+    lowercases the needles, for a pattern under a global ``(?i)``.
+    """
+    candidates, run = [], ""
+    for op, arg in [*items, (None, None)]:
+        if op == _sre_parse.LITERAL and arg < 128:
+            run += chr(arg).lower() if fold else chr(arg)
+            continue
+        if run:
+            candidates.append({run})
+            run = ""
+        if op == _sre_parse.SUBPATTERN and not arg[1] and not arg[2]:
+            candidates.append(_needles(arg[3], fold))
+        elif op == _sre_parse.BRANCH:
+            candidates.append(set().union(*(_needles(branch, fold) for branch in arg[1])))
+    best = max(candidates, key=lambda needles: min(map(len, needles)), default={""})
+    return frozenset(n for n in best if not any(o != n and o in n for o in best))
 
 
 @dataclass(frozen=True)
@@ -106,7 +138,10 @@ class LFSpec:
     Matching records receive ``vote_on_match`` (0 or 1); everything else
     abstains.  Keyword matching is case-insensitive substring search;
     regex patterns are compiled as given (use inline flags such as
-    ``(?i)`` for case-insensitive regexes).
+    ``(?i)`` for case-insensitive regexes) and vote exactly as
+    ``re.search``.  A regex runs only on the records that contain one of
+    its needles (see ``_needles``) or are not ASCII, since ``str.lower``
+    does not fold case as ``re`` does (ſ and s, K and k).
     """
 
     name: str
@@ -114,6 +149,7 @@ class LFSpec:
     pattern: str
     vote_on_match: int
     _regex: re.Pattern | None = field(init=False, repr=False, compare=False, default=None)
+    _needles: frozenset[str] = field(init=False, repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
@@ -129,6 +165,8 @@ class LFSpec:
                 object.__setattr__(self, "_regex", re.compile(self.pattern))
             except re.error as exc:
                 raise ValidationError(f"LF '{self.name}': invalid regex: {exc}") from exc
+            fold = bool(self._regex.flags & re.IGNORECASE)
+            object.__setattr__(self, "_needles", _needles(_sre_parse.parse(self.pattern), fold))
 
     def _hits(self, records: list[str], lowered: list[str]) -> list[bool]:
         """Whether this LF fires on each record; ``lowered`` holds the records
@@ -136,8 +174,12 @@ class LFSpec:
         if self.kind == "keyword":
             keyword = self.pattern.lower()
             return [keyword in text for text in lowered]
+        texts = lowered if self._regex.flags & re.IGNORECASE else records
+        maybe = [not text.isascii() for text in records]
+        for needle in self._needles:
+            maybe = [hit or needle in text for hit, text in zip(maybe, texts)]
         search = self._regex.search
-        return [search(text) is not None for text in records]
+        return [hit and search(text) is not None for hit, text in zip(maybe, records)]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _check_count, _dump_json, _fields, _json_int, _json_number, _read_json
+from .labelling import ABSTAIN, GoldLabels, LabelMatrix, _check_count, _dump_json, _fields, _float_array, _json_int, _json_number, _read_json
 
 
 @dataclass(frozen=True)
@@ -36,23 +36,28 @@ class SyntheticSpec:
     def __post_init__(self):
         _check_count("n", self.n, 1)
         _check_count("m", self.m, 1)
-        if not 0.0 < self.class_prior < 1.0:
+        class_prior = _float_array(self.class_prior, "class_prior")
+        if class_prior.ndim or not 0.0 < class_prior < 1.0:
             raise ValidationError(f"class_prior must be in (0, 1), got {self.class_prior}")
         _check_count("seed", self.seed, 0)
-        accuracies = tuple(float(a) for a in self.accuracies)
-        propensities = tuple(float(q) for q in self.propensities)
-        if len(accuracies) != self.m:
-            raise ValidationError(f"need {self.m} accuracies, got {len(accuracies)}")
-        if len(propensities) != self.m:
-            raise ValidationError(f"need {self.m} propensities, got {len(propensities)}")
+        accuracies, propensities = self._vector("accuracies"), self._vector("propensities")
         for j, a in enumerate(accuracies):
             if not 0.5 < a <= 1.0:
                 raise ValidationError(f"accuracy {a} for LF {j} not in (0.5, 1]")
         for j, q in enumerate(propensities):
             if not 0.0 < q <= 1.0:
                 raise ValidationError(f"propensity {q} for LF {j} not in (0, 1]")
+        object.__setattr__(self, "class_prior", float(class_prior))
         object.__setattr__(self, "accuracies", accuracies)
         object.__setattr__(self, "propensities", propensities)
+
+    def _vector(self, name: str) -> tuple[float, ...]:
+        """The field ``name`` as a tuple of m floats, else a ValidationError naming it."""
+        values = _float_array(getattr(self, name), name)
+        if values.shape != (self.m,):
+            got = len(values) if values.ndim == 1 else f"shape {values.shape}"
+            raise ValidationError(f"need {self.m} {name}, got {got}")
+        return tuple(values.tolist())
 
     @property
     def lf_names(self) -> tuple[str, ...]:

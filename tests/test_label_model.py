@@ -95,6 +95,7 @@ class TestThresholds:
             ([0.1, 0.2, 0.3], [0, 1, 0.5], "gold labels must be in"),
             ([0.1, np.nan, 0.3], [0, 1, 0], "scores must be finite"),  # gave a nan cut
             ([0.1, np.inf, 0.3], [0, 1, 0], "scores must be finite"),
+            (["a", 0.2, 0.3], [0, 1, 0], "scores must be a rectangular array of numbers"),
         ],
     )
     def test_youden_rejects_gold_outside_0_1_and_non_finite_scores(self, scores, gold, message):
@@ -118,6 +119,11 @@ class TestOrientFactor:
     def test_zero_variance_defaults_positive(self):
         m = LabelMatrix(values=[[1], [1], [1]], lf_names=("a",))
         assert orient_factor(np.array([1.0, 2.0, 3.0]), m) == 1
+
+    def test_non_numeric_factor_rejected(self):
+        m = LabelMatrix(values=[[1]], lf_names=("a",))
+        with pytest.raises(ValidationError, match="factor vector must be a rectangular array of numbers"):
+            orient_factor(["a"], m)
 
 
 class TestPredict:

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from falabel import (
@@ -19,6 +19,43 @@ from falabel import (
     save_label_matrix,
 )
 from falabel.labelling import GoldLabels
+
+# Pieces of regexes and records for the prefilter's property test.  The records hold the
+# characters that re folds with ASCII ones under (?i) but str.lower() does not, or the
+# reverse: long s, Kelvin sign, dotted and dotless i, sharp s and its capital.
+_TRAPS = ["\u017f", "\u212a", "\u0130", "\u0131", "\u00df", "\u1e9e"]
+_RECORD_PIECES = st.sampled_from(["k", "K", "s", "S", "i", "I", "ks", "KS", " ", "1", *_TRAPS])
+_REGEX_ATOMS = st.sampled_from(["k", "K", "s", "S", "i", "ks", "sk", *_TRAPS[:3], "[ks]", ".", r"\d", r"\b", "^", "$"])
+
+
+def _regex_compounds(inner):
+    return st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map("".join),
+        st.tuples(inner, inner).map("|".join),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(["(?:", "(?i:", "(?-i:", "(?=", "(?!"]), inner).map("{0[0]}{0[1]})".format),
+        st.tuples(st.sampled_from(["(?<=", "(?<!"]), _REGEX_ATOMS).map("{0[0]}{0[1]})".format),  # fixed width
+        st.tuples(inner, st.sampled_from(["*", "+", "?", "{2}"])).map("(?:{0[0]}){0[1]}".format),
+    )
+
+
+_REGEXES = st.tuples(
+    st.sampled_from(["", "(?i)"]), st.recursive(_REGEX_ATOMS, _regex_compounds, max_leaves=4)
+).map("".join)
+
+
+class _CountingRegex:
+    """A compiled regex that records the text of every ``search`` call."""
+
+    def __init__(self, regex):
+        self.regex, self.searched = regex, []
+
+    def __getattr__(self, name):
+        return getattr(self.regex, name)
+
+    def search(self, text):
+        self.searched.append(text)
+        return self.regex.search(text)
 
 
 class TestLabelMatrix:
@@ -196,6 +233,38 @@ class TestApplyLFs:
                     expected[i, j] = spec.vote_on_match
                 assert spec._hits([record], [record.lower()])[0] == hit
         assert np.array_equal(apply_lfs(records, specs).values, expected)
+
+    @settings(max_examples=300)  # a wrong prefilter misses on about one drawn example in a hundred
+    @given(
+        st.lists(_REGEXES, min_size=1, max_size=4),
+        st.lists(st.lists(_RECORD_PIECES, max_size=6).map("".join), min_size=1, max_size=8),
+    )
+    # Each pattern matches the record below it and is missed by one wrong prefilter: one that
+    # reads (?i:…) as plain, skips a record that is not ASCII, keeps a non-ASCII literal,
+    # compares (?i) needles with the unlowered record, or keeps one branch of an alternation.
+    @example(["(?i:k)", "(?i)s", "(?i)\u017f", "(?i)k", "ks|sk"], ["K", "\u017f", "s", "K", "sk"])
+    def test_regexes_vote_as_re_search(self, patterns, records):
+        specs = [LFSpec(name=f"lf{j}", kind="regex", pattern=p, vote_on_match=1) for j, p in enumerate(patterns)]
+        expected = [[1 if re.search(p, record) else -1 for p in patterns] for record in records]
+        assert apply_lfs(records, specs).values.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "pattern, searched",
+        [
+            # "foo" and "bar" tie as the longest literal run, so "foo" is the needle;
+            # "café" has no needle but is not ASCII
+            (r"\bfoo\b.*\bbar\b", ["foo and bar", "food bar", "café", "foo"]),
+            (r"\d\s", ["foo and bar", "bar alone", "food bar", "café", "1 2", "foo"]),  # no literal
+        ],
+    )
+    def test_regex_searches_only_records_holding_a_needle(self, pattern, searched):
+        records = ["foo and bar", "bar alone", "food bar", "café", "1 2", "foo"]
+        spec = LFSpec(name="lf", kind="regex", pattern=pattern, vote_on_match=1)
+        counter = _CountingRegex(spec._regex)
+        object.__setattr__(spec, "_regex", counter)
+        hits = apply_lfs(records, [spec]).values[:, 0] == 1
+        assert counter.searched == searched
+        assert hits.tolist() == [re.search(pattern, record) is not None for record in records]
 
     def test_lf_specs_json(self, tmp_path):
         p = tmp_path / "specs.json"

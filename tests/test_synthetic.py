@@ -61,6 +61,15 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             SyntheticSpec(n=10, m=2, class_prior=0.5, accuracies=(0.8,), propensities=(1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("accuracies", (0.8, [0.9])), ("propensities", ("a", 1.0)), ("accuracies", [[0.8], [0.9]]), ("class_prior", "a")],
+    )
+    def test_malformed_field_rejected(self, field, value):
+        kwargs = dict(n=10, m=2, class_prior=0.5, accuracies=(0.8, 0.9), propensities=(1.0, 1.0))
+        with pytest.raises(ValidationError, match=field):
+            SyntheticSpec(**{**kwargs, field: value})
+
     def test_json_roundtrip(self, tmp_path):
         spec = SyntheticSpec(
             n=10, m=2, class_prior=0.3, accuracies=(0.8, 0.9), propensities=(0.5, 1.0), seed=7
