@@ -35,8 +35,10 @@ class CIParams:
     emissions: np.ndarray  # (m, 2, 3)
 
     def __post_init__(self):
-        if not 0.0 < self.class_prior < 1.0:
+        class_prior = _float_array(self.class_prior, "class_prior")
+        if class_prior.ndim or not 0.0 < class_prior < 1.0:
             raise ValidationError(f"class_prior must be in (0, 1), got {self.class_prior}")
+        object.__setattr__(self, "class_prior", float(class_prior))
         emissions = _float_array(self.emissions, "emissions").copy()
         if emissions.ndim != 3 or emissions.shape[1:] != (2, 3):
             raise ValidationError(
@@ -71,9 +73,10 @@ def _log_class_scores(E: np.ndarray, class_prior: float, emissions: np.ndarray) 
 def fit_ci_em(matrix: LabelMatrix, cfg: FitConfig = FitConfig()) -> tuple[CIParams, FitReport]:
     """EM for the mixture-of-products model with a latent Bernoulli class.
 
-    Responsibilities start from a majority-vote soft assignment plus a
-    jitter seeded by ``cfg.seed`` to break symmetry; probabilities are floored at
-    PROB_FLOOR and renormalized after every M-step.  After convergence
+    Each distinct row starts at class-1 responsibility 0.7 if it has more positive
+    than negative votes, else 0.3, +0.05 at even and -0.05 at odd positions in sorted
+    order, so the fit draws nothing and row order cannot change it; probabilities
+    are floored at PROB_FLOOR and renormalized after every M-step.  After convergence
     the classes are canonicalized so class 1 better matches vote value 1: by
     mean P(emit 1 | class), then LF by LF, with gaps of 1e-9 or less tying.
     """
@@ -81,15 +84,13 @@ def fit_ci_em(matrix: LabelMatrix, cfg: FitConfig = FitConfig()) -> tuple[CIPara
         raise ValidationError(f"CI fitting requires n >= 2 rows, got {matrix.n}")
     # rows as m-byte keys; votes + 1 makes byte order the order of np.unique(axis=0)
     codes = np.ascontiguousarray(matrix.values, dtype=np.int8) + 1
-    keys, inverse = np.unique(codes.view(np.dtype((np.void, matrix.m))).ravel(), return_inverse=True)
+    keys, counts = np.unique(codes.view(np.dtype((np.void, matrix.m))).ravel(), return_counts=True)
     patterns = keys.view(np.int8).reshape(-1, matrix.m) - 1
-    E, counts = _one_hot(patterns), np.bincount(inverse).astype(float)  # (u, 3m), (u,)
+    E, counts = _one_hot(patterns), counts.astype(float)  # (u, 3m), (u,)
 
-    rng = np.random.default_rng(cfg.seed)
-    mv = majority_vote(matrix)
-    r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
-    # the state: class-1 responsibility summed over each distinct row's copies
-    mass1 = np.bincount(inverse, weights=np.clip(r1, 0.05, 0.95))
+    # the state: each distinct row's starting class-1 responsibility times its count
+    r1 = np.where((patterns == 1).sum(axis=1) > (patterns == 0).sum(axis=1), 0.7, 0.3)
+    mass1 = counts * (r1 + np.where(np.arange(len(counts)) % 2, -0.05, 0.05))
 
     def step(state):
         # M-step from the responsibilities, then the likelihood of the new

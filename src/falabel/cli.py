@@ -2,8 +2,8 @@
 
 Subcommands: fit, predict, evaluate, compare, sweep, stats, cov, synth,
 apply-lfs.  Exit codes: 0 success, 2 invalid input or an unreadable or
-unwritable file, 3 numerical failure.  All randomness is driven by --seed,
-so every subcommand is bit-reproducible given identical inputs.
+unwritable file, 3 numerical failure.  No fit draws a random number: --seed
+drives only synth and the sweep's subsamples.  Every subcommand is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def cmd_apply_lfs(args) -> int:
 
 
 def _add_fit_flags(p: argparse.ArgumentParser, thresholds=tuple(THRESHOLD_FLAGS)) -> None:
-    p.add_argument("--seed", type=int, default=123, help="random seed (default 123)")
+    p.add_argument("--seed", type=int, default=123, help="sweep subsample seed; fit and compare draw nothing (default 123)")
     p.add_argument("--tol", type=float, default=1e-4, help="convergence tolerance (default 1e-4)")
     p.add_argument("--max-iter", type=int, default=1000, help="iteration cap (default 1000)")
     p.add_argument(

@@ -59,7 +59,7 @@ class FitConfig:
     tol : float
         Absolute objective improvement below which the fit stops; finite and > 0.
     seed : int
-        Drives CI-EM's starting jitter and the sweep's subsamples; FA fits draw none.
+        Drives only the sweep's subsamples; no fit draws a random number.
     """
 
     max_iter: int = 1000

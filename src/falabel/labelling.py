@@ -49,9 +49,12 @@ def _frozen_array(values, what: str = "entries") -> np.ndarray:
 
 
 def _float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array (maybe a view); a ragged list or a non-number is a ValidationError."""
+    """``values`` as a float array (maybe a view); a ragged list or a non-number ("1" too) is a ValidationError."""
     try:
-        return np.asarray(values, dtype=float)
+        raw = np.asarray(values)
+        if raw.dtype.kind not in "biuf":  # else float() would parse a string such as "1.0"
+            raise TypeError
+        return raw.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a rectangular array of numbers") from None
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -201,9 +201,9 @@ def robustness_sweep(
 
     For every (size, repeat) cell a subsample of training rows is drawn
     without replacement; all methods see the identical subsample and are
-    evaluated on the fixed test set.  ``cfg.seed`` is the one master seed:
-    each cell's subsample and CI-EM seed are spawned from it (FA fits draw
-    none), so results are bit-reproducible, and ``SweepResult.seed`` records it.
+    evaluated on the fixed test set.  ``cfg.seed`` drives only the
+    subsamples, one spawned seed per cell (no fit draws a random number), so
+    results are bit-reproducible, and ``SweepResult.seed`` records it.
 
     Each FA method fits all its cells in one lockstep batch (see
     ``fa_core._fit_fa_batch``), which is all or nothing.  If it raises, that
@@ -231,16 +231,11 @@ def robustness_sweep(
     if gold_test.n != test.n:
         raise ValidationError("test gold labels must match the test matrix row count")
 
-    # one spawned seed per (size, repeat) cell, shared across methods
-    children = np.random.SeedSequence(cfg.seed).spawn(len(sizes) * repeats)
-    subs, cfgs = [], []  # per cell, in (size, repeat) order
-    for si, size in enumerate(sizes):
-        for rep in range(repeats):
-            child = children[si * repeats + rep]
-            rng = np.random.default_rng(child)
-            idx = np.sort(rng.choice(train.n, size=size, replace=False))
-            subs.append(LabelMatrix(values=train.values[idx], lf_names=train.lf_names))
-            cfgs.append(replace(cfg, seed=int(child.generate_state(1)[0])))
+    # one subsample per cell, in (size, repeat) order, from a seed spawned from cfg.seed
+    subs = []
+    for child, size in zip(np.random.SeedSequence(cfg.seed).spawn(len(sizes) * repeats), np.repeat(sizes, repeats)):
+        idx = np.sort(np.random.default_rng(child).choice(train.n, size=size, replace=False))
+        subs.append(LabelMatrix(values=train.values[idx], lf_names=train.lf_names))
     fa_fits = {}
     for method in ("fa-em", "fa-vi"):  # the sweep fits all cells of each FA method in one batch
         if method in methods:
@@ -255,7 +250,7 @@ def robustness_sweep(
                 if method in fa_fits:
                     _, _, labeller = _fa_labeller(*fa_fits[method][cell], subs[cell], threshold_kind, None)
                 else:
-                    _, _, labeller = METHODS[method](subs[cell], cfgs[cell], threshold_kind, None)
+                    _, _, labeller = METHODS[method](subs[cell], cfg, threshold_kind, None)
                 records.append(
                     SweepRecord(
                         method=method,

@@ -58,6 +58,16 @@ class TestCIParams:
         with pytest.raises(ValidationError):
             CIParams(class_prior=0.5, emissions=emissions)
 
+    @pytest.mark.parametrize("class_prior", ["a", [0.5], "0.5"])
+    def test_rejects_a_class_prior_that_is_not_one_number(self, class_prior):
+        # "a" and [0.5] raised a bare TypeError from the range check
+        with pytest.raises(ValidationError, match="^class_prior must"):
+            CIParams(class_prior=class_prior, emissions=np.full((1, 2, 3), 1 / 3))
+
+    def test_class_prior_is_stored_as_a_float(self):
+        params = CIParams(class_prior=np.float32(0.25), emissions=np.full((1, 2, 3), 1 / 3))
+        assert type(params.class_prior) is float and params.class_prior == 0.25
+
     @pytest.mark.parametrize(
         "emissions",
         [[[[0.2, 0.3, 0.5], [0.2, 0.8]]], [[[0.2, 0.3, 0.5], ["a", 0.3, 0.5]]]],
@@ -259,10 +269,10 @@ def row_wise_fit_ci_em(matrix: LabelMatrix, cfg=FitConfig()):
     """Reference: the same EM over every row, with an (n, m, 3) one-hot and
     one einsum for each of the M-step and the E-step."""
     E = np.stack([matrix.values == v for v in EMISSION_VALUES], axis=2).astype(float)
-    rng = np.random.default_rng(cfg.seed)
-    mv = majority_vote(matrix)
-    r1 = np.where(mv == 1, 0.7, 0.3) + rng.uniform(-0.05, 0.05, size=matrix.n)
-    r1 = np.clip(r1, 0.05, 0.95)
+    # each row starts from its majority vote, moved by +-0.05 as its pattern's
+    # position in sorted order is even or odd
+    inverse = np.unique(matrix.values, axis=0, return_inverse=True)[1].ravel()
+    r1 = np.where(majority_vote(matrix) == 1, 0.7, 0.3) + np.where(inverse % 2, -0.05, 0.05)
 
     def step(state):  # a batch of one: each state array has a member axis
         resp1 = state[-1][0]
@@ -342,3 +352,40 @@ class TestCompressedFitEdgeCases:
     @pytest.mark.parametrize("values", [[[1, 0], [0, 1]], [[1, -1], [1, -1]], [[-1, -1], [0, 1]]])
     def test_two_rows(self, values):
         assert_fit_matches_row_wise(lf_matrix(values), seed=8)
+
+
+@given(vote_matrices(), st.integers(0, 2**32 - 1))
+def test_fit_does_not_depend_on_row_order(tmp_path_factory, matrix, seed):
+    # the start was drawn row by row, so permuting the rows changed the fit
+    shuffled = lf_matrix(matrix.values[np.random.default_rng(seed).permutation(matrix.n)])
+    (p1, r1), (p2, r2) = fit_ci_em(matrix), fit_ci_em(shuffled)
+    directory = tmp_path_factory.mktemp("fits")
+    save_ci_params(p1, directory / "rows.json")
+    save_ci_params(p2, directory / "shuffled.json")
+    assert (directory / "rows.json").read_bytes() == (directory / "shuffled.json").read_bytes()
+    assert r1 == r2
+
+
+class TestStartThatDrawsNothing:
+    # a start that is the same for every pattern is a fixed point at one class:
+    # both classes get the marginal emissions and every row the prior
+
+    def test_patterns_with_the_same_vote_counts_separate(self):
+        rows = [[1, -1], [-1, 1]]
+        params, _ = fit_ci_em(lf_matrix(np.tile(rows, (20, 1))))
+        assert params.class_prior == pytest.approx(0.5, abs=1e-9)
+        assert ci_predict(params, lf_matrix(rows)).labels.tolist() == [1, 0]
+
+    def test_rows_with_the_same_majority_vote_separate(self):
+        rows = [[1, 1, 1, 1], [1, 1, 1, 0], [1, -1, -1, -1], [-1, 1, -1, -1]]
+        matrix = lf_matrix(np.tile(rows, (20, 1)))
+        assert (majority_vote(matrix) == 1).all()
+        params, _ = fit_ci_em(matrix)
+        assert params.class_prior == pytest.approx(0.5, abs=1e-9)
+        assert ci_predict(params, lf_matrix(rows)).labels.tolist() == [1, 1, 0, 0]
+
+    def test_the_seed_does_not_change_the_fit(self):
+        matrix = lf_matrix(np.random.default_rng(15).integers(-1, 2, size=(40, 3)))
+        (p1, r1), (p2, r2) = fit_ci_em(matrix, FitConfig(seed=0)), fit_ci_em(matrix, FitConfig(seed=99))
+        assert p1.class_prior == p2.class_prior and r1 == r2
+        np.testing.assert_array_equal(p1.emissions, p2.emissions)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import falabel
 from falabel import (
     LFSpec,
     LabelMatrix,
@@ -347,3 +348,30 @@ def test_lf_names_with_commas_and_quotes_roundtrip(tmp_path):
     plain = tmp_path / "plain.csv"
     save_label_matrix(LabelMatrix(values=[[1, 0]], lf_names=("lf1", "lf2")), plain)
     assert plain.read_text() == "lf1,lf2\n1,0\n"
+
+
+_FA = dict(w=[1.0], c=[0.0], psi=[1.0])
+_ONE_LF = LabelMatrix(values=[[1], [0]], lf_names=("a",))
+
+
+# float() parses "1.0", so each of these numeric strings was accepted as a number
+@pytest.mark.parametrize(
+    "run, what",
+    [
+        (lambda: falabel.FAParams(w=["1.0"], c=["0"], psi=["1"]), "c"),
+        (lambda: falabel.CIParams(class_prior=0.5, emissions=np.full((1, 2, 3), "0.33")), "emissions"),
+        (lambda: falabel.SyntheticSpec(n=5, m=1, class_prior="0.5", accuracies=(0.8,), propensities=(1.0,)), "class_prior"),
+        (lambda: falabel.SyntheticSpec(n=5, m=1, class_prior=0.5, accuracies=("0.8",), propensities=(1.0,)), "accuracies"),
+        (lambda: falabel.fit_fa_em([["1"], ["0"]]), "data"),
+        (lambda: falabel.fit_fa_vi([["1"], ["0"]]), "data"),
+        (lambda: falabel.posterior_moments(falabel.FAParams(**_FA), [["1"]]), "data"),
+        (lambda: falabel.log_likelihood(falabel.FAParams(**_FA), [["1"]]), "data"),
+        (lambda: falabel.orient_factor(["0.1", "0.9"], _ONE_LF), "factor vector"),
+        (lambda: falabel.youden_threshold(["0.1", "0.9"], [0, 1]), "scores"),
+    ],
+    ids=["FAParams", "CIParams", "SyntheticSpec-prior", "SyntheticSpec-vector", "fit_fa_em", "fit_fa_vi",
+         "posterior_moments", "log_likelihood", "orient_factor", "youden_threshold"],
+)
+def test_numeric_strings_are_not_numbers(run, what):
+    with pytest.raises(ValidationError, match=f"^{what} must be a rectangular array of numbers$"):
+        run()

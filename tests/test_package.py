@@ -85,3 +85,16 @@ def test_fit_settings_come_in_one_fit_config():
         and FIT_SETTINGS & {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
     ]
     assert loose == []
+
+
+# only the synthetic generator and the sweep's subsamples draw random numbers
+DRAWING_MODULES = {"synthetic.py", "metrics_eval.py"}
+
+
+def test_no_fit_draws_a_random_number():
+    drawing = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if any(name in path.read_text(encoding="utf-8") for name in ("np.random", "default_rng"))
+    ]
+    assert set(drawing) <= DRAWING_MODULES, drawing
