@@ -81,8 +81,6 @@ def _dev_split(args):
 def cmd_fit(args) -> int:
     from dataclasses import asdict
 
-    from .ci_baseline import save_ci_params
-    from .label_model import save_label_model
     from .labelling import _dump_json, load_label_matrix
     from .metrics_eval import METHODS
 
@@ -94,7 +92,13 @@ def cmd_fit(args) -> int:
     model, report, _ = METHODS[args.route](
         matrix, _fit_config(args), THRESHOLD_FLAGS[args.threshold], _dev_split(args)
     )
-    (save_ci_params if args.route == "ci-em" else save_label_model)(model, args.out)
+    if args.route == "ci-em":
+        from .ci_baseline import save_ci_params as save
+    else:
+        from .label_model import save_label_model as save
+    save(model, args.out)
+    if not report.converged:
+        print(f"warning: {report.route} stopped at max_iter={args.max_iter} without converging", file=sys.stderr)
     if args.report is not None:
         _dump_json(asdict(report), args.report)
     return 0

@@ -109,8 +109,19 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def _latent_threshold(kind: str, z_raw: np.ndarray) -> float:
-    """Median (of an even count: the middle pair's mean) or mean of the raw training factor."""
-    return float(np.median(z_raw) if kind == "median" else np.mean(z_raw))
+    """Median (of an even count: the middle pair's mean) or mean of the raw training factor.
+
+    The median is computed as ``np.median`` computes it, bit for bit: a
+    partition at the middle index or pair and at the last index, then
+    ``np.mean`` of the middle slice.  ``np.median`` itself imports ``numpy.ma``
+    for its NaN check, and ``z_raw`` is finite.
+    """
+    if kind != "median":
+        return float(np.mean(z_raw))
+    half = z_raw.size // 2
+    lo = half - 1 + z_raw.size % 2  # the middle index, or the first of the middle pair
+    part = np.partition(z_raw, [*range(lo, half + 1), -1])
+    return float(np.mean(part[lo : half + 1]))
 
 
 def youden_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:

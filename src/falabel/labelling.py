@@ -48,6 +48,13 @@ def _frozen_array(values, what: str = "entries") -> np.ndarray:
     return arr
 
 
+def _within(values: np.ndarray, allowed) -> bool:
+    """Whether every entry of the non-empty integer array ``values`` is in ``allowed``,
+    a run of consecutive integers.  The min/max bound is exact for integers and
+    cheaper than ``np.isin``, which is left to find the first bad entry."""
+    return allowed[0] <= values.min() and values.max() <= allowed[-1]
+
+
 def _float_array(values, what: str) -> np.ndarray:
     """``values`` as a float array (maybe a view); a ragged list or a non-number ("1" too) is a ValidationError."""
     try:
@@ -109,9 +116,8 @@ class LabelMatrix:
         if len(set(self.lf_names)) != m:
             dupes = sorted({x for x in self.lf_names if self.lf_names.count(x) > 1})
             raise ValidationError(f"duplicate LF names: {dupes}")
-        bad = ~np.isin(values, VALID_ENTRIES)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        if not _within(values, VALID_ENTRIES):
+            i, j = np.argwhere(~np.isin(values, VALID_ENTRIES))[0]
             raise ValidationError(
                 f"entry {values[i, j]} at row {i}, column '{self.lf_names[j]}' "
                 f"is not in {{-1, 0, 1}}"
@@ -196,9 +202,8 @@ class GoldLabels:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValidationError("gold labels must be a non-empty 1-d vector")
-        bad = ~np.isin(values, (0, 1))
-        if bad.any():
-            i = int(np.argwhere(bad)[0][0])
+        if not _within(values, (0, 1)):
+            i = int(np.argwhere(~np.isin(values, (0, 1)))[0][0])
             raise ValidationError(f"gold label {values[i]} at row {i} is not in {{0, 1}}")
 
     @property

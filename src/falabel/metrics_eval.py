@@ -9,19 +9,20 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ci_baseline import ci_predict, fit_ci_em, majority_vote
 from .errors import NumericalError, ValidationError
 from .fa_core import FitConfig, _fit_fa_batch, fit_fa_em, fit_fa_vi
 from .label_model import build_label_model, predict
-from .labelling import GoldLabels, LabelMatrix, _check_count, _dump_json, _frozen_array, _write_csv
+from .labelling import GoldLabels, LabelMatrix, _check_count, _dump_json, _frozen_array, _within, _write_csv
 
 DEFAULT_SWEEP_SIZES = (10, 20, 30, 40, 50, 60)
 
 
 # Each method fits on a training matrix and returns (model, fit report,
 # labeller), where the labeller maps a matrix to 0/1 labels.  Fitters and
-# predictors are looked up by their global names in this module when a
-# method runs, so replacing one here (to trace or patch it) takes effect.
+# predictors are looked up by their global names when a method runs, so
+# replacing one (to trace or patch it) takes effect: the FA ones in this
+# module, the CI ones in ci_baseline, which is imported only by the methods
+# that run it, so an FA fit or an evaluation never loads it.
 def _fit_fa_em(train, cfg, threshold_kind, dev):
     return _fa_labeller(*fit_fa_em(train, cfg), train, threshold_kind, dev)
 
@@ -36,11 +37,15 @@ def _fa_labeller(params, report, train, threshold_kind, dev):
 
 
 def _fit_ci_em(train, cfg, threshold_kind, dev):
+    from .ci_baseline import ci_predict, fit_ci_em
+
     params, report = fit_ci_em(train, cfg)
     return params, report, lambda matrix: ci_predict(params, matrix).labels
 
 
 def _majority(train, cfg, threshold_kind, dev):
+    from .ci_baseline import majority_vote
+
     return None, None, majority_vote
 
 
@@ -74,7 +79,7 @@ def _label_array(labels, what: str) -> np.ndarray:
     arr = labels.values if isinstance(labels, GoldLabels) else _frozen_array(labels, f"{what} entries")
     if arr.ndim != 1:
         raise ValidationError(f"{what} must be a 1-d vector, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.size and not _within(arr, (0, 1)):
         raise ValidationError(f"{what} entries must be in {{0, 1}}")
     return arr
 

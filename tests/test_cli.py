@@ -78,6 +78,20 @@ class TestFit:
         assert code == 0
         assert json.loads(report.read_text())["route"] == "fa-vi"
 
+    @pytest.mark.parametrize("route", ["fa-em", "fa-vi", "ci-em"])
+    def test_unconverged_fit_warns_on_stderr(self, world, capsys, route):
+        # a fit that stopped at --max-iter used to exit 0 without a word
+        tmp, paths = world
+        fit = ["fit", str(paths["train"]), "--route", route, "--out", str(tmp / "m.json")]
+        assert main([*fit, "--report", str(tmp / "r.json")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*fit, "--max-iter", "2", "--report", str(tmp / "r.json")]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"warning: {route} stopped at max_iter=2 without converging\n"
+        report = json.loads((tmp / "r.json").read_text())
+        assert report["iterations"] == 2 and not report["converged"]
+
     def test_fit_majority_rejected(self, world, capsys):
         tmp, paths = world
         code = main(["fit", str(paths["train"]), "--route", "majority", "--out", str(tmp / "m.json")])
@@ -636,16 +650,25 @@ def test_each_command_imports_only_the_modules_it_runs(world):
         "from falabel.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
         "print(' '.join(sorted(n[8:] for n in sys.modules if n.startswith('falabel.'))))\n"
+        "print(' '.join(n for n in ('numpy.ma', 'numpy.random') if n in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(falabel.__file__).parent.parent))
-    loaded = {}
+    loaded, numpy_loaded = {}, {}
     for name, argv in commands.items():
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, (name, proc.stderr)
-        loaded[name] = set(proc.stdout.split()) - {"cli", "errors"}
-    fitters = {"labelling", "fa_core", "label_model", "ci_baseline", "metrics_eval"}
+        falabel_line, numpy_line = proc.stdout.split("\n")[:2]
+        loaded[name] = set(falabel_line.split()) - {"cli", "errors"}
+        numpy_loaded[name] = set(numpy_line.split())
+    # np.median's NaN check imports numpy.ma; no command calls it
+    assert {name: mods for name, mods in numpy_loaded.items() if mods} == {
+        "synth": {"numpy.random"},
+        "sweep": {"numpy.random"},
+    }
+    fa = {"labelling", "fa_core", "label_model", "metrics_eval"}
+    fitters = fa | {"ci_baseline"}
     assert loaded == {
         "synth": {"labelling", "synthetic"},
         "apply-lfs": {"labelling"},
@@ -653,8 +676,8 @@ def test_each_command_imports_only_the_modules_it_runs(world):
         "cov": {"labelling"},
         "predict.fa": {"labelling", "fa_core", "label_model"},
         "predict.ci": {"labelling", "fa_core", "label_model", "ci_baseline"},
-        "evaluate": fitters,
-        "fit": fitters,
+        "evaluate": fa,
+        "fit": fa,
         "compare": fitters,
         "sweep": fitters,
     }

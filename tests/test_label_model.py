@@ -2,7 +2,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -295,6 +295,22 @@ def test_normal_cdf_matches_ndtr(xs):
     assert (rel[x[normal] > -8.0] <= 1e-14).all()
     assert (rel <= 1e-12).all()
     assert (np.abs(phi - expected)[~normal] <= tiny).all()
+
+
+# signed zeros and a few values drawn often, so that ties and runs of -0.0 are common
+_FACTOR_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.5, -1.5]), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=300)  # a median off in the sign of a zero shows on a few drawn arrays in a hundred
+@given(st.lists(_FACTOR_VALUES, min_size=1, max_size=40))
+def test_median_threshold_is_np_median_bit_for_bit(xs):
+    z = np.array(xs)
+    with np.errstate(over="ignore"):  # the middle pair of two huge values sums to inf in both
+        got, want = _latent_threshold("median", z), float(np.median(z))
+    assert got.hex() == want.hex()  # hex() tells -0.0 from 0.0
+    assert z.tolist() == xs
 
 
 @given(st.integers(0, 2**16), st.integers(10, 300), st.floats(0.2, 0.8))

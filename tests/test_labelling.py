@@ -375,3 +375,42 @@ _ONE_LF = LabelMatrix(values=[[1], [0]], lf_names=("a",))
 def test_numeric_strings_are_not_numbers(run, what):
     with pytest.raises(ValidationError, match=f"^{what} must be a rectangular array of numbers$"):
         run()
+
+
+INT64 = np.iinfo(np.int64)
+# each entry check: its allowed set, the array's dimensions, the call, and the message for the
+# first bad entry at an index, which each call's former np.isin scan gave
+ENTRY_CHECKS = {
+    "LabelMatrix": (
+        (-1, 0, 1), 2,
+        lambda v: LabelMatrix(values=v, lf_names=tuple(f"lf{j}" for j in range(v.shape[1]))),
+        lambda v, i, j: f"entry {v[i, j]} at row {i}, column 'lf{j}' is not in {{-1, 0, 1}}",
+    ),
+    "GoldLabels": ((0, 1), 1, GoldLabels, lambda v, i: f"gold label {v[i]} at row {i} is not in {{0, 1}}"),
+    "evaluate-predictions": (
+        (0, 1), 1, lambda v: falabel.evaluate(v, np.zeros_like(v)), lambda v, i: "predictions entries must be in {0, 1}",
+    ),
+    "evaluate-gold": (
+        (0, 1), 1, lambda v: falabel.evaluate(np.zeros_like(v), v), lambda v, i: "gold labels entries must be in {0, 1}",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(ENTRY_CHECKS))
+@given(data=st.data())
+def test_entry_checks_name_the_first_entry_an_isin_scan_finds(check, data):
+    allowed, ndim, run, message = ENTRY_CHECKS[check]
+    shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim)))
+    cells = data.draw(st.lists(st.sampled_from(allowed), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    values = np.array(cells, np.int64).reshape(shape)
+    outside = st.one_of(st.integers(-3, 3), st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1, INT64.max]))
+    for _ in range(data.draw(st.integers(0, 3))):  # no bad entry, or up to three anywhere
+        index = tuple(data.draw(st.integers(0, size - 1)) for size in shape)
+        values[index] = data.draw(outside.filter(lambda x: x not in allowed))
+    bad = np.argwhere(~np.isin(values, allowed))
+    if len(bad) == 0:
+        run(values)
+    else:
+        with pytest.raises(ValidationError) as exc:
+            run(values)
+        assert str(exc.value) == message(values, *bad[0])
