@@ -68,6 +68,15 @@ def _emit(text: str, out) -> None:
             fh.write(text)
 
 
+def _warn_unconverged(method: str, cap: int, reports, cells: bool = False) -> None:
+    """Warn on stderr when any of ``method``'s fit reports (None for majority)
+    stopped at the iteration cap; the sweep's warning says in how many of its cells."""
+    stopped = sum(report is not None and not report.converged for report in reports)
+    if stopped:
+        where = f" in {stopped} of {len(reports)} cells" if cells else ""
+        print(f"warning: {method} stopped at max_iter={cap} without converging{where}", file=sys.stderr)
+
+
 def _dev_split(args):
     from .labelling import load_gold_labels, load_label_matrix
 
@@ -86,19 +95,17 @@ def cmd_fit(args) -> int:
 
     if args.route not in METHODS:
         raise ValidationError(f"unknown route {args.route!r}, expected one of {tuple(METHODS)}")
-    matrix = load_label_matrix(args.matrix)
     if args.route == "majority":
         raise ValidationError("route 'majority' requires no fitting; use it with compare or sweep")
     model, report, _ = METHODS[args.route](
-        matrix, _fit_config(args), THRESHOLD_FLAGS[args.threshold], _dev_split(args)
+        load_label_matrix(args.matrix), _fit_config(args), THRESHOLD_FLAGS[args.threshold], _dev_split(args)
     )
     if args.route == "ci-em":
         from .ci_baseline import save_ci_params as save
     else:
         from .label_model import save_label_model as save
     save(model, args.out)
-    if not report.converged:
-        print(f"warning: {report.route} stopped at max_iter={args.max_iter} without converging", file=sys.stderr)
+    _warn_unconverged(args.route, args.max_iter, [report])
     if args.report is not None:
         _dump_json(asdict(report), args.report)
     return 0
@@ -139,11 +146,14 @@ def cmd_compare(args) -> int:
     threshold_kind = THRESHOLD_FLAGS[args.threshold]
     dev = _dev_split(args)
     rows = [("method", "accuracy", "precision", "recall", "f1", "tp", "fp", "tn", "fn", "n")]
+    reports = {}
     for method, fit in METHODS.items():
-        _, _, labeller = fit(train, cfg, threshold_kind, dev)
+        _, reports[method], labeller = fit(train, cfg, threshold_kind, dev)
         r = evaluate(labeller(test), gold)
         rows.append((method, r.accuracy, r.precision, r.recall, r.f1, r.tp, r.fp, r.tn, r.fn, r.n))
     _write_csv(rows, args.out)
+    for method, report in reports.items():
+        _warn_unconverged(method, args.max_iter, [report])
     return 0
 
 
@@ -170,6 +180,9 @@ def cmd_sweep(args) -> int:
         threshold_kind=THRESHOLD_FLAGS[args.threshold],
     )
     _emit(result.to_csv(), args.out)
+    for method in methods:
+        reports = [r.report for r in result.records if r.method == method]
+        _warn_unconverged(method, args.max_iter, reports, cells=True)
     return 0
 
 

@@ -252,9 +252,8 @@ def _fit_loop(step, state, cfg: FitConfig, route: str) -> list:
     per-member operations only, every member's trace, iteration count and
     result are bit-identical to running it alone.
 
-    Any failure ends the whole batch: a step that raises LinAlgError raises
-    NumericalError("<error> at iteration N"), a NumericalError from the step
-    passes through, and a member's non-finite objective raises
+    Any failure ends the whole batch: an error that the step raises passes
+    through, and a member's non-finite objective raises
     NumericalError("non-finite <_OBJECTIVES[route]> at iteration N").
 
     Returns
@@ -268,10 +267,7 @@ def _fit_loop(step, state, cfg: FitConfig, route: str) -> list:
     members = list(range(size))  # the active members, in batch order
     it = 0
     while members:
-        try:
-            state, values = step(state)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"{exc} at iteration {it + 1}") from None
+        state, values = step(state)
         keep = []  # positions in the batch of the members that go on
         for i, (j, value) in enumerate(zip(members, values.tolist())):
             if not math.isfinite(value):

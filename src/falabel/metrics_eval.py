@@ -4,13 +4,12 @@ class-imbalance index, and the training-size robustness sweep."""
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .fa_core import FitConfig, _fit_fa_batch, fit_fa_em, fit_fa_vi
+from .errors import ValidationError
+from .fa_core import FitConfig, FitReport, _fit_fa_batch, fit_fa_em, fit_fa_vi
 from .label_model import build_label_model, predict
 from .labelling import GoldLabels, LabelMatrix, _check_count, _dump_json, _frozen_array, _within, _write_csv
 
@@ -147,10 +146,13 @@ def imbalance_index(gold) -> float:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One cell's test metrics, and its fit's report (None for majority)."""
+
     method: str
     size: int
     repeat: int
     metrics: MetricsReport
+    report: FitReport | None
 
 
 @dataclass(frozen=True)
@@ -210,16 +212,18 @@ def robustness_sweep(
     subsamples, one spawned seed per cell (no fit draws a random number), so
     results are bit-reproducible, and ``SweepResult.seed`` records it.
 
-    Each FA method fits all its cells in one lockstep batch (see
-    ``fa_core._fit_fa_batch``), which is all or nothing.  If it raises, that
-    method's cells are fitted one at a time through ``METHODS``, as every
-    other method's are.  Cells are built, scored and evaluated in (size,
-    method, repeat) order, so the first cell in that order that fails raises
-    the error of fitting it alone.
+    Each method fits every cell once, in ``methods`` order: an FA method in
+    one lockstep batch (see ``fa_core._fit_fa_batch``), bit-identical to
+    fitting its cells one at a time, and any other method cell by cell
+    through ``METHODS``.  A fit that fails raises its own error, so the
+    first failing fit in that order ends the sweep.  The records are then
+    built in (size, method, repeat) order.
     """
     _check_count("repeats", repeats, 1)
     if not sizes:
         raise ValidationError("at least one size is required")
+    if not methods:
+        raise ValidationError("at least one method is required")
     if len(set(sizes)) != len(sizes):
         raise ValidationError(f"sizes must be distinct, got {tuple(sizes)}")
     if len(set(methods)) != len(methods):
@@ -241,33 +245,19 @@ def robustness_sweep(
     for child, size in zip(np.random.SeedSequence(cfg.seed).spawn(len(sizes) * repeats), np.repeat(sizes, repeats)):
         idx = np.sort(np.random.default_rng(child).choice(train.n, size=size, replace=False))
         subs.append(LabelMatrix(values=train.values[idx], lf_names=train.lf_names))
-    fa_fits = {}
-    for method in ("fa-em", "fa-vi"):  # the sweep fits all cells of each FA method in one batch
-        if method in methods:
-            with suppress(ValidationError, NumericalError):  # else its cells are fitted one by one below
-                fa_fits[method] = _fit_fa_batch(subs, cfg, method)
+    fits = {}  # each method's (model, report, labeller) per cell
+    for method in methods:
+        if method in ("fa-em", "fa-vi"):
+            batch = zip(_fit_fa_batch(subs, cfg, method), subs)
+            fits[method] = [_fa_labeller(*fit, sub, threshold_kind, None) for fit, sub in batch]
+        else:
+            fits[method] = [METHODS[method](sub, cfg, threshold_kind, None) for sub in subs]
 
     records = []
     for si, size in enumerate(sizes):
         for method in methods:
             for rep in range(repeats):
-                cell = si * repeats + rep
-                if method in fa_fits:
-                    _, _, labeller = _fa_labeller(*fa_fits[method][cell], subs[cell], threshold_kind, None)
-                else:
-                    _, _, labeller = METHODS[method](subs[cell], cfg, threshold_kind, None)
-                records.append(
-                    SweepRecord(
-                        method=method,
-                        size=size,
-                        repeat=rep,
-                        metrics=evaluate(labeller(test), gold_test),
-                    )
-                )
-    return SweepResult(
-        records=tuple(records),
-        sizes=tuple(sizes),
-        methods=tuple(methods),
-        repeats=repeats,
-        seed=cfg.seed,
-    )
+                _, report, labeller = fits[method][si * repeats + rep]
+                metrics = evaluate(labeller(test), gold_test)
+                records.append(SweepRecord(method, size, rep, metrics, report))
+    return SweepResult(tuple(records), tuple(sizes), tuple(methods), repeats, cfg.seed)

@@ -14,10 +14,10 @@ settings.load_profile("falabel")
 
 @pytest.fixture
 def failing_em_member(monkeypatch):
-    """``fail(at)`` makes the FA-EM step of every member with n rows raise
-    LinAlgError("Singular matrix") at that member's step ``at[n]``, in a batch
-    or alone; other members step as before.  The members of a batch start
-    together and step in lockstep, so a member's step is the batch's."""
+    """``fail(at)`` gives every member with n rows a nan FA-EM objective at that
+    member's step ``at[n]``, in a batch or alone; other members step as
+    before.  The members of a batch start together and step in lockstep, so a
+    member's step is the batch's."""
     from falabel import fa_core
 
     fit_loop = fa_core._fit_loop
@@ -29,9 +29,10 @@ def failing_em_member(monkeypatch):
             def failing_step(state):
                 nonlocal steps
                 steps += 1
-                if route == "fa-em" and any(at.get(n) == steps for n in state[1].tolist()):
-                    raise np.linalg.LinAlgError("Singular matrix")
-                return step(state)
+                state, values = step(state)
+                if route == "fa-em":
+                    values = np.where([at.get(n) == steps for n in state[1].tolist()], np.nan, values)
+                return state, values
 
             return fit_loop(failing_step, state, cfg, route)
 

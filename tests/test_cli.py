@@ -97,6 +97,12 @@ class TestFit:
         code = main(["fit", str(paths["train"]), "--route", "majority", "--out", str(tmp / "m.json")])
         assert code == 2
 
+    def test_majority_route_rejected_before_any_read(self, world, capsys):
+        # the matrix was read first, so a missing file was named instead of the route
+        tmp, _ = world
+        assert main(["fit", str(tmp / "missing.csv"), "--route", "majority", "--out", str(tmp / "m.json")]) == 2
+        assert capsys.readouterr().err == "error: route 'majority' requires no fitting; use it with compare or sweep\n"
+
     def test_missing_file_exits_2(self, world, capsys):
         tmp, _ = world
         assert main(["fit", str(tmp / "nope.csv"), "--out", str(tmp / "m.json")]) == 2
@@ -193,6 +199,19 @@ class TestCompare:
         methods = [line.split(",")[0] for line in lines[1:]]
         assert methods == ["fa-em", "fa-vi", "ci-em", "majority"]
 
+    def test_unconverged_fits_warn_on_stderr(self, world, capsys):
+        # compare fitted past --max-iter without a word, while fit warned
+        tmp, paths = world
+        compare = ["compare", str(paths["train"]), str(paths["test"]), str(paths["gold"])]
+        assert main([*compare, "--out", str(tmp / "c1.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*compare, "--out", str(tmp / "c2.csv"), "--max-iter", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "".join(
+            f"warning: {method} stopped at max_iter=2 without converging\n" for method in ("fa-em", "fa-vi", "ci-em")
+        )
+
     def test_easy_instance_all_methods_strong(self, tmp_path):
         kwargs = dict(m=4, class_prior=0.5, accuracies=(0.95,) * 4, propensities=(1.0,) * 4)
         train, _ = generate(SyntheticSpec(n=400, seed=3, **kwargs))
@@ -245,6 +264,22 @@ class TestSweepStatsCovSynth:
         assert main(args + ["--out", str(o1)]) == 0
         assert main(args + ["--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_unconverged_sweep_warns_once_per_method(self, world, capsys):
+        # the sweep fitted past --max-iter without a word, while fit warned;
+        # at 9 iterations every fa-em cell and two of the four ci-em cells stop short
+        tmp, paths = world
+        sweep = ["sweep", str(paths["train"]), str(paths["test"]), str(paths["gold"]),
+                 "--sizes", "10,20", "--repeats", "2", "--seed", "5"]
+        assert main([*sweep, "--out", str(tmp / "s1.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*sweep, "--out", str(tmp / "s2.csv"), "--max-iter", "9"]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "warning: fa-em stopped at max_iter=9 without converging in 4 of 4 cells\n"
+            "warning: ci-em stopped at max_iter=9 without converging in 2 of 4 cells\n"
+        )
 
     def test_stats_reports_abstain_fraction(self, tmp_path, capsys):
         values = np.full((100, 3), -1, dtype=int)

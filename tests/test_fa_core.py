@@ -665,9 +665,8 @@ def test_batched_fit_equals_one_at_a_time_fits(batch, route):
 @pytest.mark.parametrize(
     "failure, message",
     [
-        (np.linalg.LinAlgError("Singular matrix"), "Singular matrix at iteration 3"),
-        (NumericalError("posterior precision not positive definite"), "posterior precision not positive definite"),
         (None, "non-finite log-likelihood at iteration 3"),
+        (NumericalError("posterior precision not positive definite"), "posterior precision not positive definite"),
     ],
 )
 def test_a_failing_member_fails_the_whole_batch(failure, message):
@@ -693,7 +692,7 @@ def test_a_failed_batch_raises_its_first_failure(failing_em_member):
     spec = dict(m=5, class_prior=0.4, accuracies=(0.9, 0.8, 0.7, 0.85, 0.75), propensities=(0.9,) * 5)
     datas = [generate(SyntheticSpec(n=n, seed=n, **spec))[0] for n in (40, 50, 60)]
     failing_em_member({50: 3, 60: 6})
-    with pytest.raises(NumericalError, match="^Singular matrix at iteration 3$"):
+    with pytest.raises(NumericalError, match="^non-finite log-likelihood at iteration 3$"):
         _fit_fa_batch(datas, FitConfig(), "fa-em")
-    with pytest.raises(NumericalError, match="^Singular matrix at iteration 6$"):
+    with pytest.raises(NumericalError, match="^non-finite log-likelihood at iteration 6$"):
         fit_fa_em(datas[2])

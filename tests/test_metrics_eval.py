@@ -222,41 +222,67 @@ class TestRobustnessSweep:
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             robustness_sweep(train, test, gold, sizes=(10,), repeats=1, cfg=FitConfig(seed=-3))
 
-    @pytest.mark.parametrize("ci_fails, fa_fails, expected", [
-        ((20, 0), {1, 3}, "fa cell 1"),  # (10, fa-em, 1) comes before (20, ci-em, 0)
-        ((20, 0), {3}, "ci cell 20/0"),  # (20, ci-em, 0) comes before (20, fa-em, 1)
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sizes": ()}, "at least one size is required"),
+        ({"methods": ()}, "at least one method is required"),  # it returned a header-only result
     ])
-    def test_first_failing_cell_in_order_raises(self, monkeypatch, ci_fails, fa_fails, expected):
-        # cells run in (size, method, repeat) order: sizes (10, 20), methods (ci-em, fa-em)
-        # the FA batch raises, so the sweep fits its cells one at a time, in order
+    def test_empty_sizes_or_methods_rejected(self, kwargs, message):
+        train, test, gold = small_world(seed=10)
+        with pytest.raises(ValidationError) as exc:
+            robustness_sweep(train, test, gold, repeats=1, cfg=FitConfig(seed=5), **{"sizes": (10,), **kwargs})
+        assert str(exc.value) == message
+
+    def test_each_method_fits_every_cell_once(self, monkeypatch):
+        # an FA method is one lockstep batch over all cells, any other method one
+        # METHODS call per cell, in methods order; each record keeps its cell's report
         train, test, gold = small_world(seed=11)
-        fit_fa, fit_ci = metrics_eval.fit_fa_em, metrics_eval.METHODS["ci-em"]
+        calls = log_fits(monkeypatch)
+        methods = ("majority", "fa-vi", "ci-em", "fa-em")
+        result = robustness_sweep(train, test, gold, sizes=(10, 20), repeats=2, cfg=FitConfig(seed=4), methods=methods)
+        cells = [10, 10, 20, 20]
+        assert calls == [*(("majority", n) for n in cells), ("batch", "fa-vi", 4),
+                         *(("ci-em", n) for n in cells), ("batch", "fa-em", 4)]
+        for r in result.records:
+            if r.method == "majority":
+                assert r.report is None
+            else:
+                assert (r.report.route, r.report.converged) == (r.method, True)
 
-        def failing_fa_batch(datas, cfg, route):
-            raise NumericalError("the batch")
-
-        def failing_fa(train, cfg):
-            cell = len(seen_fa)
-            seen_fa.append(cell)
-            if cell in fa_fails:
-                raise NumericalError(f"fa cell {cell}")
-            return fit_fa(train, cfg)
-
-        def failing_ci(train, cfg, threshold_kind, dev):
-            cell = (train.n, len(seen_ci) % 2)
-            seen_ci.append(cell)
-            if cell == ci_fails:
-                raise NumericalError(f"ci cell {cell[0]}/{cell[1]}")
-            return fit_ci(train, cfg, threshold_kind, dev)
-
-        seen_ci, seen_fa = [], []
-        monkeypatch.setattr(metrics_eval, "_fit_fa_batch", failing_fa_batch)
-        monkeypatch.setattr(metrics_eval, "fit_fa_em", failing_fa)
-        monkeypatch.setitem(metrics_eval.METHODS, "ci-em", failing_ci)
-        with pytest.raises(NumericalError, match=expected):
+    @pytest.mark.parametrize("fail_at", [1, 4, 5])  # a ci-em cell, the fa-em batch, the fa-vi batch
+    def test_a_failing_fit_raises_its_own_error(self, monkeypatch, fail_at):
+        # the first failing fit in methods order ends the sweep, and no cell is
+        # fitted again: a failed FA batch was refitted cell by cell
+        train, test, gold = small_world(seed=11)
+        calls = log_fits(monkeypatch, fail_at)
+        with pytest.raises(NumericalError, match=f"^fit {fail_at}$"):
             robustness_sweep(
-                train, test, gold, sizes=(10, 20), repeats=2, cfg=FitConfig(seed=4), methods=("ci-em", "fa-em")
+                train, test, gold, sizes=(10, 20), repeats=2, cfg=FitConfig(seed=4),
+                methods=("ci-em", "fa-em", "fa-vi"),
             )
+        expected = [*(("ci-em", n) for n in (10, 10, 20, 20)), ("batch", "fa-em", 4), ("batch", "fa-vi", 4)]
+        assert calls == expected[: fail_at + 1]
+
+
+def log_fits(monkeypatch, fail_at=None):
+    """Log every fit that the sweep makes, as ("batch", route, cells) or (method,
+    rows), in order; call number ``fail_at`` (from 0) raises NumericalError."""
+    calls = []
+
+    def logged(fit, key):
+        def run(data, cfg, *args):
+            calls.append(key(data, *args))
+            if len(calls) - 1 == fail_at:
+                raise NumericalError(f"fit {fail_at}")
+            return fit(data, cfg, *args)
+
+        return run
+
+    monkeypatch.setattr(
+        metrics_eval, "_fit_fa_batch", logged(metrics_eval._fit_fa_batch, lambda datas, route: ("batch", route, len(datas)))
+    )
+    for method, fit in list(metrics_eval.METHODS.items()):
+        monkeypatch.setitem(metrics_eval.METHODS, method, logged(fit, lambda train, *_, method=method: (method, train.n)))
+    return calls
 
 
 def test_sweep_master_seed_is_cfg_seed():
@@ -328,15 +354,27 @@ def test_sweep_csv_equals_one_cell_at_a_time(world):
     assert outcome(lambda **kw: robustness_sweep(**kw).to_csv(), **world) == expected
 
 
-def test_sweep_fit_failure_raises_what_one_cell_at_a_time_raises(failing_em_member):
+def test_sweep_fit_failure_raises_what_its_fa_batch_raises(failing_em_member, monkeypatch):
     train, test, gold = small_world(seed=3)
     world = dict(
         train=train, test=test, gold_test=gold, sizes=(10, 20, 30), repeats=2,
         methods=("ci-em", "fa-em"), cfg=FitConfig(seed=7), threshold_kind="median",
     )
-    # the batch fails at iteration 3, by a size-30 cell; alone, the size-20 cells
-    # fail first in sweep order, at iteration 5
+    # the batch fails at iteration 3, by a size-30 cell, and the sweep raises that;
+    # alone, the size-20 cells fail first in sweep order, at iteration 5
     failing_em_member({20: 5, 30: 3})
-    expected = outcome(one_cell_at_a_time, **world)
-    assert expected == (NumericalError, "Singular matrix at iteration 5")
-    assert outcome(lambda **kw: robustness_sweep(**kw).to_csv(), **world) == expected
+    raised, fit_batch = [], metrics_eval._fit_fa_batch
+
+    def watched_batch(*args):
+        try:
+            return fit_batch(*args)
+        except NumericalError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(metrics_eval, "_fit_fa_batch", watched_batch)
+    with pytest.raises(NumericalError) as info:
+        robustness_sweep(**world)
+    assert raised == [info.value]
+    assert str(info.value) == "non-finite log-likelihood at iteration 3"
+    assert outcome(one_cell_at_a_time, **world) == (NumericalError, "non-finite log-likelihood at iteration 5")
