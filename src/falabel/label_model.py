@@ -85,7 +85,7 @@ def orient_factor(z_train: np.ndarray, matrix: LabelMatrix) -> int:
     undefined correlation, -1 otherwise.
     """
     z_train = _float_array(z_train, "factor vector")
-    if z_train.shape[0] != matrix.n:
+    if z_train.shape != (matrix.n,):
         raise ValidationError("factor vector length must match the matrix row count")
     n_votes = (matrix.values != ABSTAIN).sum(axis=1)
     has_vote = n_votes > 0
@@ -172,10 +172,6 @@ def build_label_model(
     or a Youden-optimal cut on CDF-transformed dev scores (which requires
     ``dev``, a labelled split kept separate from any test data).
     """
-    if threshold_kind not in THRESHOLD_KINDS:
-        raise ValidationError(
-            f"threshold_kind must be one of {THRESHOLD_KINDS}, got {threshold_kind!r}"
-        )
     if threshold_kind == "cdf_youden" and dev is None:
         raise ValidationError("threshold_kind 'cdf_youden' requires a labelled dev set")
 

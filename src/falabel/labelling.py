@@ -113,6 +113,9 @@ class LabelMatrix:
             raise ValidationError(
                 f"{m} columns but {len(self.lf_names)} LF names"
             )
+        for name in self.lf_names:  # the CSV readers strip header names, so these would not round-trip
+            if not isinstance(name, str) or name != name.strip():
+                raise ValidationError(f"LF name {name!r} must be a string without surrounding spaces")
         if len(set(self.lf_names)) != m:
             dupes = sorted({x for x in self.lf_names if self.lf_names.count(x) > 1})
             raise ValidationError(f"duplicate LF names: {dupes}")

@@ -97,41 +97,20 @@ def evaluate(pred, gold) -> MetricsReport:
     if gold_arr.size == 0:
         raise ValidationError("cannot evaluate on empty input")
 
-    tp = int(((pred_arr == 1) & (gold_arr == 1)).sum())
-    fp = int(((pred_arr == 1) & (gold_arr == 0)).sum())
-    tn = int(((pred_arr == 0) & (gold_arr == 0)).sum())
-    fn = int(((pred_arr == 0) & (gold_arr == 1)).sum())
+    tn, fp, fn, tp = np.bincount(2 * gold_arr + pred_arr, minlength=4).tolist()
     n = gold_arr.size
-
     undefined = []
-    accuracy = (tp + tn) / n
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        undefined.append("precision")
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        undefined.append("recall")
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        undefined.append("f1")
-    return MetricsReport(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        n=n,
-        undefined=tuple(undefined),
-    )
+
+    def ratio(name, num, den):
+        if den > 0:
+            return num / den
+        undefined.append(name)
+        return 0.0
+
+    precision = ratio("precision", tp, tp + fp)
+    recall = ratio("recall", tp, tp + fn)
+    f1 = ratio("f1", 2.0 * precision * recall, precision + recall)
+    return MetricsReport((tp + tn) / n, precision, recall, f1, tp, fp, tn, fn, n, tuple(undefined))
 
 
 def imbalance_index(gold) -> float:
@@ -139,8 +118,7 @@ def imbalance_index(gold) -> float:
     values = _label_array(gold, "gold labels")
     if values.size == 0:
         raise ValidationError("cannot compute imbalance of empty input")
-    n_pos = int((values == 1).sum())
-    n_neg = int((values == 0).sum())
+    n_neg, n_pos = np.bincount(values, minlength=2).tolist()
     return abs(n_pos - n_neg) / (n_pos + n_neg)
 
 

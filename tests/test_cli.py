@@ -342,6 +342,17 @@ class TestApplyLFs:
         matrix = load_label_matrix(out)
         np.testing.assert_array_equal(matrix.values, [[1, -1], [-1, 0], [1, -1]])
 
+    def test_apply_lfs_rejects_a_name_the_matrix_csv_would_strip(self, tmp_path, capsys):
+        # the header " buy" was written and read back as "buy" by every later command
+        records = tmp_path / "records.txt"
+        records.write_text("buy now\n")
+        specs = tmp_path / "lfs.json"
+        specs.write_text(json.dumps([{"name": " buy", "kind": "keyword", "pattern": "buy", "vote_on_match": 1}]))
+        out = tmp_path / "matrix.csv"
+        assert main(["apply-lfs", str(records), str(specs), "--out", str(out)]) == 2
+        assert "LF name ' buy'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content, rows",
         [

@@ -125,6 +125,13 @@ class TestOrientFactor:
         with pytest.raises(ValidationError, match="factor vector must be a rectangular array of numbers"):
             orient_factor(["a"], m)
 
+    @pytest.mark.parametrize("z", [np.float64(1.0), np.arange(2.0)[:, None]], ids=["0-d", "n-by-1"])
+    def test_factor_that_is_not_an_n_vector_rejected(self, z):
+        # a 0-d factor raised a bare IndexError and an (n, 1) one numpy's ValueError from corrcoef
+        m = LabelMatrix(values=[[0], [1]], lf_names=("a",))
+        with pytest.raises(ValidationError, match="factor vector length must match the matrix row count"):
+            orient_factor(z, m)
+
 
 class TestPredict:
     def test_threshold_rule(self):
@@ -189,6 +196,11 @@ class TestTrainLabelModel:
         matrix, _ = generate(balanced_spec(seed=6))
         with pytest.raises(ValidationError, match="dev"):
             build_label_model(fit_fa_em(matrix)[0], matrix, "cdf_youden")
+
+    def test_unknown_threshold_kind_rejected(self):
+        matrix, _ = generate(balanced_spec(seed=6))
+        with pytest.raises(ValidationError, match="threshold_kind must be one of .*, got 'mode'"):
+            build_label_model(fit_fa_em(matrix)[0], matrix, "mode")
 
     def test_cdf_youden_with_dev(self):
         spec = balanced_spec(seed=7)

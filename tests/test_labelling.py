@@ -76,6 +76,12 @@ class TestLabelMatrix:
         with pytest.raises(ValidationError, match="duplicate"):
             LabelMatrix(values=[[1, 0]], lf_names=("a", "a"))
 
+    @pytest.mark.parametrize("names", [(" a", "b"), ("a ", "b"), ("\ta", "b"), (1, 2)], ids=repr)
+    def test_rejects_names_the_csv_readers_would_change(self, names):
+        # the readers strip header names and read them as text: " a" came back as "a", 1 as "1"
+        with pytest.raises(ValidationError, match="^LF name " + re.escape(repr(names[0])) + " must be a string without"):
+            LabelMatrix(values=[[1, 0]], lf_names=names)
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             LabelMatrix(values=np.zeros((0, 2), dtype=int), lf_names=("a", "b"))

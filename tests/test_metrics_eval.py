@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import falabel.metrics_eval as metrics_eval
@@ -10,6 +10,7 @@ from falabel import (
     FitConfig,
     GoldLabels,
     LabelMatrix,
+    MetricsReport,
     NumericalError,
     SyntheticSpec,
     ValidationError,
@@ -110,6 +111,53 @@ class TestImbalanceIndex:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             imbalance_index(np.array([], dtype=int))
+
+
+def masked_sum_report(pred, gold):
+    """The metrics by four masked sums and a written-out branch per zero
+    denominator, the formula ``evaluate`` must match bit for bit."""
+    pred, gold = np.asarray(pred), np.asarray(gold)
+    tp = int(((pred == 1) & (gold == 1)).sum())
+    fp = int(((pred == 1) & (gold == 0)).sum())
+    tn = int(((pred == 0) & (gold == 0)).sum())
+    fn = int(((pred == 0) & (gold == 1)).sum())
+    undefined = []
+    if tp + fp > 0:
+        precision = tp / (tp + fp)
+    else:
+        precision = 0.0
+        undefined.append("precision")
+    if tp + fn > 0:
+        recall = tp / (tp + fn)
+    else:
+        recall = 0.0
+        undefined.append("recall")
+    if precision + recall > 0:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    else:
+        f1 = 0.0
+        undefined.append("f1")
+    return MetricsReport((tp + tn) / gold.size, precision, recall, f1, tp, fp, tn, fn, gold.size, tuple(undefined))
+
+
+@st.composite
+def label_pairs(draw):
+    """Equal-length 0/1 prediction and gold vectors; each is all 0 or all 1 a third of the time."""
+    n = draw(st.integers(1, 60))
+    vector = st.one_of(st.just([0] * n), st.just([1] * n), st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return draw(vector), draw(vector)
+
+
+@given(label_pairs())
+@example(([0, 0], [0, 1]))  # no predicted positive: precision undefined
+@example(([1, 0], [0, 0]))  # no gold positive: recall undefined
+@example(([0, 0], [0, 0]))  # neither: precision, recall and f1 undefined
+@example(([1, 0], [0, 1]))  # no true positive: f1 undefined
+def test_metrics_match_the_masked_sum_formula_bit_for_bit(pair):
+    pred, gold = pair
+    assert evaluate(pred, gold).to_json() == masked_sum_report(pred, gold).to_json()
+    n_pos, n_neg = gold.count(1), gold.count(0)
+    assert repr(imbalance_index(gold)) == repr(abs(n_pos - n_neg) / (n_pos + n_neg))
 
 
 @pytest.mark.parametrize(
