@@ -57,8 +57,7 @@ print(f"\nposterior factor: shared variance {moments.var:.4f}, "
       f"train scores in [{moments.mean.min():.2f}, {moments.mean.max():.2f}]")
 
 model = train_label_model(train, cfg)
-print(f"label model: threshold {model.threshold_value:+.4f} ({model.threshold_kind}), "
-      f"orientation {model.orientation:+d}")
+print(f"label model: threshold {model.threshold_value:+.4f} ({model.threshold_kind})")
 
 preds = predict(model, test)
 rows = [

@@ -1,10 +1,10 @@
 """Choosing the dichotomization threshold.
 
 Compares the three supported rules on the same fitted factor: the median
-and mean of the training factor need no labels; the Youden cut maximizes
-TPR - FPR on a labelled dev split after mapping scores through the normal
-CDF.  The ranking depends on the data, which is why all three stay
-available rather than one being hard-wired.
+and mean of the training scores need no labels; the Youden cut maximizes
+TPR - FPR on the scores of a labelled dev split.  Every value printed is a
+cut in the same oriented score units.  The ranking depends on the data,
+which is why all three stay available rather than one being hard-wired.
 """
 
 from falabel import (

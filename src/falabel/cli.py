@@ -82,6 +82,8 @@ def _dev_split(args):
 
     if args.dev_matrix is None and args.dev_gold is None:
         return None
+    if args.threshold != "cdf-youden":
+        raise ValidationError("--dev-matrix and --dev-gold are read only with --threshold cdf-youden")
     if args.dev_matrix is None or args.dev_gold is None:
         raise ValidationError("--dev-matrix and --dev-gold must be given together")
     return load_label_matrix(args.dev_matrix), load_gold_labels(args.dev_gold)

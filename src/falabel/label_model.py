@@ -1,15 +1,15 @@
 """Binary pseudo-labeling from a fitted factor model.
 
-The first latent factor scores every row; a threshold chosen on the
-training factor (median by default, or its mean, or a Youden-optimal cut
-on a labelled dev split) dichotomizes the scores into {0, 1}.  Because
-the factor's sign is arbitrary, an orientation step anchors the positive
-class to the half of the factor that correlates with positive votes.
+The first latent factor scores every row, and a row is positive when its
+score is above a threshold: the median (the default) or mean of the
+training scores, or a Youden-optimal cut of the scores of a labelled dev
+split.  Because the factor's sign is arbitrary, an orientation step negates
+the loadings where needed, so that the positive class is the half of the
+factor that correlates with positive votes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,20 +38,16 @@ THRESHOLD_KINDS = ("median", "mean", "cdf_youden")
 
 @dataclass(frozen=True)
 class LabelModel:
-    """A deployable pseudo-labeler: factor model + threshold + orientation.
+    """A deployable pseudo-labeler: oriented factor model + threshold.
 
-    ``threshold_value`` lives in raw (pre-orientation) latent units for the
-    median/mean kinds and in CDF units for cdf_youden.  ``train_factor_mean``
-    and ``train_factor_std`` are moments of the oriented training scores,
-    used by the CDF transform at prediction time.
+    ``params.w`` is oriented, so a higher score means the positive class, and
+    ``threshold_value`` is in score units for every kind: a row is positive
+    when its score is above it.
     """
 
     params: FAParams
     threshold_kind: str
     threshold_value: float
-    train_factor_mean: float
-    train_factor_std: float
-    orientation: int
 
     def __post_init__(self):
         if self.threshold_kind not in THRESHOLD_KINDS:
@@ -60,12 +56,6 @@ class LabelModel:
             )
         if not np.isfinite(self.threshold_value):
             raise ValidationError("threshold_value must be finite")
-        if not np.isfinite(self.train_factor_mean):
-            raise ValidationError("train_factor_mean must be finite")
-        if not (np.isfinite(self.train_factor_std) and self.train_factor_std > 0):
-            raise ValidationError("train_factor_std must be finite and > 0")
-        if self.orientation not in (1, -1):
-            raise ValidationError(f"orientation must be +1 or -1, got {self.orientation}")
 
 
 @dataclass(frozen=True)
@@ -101,26 +91,19 @@ def orient_factor(z_train: np.ndarray, matrix: LabelMatrix) -> int:
     return 1 if corr >= 0 else -1
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """The standard normal CDF of a 1-d array, Phi(x) = erfc(-x / sqrt 2) / 2, with one
-    ``math.erfc`` call per distinct value."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return 0.5 * np.fromiter(map(math.erfc, (values * -math.sqrt(0.5)).tolist()), float, len(values))[inverse]
-
-
-def _latent_threshold(kind: str, z_raw: np.ndarray) -> float:
-    """Median (of an even count: the middle pair's mean) or mean of the raw training factor.
+def _latent_threshold(kind: str, scores: np.ndarray) -> float:
+    """Median (of an even count: the middle pair's mean) or mean of the training scores.
 
     The median is computed as ``np.median`` computes it, bit for bit: a
     partition at the middle index or pair and at the last index, then
     ``np.mean`` of the middle slice.  ``np.median`` itself imports ``numpy.ma``
-    for its NaN check, and ``z_raw`` is finite.
+    for its NaN check, and ``scores`` is finite.
     """
     if kind != "median":
-        return float(np.mean(z_raw))
-    half = z_raw.size // 2
-    lo = half - 1 + z_raw.size % 2  # the middle index, or the first of the middle pair
-    part = np.partition(z_raw, [*range(lo, half + 1), -1])
+        return float(np.mean(scores))
+    half = scores.size // 2
+    lo = half - 1 + scores.size % 2  # the middle index, or the first of the middle pair
+    part = np.partition(scores, [*range(lo, half + 1), -1])
     return float(np.mean(part[lo : half + 1]))
 
 
@@ -159,6 +142,12 @@ def youden_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float
     return float(candidates[best]), float(j[best])
 
 
+def _orient(params: FAParams, sign: int) -> FAParams:
+    """``params`` with the loadings times ``sign``, +1 or -1.  Negating w negates
+    every posterior mean exactly, so scores and cuts flip with no rounding."""
+    return params if sign == 1 else FAParams(w=-params.w, c=params.c, psi=params.psi)
+
+
 def build_label_model(
     params: FAParams,
     train: LabelMatrix,
@@ -167,40 +156,25 @@ def build_label_model(
 ) -> LabelModel:
     """Turn fitted factor parameters into a pseudo-labeler.
 
-    Scores the training matrix with the first factor, orients it, and
-    selects the threshold: the median or mean of the raw training factor,
-    or a Youden-optimal cut on CDF-transformed dev scores (which requires
-    ``dev``, a labelled split kept separate from any test data).
+    Scores the training matrix with the first factor, orients the loadings,
+    and selects the threshold on the oriented scores: the median or mean of
+    the training scores, or the Youden-optimal cut of the dev scores (which
+    requires ``dev``, a labelled split kept separate from any test data).
     """
     if threshold_kind == "cdf_youden" and dev is None:
         raise ValidationError("threshold_kind 'cdf_youden' requires a labelled dev set")
 
-    z_raw = posterior_moments(params, train).mean
-    orientation = orient_factor(z_raw, train)
-    oriented = orientation * z_raw
-    train_mean = float(oriented.mean())
-    train_std = float(oriented.std())
-    if not train_std > 0:
-        train_std = 1.0  # degenerate factor; CDF transform collapses to 0.5
-
+    scores = posterior_moments(params, train).mean
+    sign = orient_factor(scores, train)
+    params = _orient(params, sign)
     if threshold_kind == "cdf_youden":
         dev_matrix, dev_gold = dev
         if dev_gold.n != dev_matrix.n:
             raise ValidationError("dev gold labels must match the dev matrix row count")
-        dev_scores = orientation * posterior_moments(params, dev_matrix).mean
-        dev_cdf = _normal_cdf((dev_scores - train_mean) / train_std)
-        threshold_value, _ = youden_threshold(dev_cdf, dev_gold.values)
+        threshold_value, _ = youden_threshold(posterior_moments(params, dev_matrix).mean, dev_gold.values)
     else:
-        threshold_value = _latent_threshold(threshold_kind, z_raw)
-
-    return LabelModel(
-        params=params,
-        threshold_kind=threshold_kind,
-        threshold_value=threshold_value,
-        train_factor_mean=train_mean,
-        train_factor_std=train_std,
-        orientation=orientation,
-    )
+        threshold_value = _latent_threshold(threshold_kind, sign * scores)
+    return LabelModel(params=params, threshold_kind=threshold_kind, threshold_value=threshold_value)
 
 
 def train_label_model(train: LabelMatrix, cfg: FitConfig = FitConfig()) -> LabelModel:
@@ -209,20 +183,10 @@ def train_label_model(train: LabelMatrix, cfg: FitConfig = FitConfig()) -> Label
 
 
 def predict(model: LabelModel, matrix: LabelMatrix) -> Predictions:
-    """Score rows with the oriented first factor and threshold them.
-
-    Ties at the threshold resolve to label 0.  For the median/mean kinds
-    the stored raw-unit threshold is orientation-adjusted before the
-    comparison; for cdf_youden the oriented score is first standardized by
-    the training-factor moments and pushed through the normal CDF.
-    """
-    scores = model.orientation * posterior_moments(model.params, matrix).mean
-    if model.threshold_kind == "cdf_youden":
-        u = _normal_cdf((scores - model.train_factor_mean) / model.train_factor_std)
-        labels = u > model.threshold_value
-    else:
-        labels = scores > model.orientation * model.threshold_value
-    return Predictions(labels=labels.astype(np.int64), scores=scores)
+    """Score rows with the oriented first factor: a row is positive when its
+    score is above the threshold, so ties at the threshold resolve to label 0."""
+    scores = posterior_moments(model.params, matrix).mean
+    return Predictions(labels=(scores > model.threshold_value).astype(np.int64), scores=scores)
 
 
 def save_predictions(preds: Predictions, path) -> None:
@@ -245,24 +209,29 @@ def save_label_model(model: LabelModel, path) -> None:
         **params_to_dict(model.params),
         "threshold_kind": model.threshold_kind,
         "threshold_value": float(model.threshold_value),
-        "orientation": int(model.orientation),
-        "train_mean": float(model.train_factor_mean),
-        "train_std": float(model.train_factor_std),
     }
     _dump_json(payload, path)
 
 
 def label_model_from_dict(payload: dict) -> LabelModel:
+    """A model from its JSON fields.  A file that carries ``orientation`` is an older
+    one, whose W and median or mean cut are unoriented: both are read times it."""
     params = params_from_dict(payload)
     with _fields("label model file"):
-        return LabelModel(
-            params=params,
+        sign = _json_int(payload, "orientation") if "orientation" in payload else 1
+        if sign not in (1, -1):
+            raise ValidationError(f"orientation must be +1 or -1, got {sign}")
+        model = LabelModel(
+            params=_orient(params, sign),
             threshold_kind=payload["threshold_kind"],
-            threshold_value=_json_number(payload, "threshold_value"),
-            train_factor_mean=_json_number(payload, "train_mean"),
-            train_factor_std=_json_number(payload, "train_std"),
-            orientation=_json_int(payload, "orientation"),
+            threshold_value=sign * _json_number(payload, "threshold_value"),
         )
+    if "orientation" in payload and model.threshold_kind == "cdf_youden":
+        raise ValidationError(
+            "label model file holds an older cdf_youden cut in normal-CDF units, which no score cut"
+            " equals; refit it with --threshold cdf-youden"
+        )
+    return model
 
 
 def load_label_model(path) -> LabelModel:

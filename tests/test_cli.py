@@ -393,7 +393,7 @@ class TestApplyLFs:
         ("fa-em", "orientation", 2),
         ("fa-em", "threshold_kind", "x"),
         ("fa-em", "threshold_value", float("inf")),
-        ("fa-em", "train_std", 0),
+        ("fa-em", "orientation", 0),
         ("fa-em", "W", [[float("nan")]] * 4),
         ("fa-em", "c", [0.0] * 3),
         ("fa-em", "psi", [1.0] * 3),
@@ -450,6 +450,44 @@ def test_a_saved_one_factor_model_loads_and_predicts(tmp_path):
     assert (tmp_path / "p.csv").read_text() == SAVED_PREDICTIONS
 
 
+# The same model in an older file, which stored W and the median unoriented and
+# carried their sign as "orientation": it is read as W and the median times -1.
+OLDER_MODEL = {
+    "k": 1,
+    "m": 3,
+    "W": [[-0.6502102168672904], [-0.05005415709402993], [-0.42461567567028097]],
+    "c": [0.3333333333333333, 0.3333333333333333, 0.16666666666666666],
+    "psi": [0.13208791994435293, 0.5530460223301481, 0.2916276507678982],
+    "threshold_kind": "median",
+    "threshold_value": -0.13228917563994774,
+    "orientation": -1,
+    "train_mean": -3.700743415417188e-17,
+    "train_std": 0.8913372376702323,
+}
+
+
+def test_an_older_model_file_with_orientation_minus_1_predicts_as_written(tmp_path):
+    (tmp_path / "m.csv").write_text(SAVED_MATRIX)
+    (tmp_path / "model.json").write_text(json.dumps(OLDER_MODEL, indent=2) + "\n")
+    argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 0
+    assert (tmp_path / "p.csv").read_text() == SAVED_PREDICTIONS
+
+
+def test_an_older_cdf_youden_model_file_exits_2_asking_for_a_refit(tmp_path, capsys):
+    # its cut is in normal-CDF units of the standardized scores, which no score cut equals
+    (tmp_path / "m.csv").write_text(SAVED_MATRIX)
+    payload = {**SAVED_MODEL, "threshold_kind": "cdf_youden", "threshold_value": 0.5559}
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: label model file holds an older cdf_youden cut in normal-CDF units, which no score cut"
+        " equals; refit it with --threshold cdf-youden\n"
+    )
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_a_two_factor_model_file_exits_2_naming_k(tmp_path, capsys):
     (tmp_path / "m.csv").write_text(SAVED_MATRIX)
     payload = {**SAVED_MODEL, "k": 2, "W": [[w, 0.1] for (w,) in SAVED_MODEL["W"]]}
@@ -497,6 +535,16 @@ def test_non_finite_tol_exits_2(world, capsys, command, tol):
     # --tol inf stopped every fit after two iterations and reported it converged
     assert run_with_flag(world, command, "--tol", tol) == 2
     assert capsys.readouterr().err == f"error: tol must be finite and > 0, got {tol}\n"
+
+
+@pytest.mark.parametrize("threshold", [[], ["--threshold", "mean"]], ids=["median", "mean"])
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_dev_split_without_cdf_youden_exits_2(world, capsys, command, threshold):
+    # the dev files were read and checked, then ignored, with exit 0
+    _, paths = world
+    dev = ["--dev-matrix", str(paths["train"]), "--dev-gold", str(paths["train_gold"])]
+    assert run_with_flag(world, command, *threshold, *dev) == 2
+    assert capsys.readouterr().err == "error: --dev-matrix and --dev-gold are read only with --threshold cdf-youden\n"
 
 
 def test_dev_matrix_without_dev_gold_exits_2(world, capsys):
@@ -865,26 +913,6 @@ def test_predict_with_degenerate_model_exits_3(world, capsys, field, value):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("train_mean", float("nan")), ("train_mean", float("inf")), ("train_std", float("inf"))],
-)
-def test_predict_with_non_finite_train_moment_exits_2(world, capsys, field, value):
-    # cdf_youden labels through these moments: NaN or inf ones labelled every row alike
-    tmp, paths = world
-    model_path = tmp / "model.json"
-    argv = ["fit", str(paths["train"]), "--out", str(model_path), "--threshold", "cdf-youden",
-            "--dev-matrix", str(paths["train"]), "--dev-gold", str(paths["train_gold"])]
-    assert main(argv) == 0
-    payload = json.loads(model_path.read_text())
-    payload[field] = value
-    model_path.write_text(json.dumps(payload))
-    pred = tmp / "p.csv"
-    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 2
-    assert "must be finite" in capsys.readouterr().err
-    assert not pred.exists()
-
-
-@pytest.mark.parametrize(
     "field, value, message",
     [
         ("pattern", 5, "pattern must be a non-empty string"),
@@ -946,7 +974,6 @@ def as_strings(value):
     "route, field, value",
     [
         ("fa-em", "threshold_value", as_strings),
-        ("fa-em", "train_std", as_strings),
         ("fa-em", "W", as_strings),
         ("fa-em", "psi", lambda psi: [True] + psi[1:]),
         ("ci-em", "class_prior", lambda prior: "0.4"),

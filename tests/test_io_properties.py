@@ -86,9 +86,6 @@ def label_models(draw):
         params=params,
         threshold_kind=draw(st.sampled_from(["median", "mean", "cdf_youden"])),
         threshold_value=draw(finite),
-        train_factor_mean=draw(finite),
-        train_factor_std=draw(positive),
-        orientation=draw(st.sampled_from([1, -1])),
     )
 
 
@@ -335,8 +332,7 @@ def test_label_model_json_roundtrip(model):
     for name in ("w", "c", "psi"):
         np.testing.assert_array_equal(getattr(loaded.params, name), getattr(model.params, name))
     assert loaded.params.m == model.params.m
-    rule = ("threshold_kind", "threshold_value", "train_factor_mean", "train_factor_std", "orientation")
-    for name in rule:
+    for name in ("threshold_kind", "threshold_value"):
         assert getattr(loaded, name) == getattr(model, name)
 
 
