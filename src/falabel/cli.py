@@ -99,6 +99,10 @@ def cmd_fit(args) -> int:
         raise ValidationError(f"unknown route {args.route!r}, expected one of {tuple(METHODS)}")
     if args.route == "majority":
         raise ValidationError("route 'majority' requires no fitting; use it with compare or sweep")
+    if args.route == "ci-em" and args.threshold != "median":  # dev flags alone fail in _dev_split
+        raise ValidationError(
+            f"--threshold {args.threshold} is read only by the FA routes; route 'ci-em' labels by its posterior"
+        )
     model, report, _ = METHODS[args.route](
         load_label_matrix(args.matrix), _fit_config(args), THRESHOLD_FLAGS[args.threshold], _dev_split(args)
     )

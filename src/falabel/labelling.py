@@ -413,6 +413,7 @@ def _write_csv(rows, path=None) -> str:
 
 
 _VOTE_BYTES = np.frombuffer(b"-01", np.uint8)  # first byte of the cells -1, 0, 1
+_WRITE_BLOCK = 1 << 14  # votes encoded at a time, which bounds the writer's buffers
 
 
 def _write_votes(names, values: np.ndarray, path) -> None:
@@ -421,16 +422,21 @@ def _write_votes(names, values: np.ndarray, path) -> None:
 
     Each cell becomes three bytes: its first character, then '1' for -1 or a
     NUL pad byte, then ',' or, in the last column, '\\n'; the pads are dropped.
+    The rows are encoded ``_WRITE_BLOCK // m`` at a time (at least one), so the
+    buffers do not grow with n.
     """
-    cells = np.empty((*values.shape, 3), np.uint8)
-    cells[..., 0] = _VOTE_BYTES[values + 1]
-    cells[..., 1] = np.where(values < 0, ord("1"), 0)
-    cells[..., 2] = ord(",")
-    cells[:, -1, 2] = ord("\n")
-    flat = cells.reshape(-1)
+    rows = max(1, _WRITE_BLOCK // values.shape[1])
     with open(path, "wb") as fh:
         fh.write(_write_csv([names]).encode("utf-8"))
-        fh.write(flat[flat != 0].tobytes())
+        for start in range(0, len(values), rows):
+            block = values[start : start + rows]
+            cells = np.empty((*block.shape, 3), np.uint8)
+            cells[..., 0] = _VOTE_BYTES[block + 1]
+            cells[..., 1] = np.where(block < 0, ord("1"), 0)
+            cells[..., 2] = ord(",")
+            cells[:, -1, 2] = ord("\n")
+            flat = cells.reshape(-1)
+            fh.write(flat[flat != 0])
 
 
 def load_label_matrix(path) -> LabelMatrix:

@@ -69,15 +69,13 @@ def generate(spec: SyntheticSpec) -> tuple[LabelMatrix, GoldLabels]:
     rng = np.random.default_rng(spec.seed)
     acc = np.asarray(spec.accuracies)
     prop = np.asarray(spec.propensities)
-    y = (rng.random(spec.n) < spec.class_prior).astype(np.int64)
-    correct = rng.random((spec.n, spec.m)) < acc[None, :]
-    votes = np.where(correct, y[:, None], 1 - y[:, None])
-    fires = rng.random((spec.n, spec.m)) < prop[None, :]
-    values = np.where(fires, votes, ABSTAIN)
-    return (
-        LabelMatrix(values=values, lf_names=spec.lf_names),
-        GoldLabels(values=y),
-    )
+    y = rng.random(spec.n) < spec.class_prior
+    # One byte per vote until LabelMatrix's int64 copy: a vote is 1 where being correct equals y.
+    votes = np.equal(rng.random((spec.n, spec.m)) < acc, y[:, None]).view(np.int8)
+    fires = rng.random((spec.n, spec.m)) < prop
+    values = np.where(fires, votes, np.int8(ABSTAIN))
+    del votes, fires
+    return LabelMatrix(values=values, lf_names=spec.lf_names), GoldLabels(values=y)
 
 
 def bayes_oracle(spec: SyntheticSpec, matrix: LabelMatrix) -> np.ndarray:
@@ -94,9 +92,8 @@ def bayes_oracle(spec: SyntheticSpec, matrix: LabelMatrix) -> np.ndarray:
     acc = np.asarray(spec.accuracies)
     log_odds_vote = np.log(acc) - np.log1p(-acc)  # log(a / (1 - a))
     values = matrix.values
-    contrib = np.where(
-        values == 1, log_odds_vote[None, :], np.where(values == 0, -log_odds_vote[None, :], 0.0)
-    )
+    contrib = np.where(values == 1, log_odds_vote, 0.0)  # one float array: the votes' terms
+    np.copyto(contrib, -log_odds_vote, where=values == 0)
     log_odds = np.log(spec.class_prior) - np.log1p(-spec.class_prior) + contrib.sum(axis=1)
     return (log_odds > 0).astype(np.int64)
 

@@ -547,6 +547,21 @@ def test_dev_split_without_cdf_youden_exits_2(world, capsys, command, threshold)
     assert capsys.readouterr().err == "error: --dev-matrix and --dev-gold are read only with --threshold cdf-youden\n"
 
 
+@pytest.mark.parametrize(
+    "threshold, dev",
+    [("cdf-youden", False), ("mean", False), ("cdf-youden", True)],
+    ids=["cdf-youden", "mean", "cdf-youden-with-dev"],
+)
+def test_ci_em_fit_with_an_fa_threshold_exits_2(world, capsys, threshold, dev):
+    # each wrote the bytes of a plain ci-em fit, with exit 0
+    _, paths = world
+    flags = ["--dev-matrix", str(paths["train"]), "--dev-gold", str(paths["train_gold"])] if dev else []
+    assert run_with_flag(world, "fit", "--route", "ci-em", "--threshold", threshold, *flags) == 2
+    assert capsys.readouterr().err == (
+        f"error: --threshold {threshold} is read only by the FA routes; route 'ci-em' labels by its posterior\n"
+    )
+
+
 def test_dev_matrix_without_dev_gold_exits_2(world, capsys):
     tmp, paths = world
     argv = ["fit", str(paths["train"]), "--out", str(tmp / "m.json"), "--threshold", "cdf-youden",

@@ -5,10 +5,11 @@ import itertools
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -33,10 +34,12 @@ from falabel import (
     save_predictions,
     save_spec,
 )
+from falabel import labelling
 from falabel.cli import main
 from falabel.label_model import _load_prediction_labels
 from falabel.labelling import (
     VALID_ENTRIES,
+    _WRITE_BLOCK,
     _canonical_cells,
     _int_cells,
     _read_csv,
@@ -150,18 +153,35 @@ def outcome(load, path):
     return loaded.values.tolist() if isinstance(loaded, GoldLabels) else loaded
 
 
-@given(
-    st.lists(
-        st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from(',"\r\n'))),  # quoted names too
-        min_size=1,
-        max_size=5,
-    ),
-    st.data(),
-)
-def test_vote_writer_writes_the_bytes_of_the_csv_writer(names, data):
-    shape = (data.draw(st.integers(1, 20)), len(names))
-    values = data.draw(arrays(np.int64, shape, elements=st.sampled_from([-1, 0, 1])))
-    with tempfile.TemporaryDirectory() as tmp:
+@st.composite
+def vote_tables(draw):
+    names = draw(
+        st.lists(
+            st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from(',"\r\n'))),  # quoted names too
+            min_size=1,
+            max_size=5,
+        )
+    )
+    shape = (draw(st.integers(1, 20)), len(names))
+    return names, draw(arrays(np.int64, shape, elements=st.sampled_from([-1, 0, 1])))
+
+
+def _votes(n, m):
+    return [f"lf{j}" for j in range(m)], np.resize(np.array([-1, 0, 1, 1, -1]), (n, m))
+
+
+# n * m just under and just over the block, a block narrower than a row, and a single
+# row; then n * m just under and just over the module's own block.
+@example(_votes(5, 3), 16)
+@example(_votes(6, 3), 17)
+@example(_votes(4, 5), 3)
+@example(_votes(1, 4), 2)
+@example(_votes(_WRITE_BLOCK // 7, 7), _WRITE_BLOCK)
+@example(_votes(_WRITE_BLOCK // 7 + 1, 7), _WRITE_BLOCK)
+@given(vote_tables(), st.integers(1, 40))
+def test_vote_writer_writes_the_bytes_of_the_csv_writer(table, block):
+    names, values = table
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(labelling, "_WRITE_BLOCK", block):
         path = Path(tmp) / "votes.csv"
         _write_votes(names, values, path)
         assert path.read_bytes() == _write_csv([names, *values.tolist()]).encode("utf-8")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from falabel import (
     save_gold_labels,
     save_label_matrix,
 )
-from falabel.labelling import GoldLabels
+from falabel.labelling import _WRITE_BLOCK, GoldLabels
 
 # Pieces of regexes and records for the prefilter's property test.  The records hold the
 # characters that re folds with ASCII ones under (?i) but str.lower() does not, or the
@@ -141,6 +142,19 @@ class TestLoadSave:
         assert loaded == m
         save_label_matrix(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_peak_is_set_by_the_block_not_by_n(self, tmp_path):
+        # a block's int64 temporaries and its cells: about 16 bytes per vote of the block,
+        # and under one byte per vote of this matrix
+        m = LabelMatrix(values=np.resize([-1, 0, 1, 1, 0], (100_000, 10)), lf_names=tuple(f"lf{i}" for i in range(10)))
+        tracemalloc.start()
+        try:
+            save_label_matrix(m, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * _WRITE_BLOCK < m.values.size
+        assert load_label_matrix(tmp_path / "m.csv") == m
 
     def test_gold_roundtrip(self, tmp_path):
         g = GoldLabels(values=[1, 0, 1, 1])

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from falabel import (
     LabelMatrix,
@@ -34,6 +38,43 @@ def enumeration_oracle(spec: SyntheticSpec, matrix: LabelMatrix) -> np.ndarray:
             joint[y] = p
         labels[i] = 1 if joint[1] > joint[0] else 0
     return labels
+
+
+def reference_generate(spec: SyntheticSpec):
+    """``generate`` as first written: int64 votes through two nested ``np.where``."""
+    rng = np.random.default_rng(spec.seed)
+    acc = np.asarray(spec.accuracies)
+    prop = np.asarray(spec.propensities)
+    y = (rng.random(spec.n) < spec.class_prior).astype(np.int64)
+    correct = rng.random((spec.n, spec.m)) < acc[None, :]
+    votes = np.where(correct, y[:, None], 1 - y[:, None])
+    fires = rng.random((spec.n, spec.m)) < prop[None, :]
+    return np.where(fires, votes, -1), y
+
+
+def reference_oracle(spec: SyntheticSpec, matrix: LabelMatrix) -> np.ndarray:
+    """``bayes_oracle`` as first written, with the vote terms from two nested ``np.where``."""
+    acc = np.asarray(spec.accuracies)
+    log_odds_vote = np.log(acc) - np.log1p(-acc)
+    values = matrix.values
+    contrib = np.where(
+        values == 1, log_odds_vote[None, :], np.where(values == 0, -log_odds_vote[None, :], 0.0)
+    )
+    log_odds = np.log(spec.class_prior) - np.log1p(-spec.class_prior) + contrib.sum(axis=1)
+    return (log_odds > 0).astype(np.int64)
+
+
+@st.composite
+def small_specs(draw):
+    m = draw(st.integers(1, 12))
+    return SyntheticSpec(
+        n=draw(st.integers(1, 300)),
+        m=m,
+        class_prior=draw(st.floats(1e-3, 1 - 1e-3)),
+        accuracies=tuple(draw(st.lists(st.floats(0.51, 1.0), min_size=m, max_size=m))),
+        propensities=tuple(draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 class TestSpecValidation:
@@ -125,6 +166,28 @@ class TestGenerate:
         assert matrix.n == gold.n == 500
 
 
+    @given(small_specs())
+    def test_matches_the_reference_draws(self, spec):
+        matrix, gold = generate(spec)
+        values, y = reference_generate(spec)
+        np.testing.assert_array_equal(matrix.values, values)
+        np.testing.assert_array_equal(gold.values, y)
+        assert matrix.values.dtype == gold.values.dtype == np.int64
+
+    def test_traced_peak_is_at_most_12_bytes_per_vote(self):
+        # int64 values are 8 bytes per vote; the draws add one float array at a time
+        n, m = 20_000, 25
+        spec = SyntheticSpec(n=n, m=m, class_prior=0.3, accuracies=(0.8,) * m, propensities=(0.4,) * m)
+        generate(SyntheticSpec(n=1, m=1, class_prior=0.3, accuracies=(0.8,), propensities=(0.4,)))  # lazy imports
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n * m
+
+
 class TestBayesOracle:
     def test_all_abstain_row_prior_map(self):
         spec = SyntheticSpec(
@@ -155,6 +218,12 @@ class TestBayesOracle:
             np.testing.assert_array_equal(
                 bayes_oracle(spec, matrix), enumeration_oracle(spec, matrix)
             )
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")  # an accuracy of 1 has infinite log-odds
+    @given(small_specs())
+    def test_matches_the_reference_oracle(self, spec):
+        matrix, _ = generate(spec)
+        np.testing.assert_array_equal(bayes_oracle(spec, matrix), reference_oracle(spec, matrix))
 
     def test_dimension_mismatch(self):
         spec = SyntheticSpec(
