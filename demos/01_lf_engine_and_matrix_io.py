@@ -2,8 +2,9 @@
 
 Writes a handful of keyword/regex labelling functions, applies them to toy
 comment records, and inspects the resulting labelling matrix: per-LF vote
-counts, fully-abstaining rows, and the column covariance that the factor
-model will later exploit.
+counts, fully-abstaining rows, and the column covariance of the votes as
+stored.  The factor model later reads the same votes signed (abstain 0,
+negative -1, positive 1), so its second moment differs from this one.
 """
 
 import tempfile

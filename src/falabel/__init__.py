@@ -39,7 +39,6 @@ _EXPORTS = {
         "Predictions",
         "build_label_model",
         "load_label_model",
-        "orient_factor",
         "predict",
         "save_label_model",
         "save_predictions",

@@ -27,8 +27,11 @@ operations only (stacked matmul, diagonals, and dot products as stacked
 is fitted alone or in a batch.  ``_fit_loop`` is the one driver: it steps all
 members in lockstep, and a single fit is a batch of one.
 
-Fitting accepts a :class:`~falabel.labelling.LabelMatrix` (entries cast to
-the reals -1.0/0.0/1.0) or any (n, m) float array.
+Fitting accepts a :class:`~falabel.labelling.LabelMatrix` or any (n, m) float
+array, read as given.  A label matrix's votes are read signed: abstain 0,
+negative -1 and positive 1, the coding of data programming (Ratner et al.
+2016).  Then loadings that sum to >= 0 point to the positive class, and that
+one rule fixes the factor's sign, at the start and in ``build_label_model``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .labelling import LabelMatrix, _check_count, _fields, _float_array, _json_i
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 PSI_FLOOR = 1e-6  # clamps the noise variances at every update, so constant columns keep psi > 0
+_SIGNED = np.array([-1.0, 1.0, 0.0])  # indexed by a cell's vote: 0 -> -1, 1 -> 1, and ABSTAIN (-1) -> 0
 # each fitting method's name, its route, and the objective that it traces
 _OBJECTIVES = {"fa-em": "log-likelihood", "fa-vi": "evidence bound", "ci-em": "log-likelihood"}
 
@@ -146,8 +150,10 @@ class FitReport:
 
 
 def _as_float_matrix(data, m: int | None = None) -> np.ndarray:
-    """``data`` as a finite float matrix; given the model's ``m``, it must have m columns."""
-    X = _float_array(data.values if isinstance(data, LabelMatrix) else data, "data")
+    """``data`` as a finite float matrix, a label matrix's votes signed; given the
+    model's ``m``, it must have m columns.  The votes index ``_SIGNED`` directly,
+    so no int64 temporary of the matrix's size is made."""
+    X = _SIGNED[data.values] if isinstance(data, LabelMatrix) else _float_array(data, "data")
     if X.ndim != 2:
         raise ValidationError(f"data must be a 2-d array, got shape {X.shape}")
     if m is not None and X.shape[1] != m:
@@ -163,14 +169,18 @@ def _second_moment(X: np.ndarray, c: np.ndarray) -> np.ndarray:
     return Xc.T @ Xc / max(len(Xc), 1)
 
 
+def _sum_nonnegative(w: np.ndarray) -> np.ndarray:
+    """The sign rule: ``w``, or ``-w`` when its entries sum to < 0.  Negating w
+    negates every posterior mean exactly, so scores flip with no rounding."""
+    return -w if w.sum() < 0.0 else w
+
+
 def _init_params(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The svd start: w is the top eigenvector of S scaled by the square root of
-    its eigenvalue, flipped so that its entries sum to >= 0."""
+    its eigenvalue, under the sign rule.  The update maps -w to -w exactly, so a
+    fit's sign is its start's; ``build_label_model`` applies the rule to the fitted w."""
     eigval, eigvec = np.linalg.eigh(S)  # ascending
-    w = eigvec[:, -1] * np.sqrt(max(eigval[-1], 0.0))
-    # the sign rule; the update maps -w to -w exactly, so it fixes the fitted sign
-    if w.sum() < 0.0:
-        w = -w
+    w = _sum_nonnegative(eigvec[:, -1] * np.sqrt(max(eigval[-1], 0.0)))
     return w, np.maximum(np.diag(S) - w**2, PSI_FLOOR)
 
 
@@ -343,7 +353,7 @@ def fit_fa_em(data, cfg: FitConfig = FitConfig()) -> tuple[FAParams, FitReport]:
     Parameters
     ----------
     data : LabelMatrix or (n, m) array
-        Observations; labelling matrices are read as reals in {-1, 0, 1}.
+        Observations; a labelling matrix's votes are read signed (abstain 0).
     cfg : FitConfig
         Stopping rule; the fit always starts from the svd of S.
 
@@ -378,10 +388,11 @@ def posterior_moments(params: FAParams, data) -> PosteriorMoments:
         ``mean[i]`` is G w^T Psi^-1 (x_i - c).
     """
     X = _as_float_matrix(data, params.m)
-    precision = 1.0 / params.psi
-    H = 1.0 + _dot(params.w * precision, params.w)
-    G = 1.0 / H
-    mean = (X - params.c) @ (precision * params.w) * G
+    with np.errstate(all="ignore"):  # a model this degenerate raises NumericalError below
+        precision = 1.0 / params.psi
+        H = 1.0 + _dot(params.w * precision, params.w)
+        G = 1.0 / H
+        mean = (X - params.c) @ (precision * params.w) * G
     if not (np.isfinite(H) and np.isfinite(mean).all()):
         raise NumericalError("posterior precision or factor means not finite")
     return PosteriorMoments(mean=mean, var=float(G))

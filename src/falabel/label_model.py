@@ -3,9 +3,13 @@
 The first latent factor scores every row, and a row is positive when its
 score is above a threshold: the median (the default) or mean of the
 training scores, or a Youden-optimal cut of the scores of a labelled dev
-split.  Because the factor's sign is arbitrary, an orientation step negates
-the loadings where needed, so that the positive class is the half of the
-factor that correlates with positive votes.
+split.  The factor's sign is arbitrary; under the signed vote coding that
+``fa_core`` reads, loadings that sum to >= 0 point to the positive class,
+so the model takes the fit's own sign rule (``fa_core._sum_nonnegative``).
+
+A model file carries ``"version": 2``.  A file written under the older vote
+coding, which scored abstain as -1 and a negative vote as 0, has no version;
+its W and cut would label rows wrongly under this coding, so it is refused.
 """
 
 from __future__ import annotations
@@ -16,16 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fa_core import FAParams, FitConfig, fit_fa_em, params_from_dict, params_to_dict, posterior_moments
+from .fa_core import FAParams, FitConfig, _sum_nonnegative, fit_fa_em, params_from_dict, params_to_dict, posterior_moments
 from .labelling import (
-    ABSTAIN,
     GoldLabels,
     LabelMatrix,
     _dump_json,
     _fields,
     _float_array,
     _int_cells,
-    _json_int,
     _json_number,
     _read_csv,
     _read_input,
@@ -34,6 +36,7 @@ from .labelling import (
 )
 
 THRESHOLD_KINDS = ("median", "mean", "cdf_youden")
+MODEL_VERSION = 2  # the model file's version: 2 scores signed votes
 
 
 @dataclass(frozen=True)
@@ -64,31 +67,6 @@ class Predictions:
 
     labels: np.ndarray  # (n,) in {0, 1}
     scores: np.ndarray  # (n,) oriented first-factor values
-
-
-def orient_factor(z_train: np.ndarray, matrix: LabelMatrix) -> int:
-    """Decide which half of the factor is the positive class.
-
-    Correlates the factor with the per-row mean of non-abstain votes
-    (votes are 0/1, so higher mean = more positive votes); rows that
-    abstain everywhere are excluded.  Returns +1 on non-negative or
-    undefined correlation, -1 otherwise.
-    """
-    z_train = _float_array(z_train, "factor vector")
-    if z_train.shape != (matrix.n,):
-        raise ValidationError("factor vector length must match the matrix row count")
-    n_votes = (matrix.values != ABSTAIN).sum(axis=1)
-    has_vote = n_votes > 0
-    if has_vote.sum() < 2:
-        return 1
-    vote_mean = (matrix.values == 1).sum(axis=1)[has_vote] / n_votes[has_vote]
-    z = z_train[has_vote]
-    if np.std(z) == 0 or np.std(vote_mean) == 0:
-        return 1
-    corr = float(np.corrcoef(z, vote_mean)[0, 1])
-    if np.isnan(corr):
-        return 1
-    return 1 if corr >= 0 else -1
 
 
 def _latent_threshold(kind: str, scores: np.ndarray) -> float:
@@ -142,12 +120,6 @@ def youden_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float
     return float(candidates[best]), float(j[best])
 
 
-def _orient(params: FAParams, sign: int) -> FAParams:
-    """``params`` with the loadings times ``sign``, +1 or -1.  Negating w negates
-    every posterior mean exactly, so scores and cuts flip with no rounding."""
-    return params if sign == 1 else FAParams(w=-params.w, c=params.c, psi=params.psi)
-
-
 def build_label_model(
     params: FAParams,
     train: LabelMatrix,
@@ -156,24 +128,22 @@ def build_label_model(
 ) -> LabelModel:
     """Turn fitted factor parameters into a pseudo-labeler.
 
-    Scores the training matrix with the first factor, orients the loadings,
-    and selects the threshold on the oriented scores: the median or mean of
-    the training scores, or the Youden-optimal cut of the dev scores (which
-    requires ``dev``, a labelled split kept separate from any test data).
+    Takes the loadings under the sign rule, so that a higher score means the
+    positive class, and selects the threshold on the scores: the median or
+    mean of the training scores, or the Youden-optimal cut of the dev scores
+    (which requires ``dev``, a labelled split kept separate from any test data).
     """
     if threshold_kind == "cdf_youden" and dev is None:
         raise ValidationError("threshold_kind 'cdf_youden' requires a labelled dev set")
 
-    scores = posterior_moments(params, train).mean
-    sign = orient_factor(scores, train)
-    params = _orient(params, sign)
+    params = FAParams(w=_sum_nonnegative(params.w), c=params.c, psi=params.psi)
     if threshold_kind == "cdf_youden":
         dev_matrix, dev_gold = dev
         if dev_gold.n != dev_matrix.n:
             raise ValidationError("dev gold labels must match the dev matrix row count")
         threshold_value, _ = youden_threshold(posterior_moments(params, dev_matrix).mean, dev_gold.values)
     else:
-        threshold_value = _latent_threshold(threshold_kind, sign * scores)
+        threshold_value = _latent_threshold(threshold_kind, posterior_moments(params, train).mean)
     return LabelModel(params=params, threshold_kind=threshold_kind, threshold_value=threshold_value)
 
 
@@ -206,6 +176,7 @@ def _load_prediction_labels(path) -> np.ndarray:
 def save_label_model(model: LabelModel, path) -> None:
     """Serialize as the factor-parameter JSON plus the decision-rule fields."""
     payload = {
+        "version": MODEL_VERSION,
         **params_to_dict(model.params),
         "threshold_kind": model.threshold_kind,
         "threshold_value": float(model.threshold_value),
@@ -214,24 +185,17 @@ def save_label_model(model: LabelModel, path) -> None:
 
 
 def label_model_from_dict(payload: dict) -> LabelModel:
-    """A model from its JSON fields.  A file that carries ``orientation`` is an older
-    one, whose W and median or mean cut are unoriented: both are read times it."""
+    """A model from its JSON fields; a file of another version than ``MODEL_VERSION``
+    (one with none was written under the older vote coding) is a ValidationError."""
+    if type(payload.get("version")) is not int or payload["version"] != MODEL_VERSION:
+        found = repr(payload["version"]) if "version" in payload else "missing"
+        raise ValidationError(
+            f"label model file is not version {MODEL_VERSION} (its field 'version' is {found}); files before"
+            f" version {MODEL_VERSION} were fitted to votes coded abstain -1 and negative 0: refit it with falabel fit"
+        )
     params = params_from_dict(payload)
     with _fields("label model file"):
-        sign = _json_int(payload, "orientation") if "orientation" in payload else 1
-        if sign not in (1, -1):
-            raise ValidationError(f"orientation must be +1 or -1, got {sign}")
-        model = LabelModel(
-            params=_orient(params, sign),
-            threshold_kind=payload["threshold_kind"],
-            threshold_value=sign * _json_number(payload, "threshold_value"),
-        )
-    if "orientation" in payload and model.threshold_kind == "cdf_youden":
-        raise ValidationError(
-            "label model file holds an older cdf_youden cut in normal-CDF units, which no score cut"
-            " equals; refit it with --threshold cdf-youden"
-        )
-    return model
+        return LabelModel(params, payload["threshold_kind"], _json_number(payload, "threshold_value"))
 
 
 def load_label_model(path) -> LabelModel:

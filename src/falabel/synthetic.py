@@ -83,19 +83,25 @@ def bayes_oracle(spec: SyntheticSpec, matrix: LabelMatrix) -> np.ndarray:
 
     Abstains multiply both class likelihoods by the same propensity
     factor, so only the prior and the vote terms enter the posterior
-    log-odds.  Exact ties resolve to label 0.
+    log-odds.  Exact ties resolve to label 0.  A vote of an LF with
+    accuracy 1 decides its row; a row on which two such LFs disagree has
+    probability 0 under the spec, and is taken as an exact tie.
     """
     if matrix.m != spec.m:
         raise ValidationError(
             f"matrix has {matrix.m} columns but the spec has m={spec.m}"
         )
     acc = np.asarray(spec.accuracies)
-    log_odds_vote = np.log(acc) - np.log1p(-acc)  # log(a / (1 - a))
+    sure = acc == 1.0
+    log_odds_vote = np.log(acc) - np.log1p(-np.where(sure, 0.0, acc))  # log(a / (1 - a)), 0 where sure
     values = matrix.values
     contrib = np.where(values == 1, log_odds_vote, 0.0)  # one float array: the votes' terms
     np.copyto(contrib, -log_odds_vote, where=values == 0)
-    log_odds = np.log(spec.class_prior) - np.log1p(-spec.class_prior) + contrib.sum(axis=1)
-    return (log_odds > 0).astype(np.int64)
+    labels = np.log(spec.class_prior) - np.log1p(-spec.class_prior) + contrib.sum(axis=1) > 0
+    if sure.any():
+        pos, neg = ((values[:, sure] == vote).any(axis=1) for vote in (1, 0))
+        labels = np.where(pos | neg, pos & ~neg, labels)
+    return labels.astype(np.int64)
 
 
 def save_spec(spec: SyntheticSpec, path) -> None:

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -385,15 +386,15 @@ class TestApplyLFs:
     "route, field, value",
     [
         ("fa-em", "threshold_value", "abc"),
-        ("fa-em", "orientation", None),
+        ("fa-em", "threshold_value", None),
         ("ci-em", "emission_values", 5),
         # emission_values compared with ==, which took booleans and floats for the integers
         ("ci-em", "emission_values", [-1, False, True]),
         ("ci-em", "emission_values", [-1.0, 0.0, 1.0]),
-        ("fa-em", "orientation", 2),
+        ("fa-em", "threshold_kind", None),
         ("fa-em", "threshold_kind", "x"),
         ("fa-em", "threshold_value", float("inf")),
-        ("fa-em", "orientation", 0),
+        ("fa-em", "m", 0),
         ("fa-em", "W", [[float("nan")]] * 4),
         ("fa-em", "c", [0.0] * 3),
         ("fa-em", "psi", [1.0] * 3),
@@ -421,24 +422,22 @@ def test_predict_on_a_json_of_neither_model_kind_exits_2(world, capsys):
     assert capsys.readouterr().err == f"error: {model_path}: not a label-model or CI-model file\n"
 
 
-# A fitted model file in the format that every release writes: "k" is 1 and W
-# holds m one-element lists.  PREDICTIONS is what predict wrote for it.
+# A fitted model file in the format that falabel writes: "version" is 2, "k" is 1
+# and W holds m one-element lists.  PREDICTIONS is what predict wrote for it.
 SAVED_MATRIX = "a,b,c\n1,1,0\n1,-1,1\n0,0,-1\n1,1,1\n0,1,0\n-1,0,0\n"
 SAVED_MODEL = {
+    "version": 2,
     "k": 1,
     "m": 3,
-    "W": [[0.6502102168672904], [0.05005415709402993], [0.42461567567028097]],
-    "c": [0.3333333333333333, 0.3333333333333333, 0.16666666666666666],
-    "psi": [0.13208791994435293, 0.5530460223301481, 0.2916276507678982],
+    "W": [[0.8638835139799281], [0.3469215420925324], [0.41231654959848796]],
+    "c": [0.16666666666666666, 0.16666666666666666, -0.16666666666666666],
+    "psi": [0.057110230245077664, 0.684854173128291, 0.635060714783354],
     "threshold_kind": "median",
-    "threshold_value": 0.13228917563994774,
-    "orientation": 1,
-    "train_mean": 3.700743415417188e-17,
-    "train_std": 0.8913372376702323,
+    "threshold_value": 0.30436975081834017,
 }
 SAVED_PREDICTIONS = (
-    "index,score,label\n0,0.642559858748742,1\n1,0.9068935990595687,1\n2,-0.6986063896790599,0\n"
-    "3,0.9444210269924931,1\n4,-0.3779815074688465,0\n5,-1.417286587652897,0\n"
+    "index,score,label\n0,0.8604879475696102,1\n1,0.9150634414117214,1\n2,-1.2494252433511606,0\n"
+    "3,0.949972181077023,1\n4,-1.2243498807742639,0\n5,-0.25174844593292994,0\n"
 )
 
 
@@ -450,41 +449,59 @@ def test_a_saved_one_factor_model_loads_and_predicts(tmp_path):
     assert (tmp_path / "p.csv").read_text() == SAVED_PREDICTIONS
 
 
-# The same model in an older file, which stored W and the median unoriented and
-# carried their sign as "orientation": it is read as W and the median times -1.
+# A model of the same matrix written by an older falabel, which read abstain as -1
+# and a negative vote as 0; it carries no version.  Files of that age with
+# "orientation" -1 stored W and the cut negated.
 OLDER_MODEL = {
     "k": 1,
     "m": 3,
-    "W": [[-0.6502102168672904], [-0.05005415709402993], [-0.42461567567028097]],
+    "W": [[0.6502102168672904], [0.05005415709402993], [0.42461567567028097]],
     "c": [0.3333333333333333, 0.3333333333333333, 0.16666666666666666],
     "psi": [0.13208791994435293, 0.5530460223301481, 0.2916276507678982],
     "threshold_kind": "median",
-    "threshold_value": -0.13228917563994774,
-    "orientation": -1,
-    "train_mean": -3.700743415417188e-17,
+    "threshold_value": 0.13228917563994774,
+    "orientation": 1,
+    "train_mean": 3.700743415417188e-17,
     "train_std": 0.8913372376702323,
 }
+REFIT = (
+    "error: label model file is not version 2 (its field 'version' is {}); files before version 2 were"
+    " fitted to votes coded abstain -1 and negative 0: refit it with falabel fit\n"
+)
 
 
-def test_an_older_model_file_with_orientation_minus_1_predicts_as_written(tmp_path):
+@pytest.mark.parametrize(
+    "payload, found",
+    [
+        ({k: v for k, v in SAVED_MODEL.items() if k != "version"}, "missing"),
+        (OLDER_MODEL, "missing"),
+        ({**OLDER_MODEL, "W": [[-w] for (w,) in OLDER_MODEL["W"]], "threshold_value": -0.13228917563994774,
+          "orientation": -1}, "missing"),
+        ({**SAVED_MODEL, "version": 1}, "1"),
+        ({**SAVED_MODEL, "version": 2.0}, "2.0"),
+        ({**SAVED_MODEL, "version": True}, "True"),
+        ({**SAVED_MODEL, "version": "2"}, "'2'"),
+    ],
+    ids=["no-version", "orientation-1", "orientation-minus-1", "version-1", "version-2.0", "version-true",
+         "version-string-2"],
+)
+def test_an_older_model_file_exits_2_asking_for_a_refit(tmp_path, capsys, payload, found):
     (tmp_path / "m.csv").write_text(SAVED_MATRIX)
-    (tmp_path / "model.json").write_text(json.dumps(OLDER_MODEL, indent=2) + "\n")
-    argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
-    assert main(argv) == 0
-    assert (tmp_path / "p.csv").read_text() == SAVED_PREDICTIONS
-
-
-def test_an_older_cdf_youden_model_file_exits_2_asking_for_a_refit(tmp_path, capsys):
-    # its cut is in normal-CDF units of the standardized scores, which no score cut equals
-    (tmp_path / "m.csv").write_text(SAVED_MATRIX)
-    payload = {**SAVED_MODEL, "threshold_kind": "cdf_youden", "threshold_value": 0.5559}
     (tmp_path / "model.json").write_text(json.dumps(payload))
     argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: label model file holds an older cdf_youden cut in normal-CDF units, which no score cut"
-        " equals; refit it with --threshold cdf-youden\n"
-    )
+    assert capsys.readouterr().err == REFIT.format(found)
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_an_older_cdf_youden_model_file_exits_2_asking_for_a_refit(tmp_path, capsys):
+    # its cut is in normal-CDF units of the standardized scores, and its W scores the older coding
+    (tmp_path / "m.csv").write_text(SAVED_MATRIX)
+    payload = {**OLDER_MODEL, "threshold_kind": "cdf_youden", "threshold_value": 0.5559}
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == REFIT.format("missing")
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -922,8 +939,11 @@ def test_predict_with_degenerate_model_exits_3(world, capsys, field, value):
     payload[field] = [[value]] * 4 if field == "W" else [value] * 4
     model_path.write_text(json.dumps(payload))
     pred = tmp / "p.csv"
-    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 3
-    assert capsys.readouterr().err.startswith("numerical error: ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print lines before the error
+        assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
     assert not pred.exists()
 
 
@@ -952,7 +972,7 @@ def test_malformed_lf_spec_exits_2(tmp_path, capsys, field, value, message):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("orientation", 1.9), ("orientation", 1.0), ("orientation", True), ("k", 1.5), ("m", "4")],
+    [("k", 1.5), ("m", "4")],
 )
 def test_model_file_with_a_non_integer_count_exits_2(world, capsys, field, value):
     tmp, paths = world

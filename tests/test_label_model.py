@@ -12,12 +12,13 @@ from falabel import (
     LabelModel,
     SyntheticSpec,
     ValidationError,
+    bayes_oracle,
     build_label_model,
     fit_fa_em,
     fit_fa_vi,
     generate,
     load_label_model,
-    orient_factor,
+    posterior_moments,
     predict,
     save_label_model,
     train_label_model,
@@ -93,34 +94,59 @@ class TestThresholds:
             youden_threshold(np.array(scores), np.array(gold))
 
 
-class TestOrientFactor:
-    def test_positive_correlation(self):
-        m = LabelMatrix(values=[[0], [1]], lf_names=("a",))
-        assert orient_factor(np.array([-1.0, 1.0]), m) == 1
+def orient_factor(z_train, matrix):
+    """The sign rule that falabel kept beside the fit's own: +1 when the factor
+    correlates >= 0 with each row's share of positive votes among its votes
+    (rows that abstain everywhere left out), and +1 when that is undefined."""
+    n_votes = (matrix.values != -1).sum(axis=1)
+    has_vote = n_votes > 0
+    if has_vote.sum() < 2:
+        return 1
+    vote_mean = (matrix.values == 1).sum(axis=1)[has_vote] / n_votes[has_vote]
+    z = z_train[has_vote]
+    if np.std(z) == 0 or np.std(vote_mean) == 0:
+        return 1
+    corr = float(np.corrcoef(z, vote_mean)[0, 1])
+    return 1 if np.isnan(corr) or corr >= 0 else -1
 
-    def test_negative_correlation(self):
-        m = LabelMatrix(values=[[1], [0]], lf_names=("a",))
-        assert orient_factor(np.array([-1.0, 1.0]), m) == -1
 
-    def test_all_abstain_defaults_positive(self):
-        m = LabelMatrix(values=[[-1], [-1]], lf_names=("a",))
-        assert orient_factor(np.array([3.0, -2.0]), m) == 1
+@st.composite
+def labelling_worlds(draw):
+    """Worlds where each class holds 5 % of the rows or more.  At a prior of 0.01
+    over 200 rows (two positives) the share of positive votes is noise, which the
+    reference follows and the sum rule does not, so such worlds are left out."""
+    m = draw(st.integers(1, 12))
+    return SyntheticSpec(
+        n=draw(st.integers(200, 2000)),
+        m=m,
+        class_prior=draw(st.floats(0.05, 0.95)),
+        accuracies=tuple(draw(st.lists(st.floats(0.55, 1.0), min_size=m, max_size=m))),
+        propensities=tuple(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
-    def test_zero_variance_defaults_positive(self):
-        m = LabelMatrix(values=[[1], [1], [1]], lf_names=("a",))
-        assert orient_factor(np.array([1.0, 2.0, 3.0]), m) == 1
 
-    def test_non_numeric_factor_rejected(self):
-        m = LabelMatrix(values=[[1]], lf_names=("a",))
-        with pytest.raises(ValidationError, match="factor vector must be a rectangular array of numbers"):
-            orient_factor(["a"], m)
+@settings(max_examples=200, deadline=None)
+@given(labelling_worlds())
+def test_the_sign_rule_picks_the_sign_of_the_vote_correlation(spec):
+    # with signed votes, loadings that sum to >= 0 correlate with the share of positive votes
+    train, _ = generate(spec)
+    params = fit_fa_em(train)[0]
+    sign = orient_factor(posterior_moments(params, train).mean, train)
+    assert build_label_model(params, train).params.w.tobytes() == (sign * params.w).tobytes()
 
-    @pytest.mark.parametrize("z", [np.float64(1.0), np.arange(2.0)[:, None]], ids=["0-d", "n-by-1"])
-    def test_factor_that_is_not_an_n_vector_rejected(self, z):
-        # a 0-d factor raised a bare IndexError and an (n, 1) one numpy's ValueError from corrcoef
-        m = LabelMatrix(values=[[0], [1]], lf_names=("a",))
-        with pytest.raises(ValidationError, match="factor vector length must match the matrix row count"):
-            orient_factor(z, m)
+
+def test_median_labels_agree_with_the_bayes_oracle_on_a_tall_world():
+    # perfbench's tall world at seed 811: 0.775 of the test rows agree with signed votes,
+    # 0.646 with abstain read as -1 and a negative vote as 0
+    def split(n, seed):
+        spec = SyntheticSpec(n=n, m=10, class_prior=0.3, accuracies=tuple(np.linspace(0.6, 0.9, 10)),
+                             propensities=(0.4,) * 10, seed=seed)
+        return spec, generate(spec)[0]
+
+    train, (spec, test) = split(10_000, 811)[1], split(5_000, 812)
+    agreement = (predict(train_label_model(train), test).labels == bayes_oracle(spec, test)).mean()
+    assert agreement >= 0.75
 
 
 class TestPredict:
@@ -133,7 +159,7 @@ class TestPredict:
 
     def test_tie_resolves_to_zero(self):
         model = make_model(threshold=0.0)
-        matrix = LabelMatrix(values=[[0, 0]], lf_names=("a", "b"))
+        matrix = LabelMatrix(values=[[-1, -1]], lf_names=("a", "b"))  # abstentions score 0 with c = 0
         preds = predict(model, matrix)
         assert preds.scores[0] == 0.0
         assert preds.labels[0] == 0
@@ -250,7 +276,7 @@ class TestLabelModelIO:
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "model.json"
-        p.write_text('{"k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [1.0]}')
+        p.write_text('{"version": 2, "k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [1.0]}')
         with pytest.raises(ValidationError, match="missing field"):
             load_label_model(p)
 
@@ -301,7 +327,7 @@ def erfc_cdf(x):
     return 0.5 * np.array([math.erfc(v) for v in (x * -math.sqrt(0.5)).tolist()])
 
 
-@example(seed=18074, n=10, prior=0.21875)  # the CDF merges two dev scores: J 0.7238 there, 0.7424 on the scores
+@example(seed=46834, n=10, prior=0.5015166739750693)  # the CDF merges 59 dev scores into 55: J 0.8019 there, 0.8068 on the scores
 @given(st.integers(0, 2**16), st.integers(10, 300), st.floats(0.2, 0.8))
 def test_cdf_youden_cuts_the_dev_scores(seed, n, prior):
     def split(n, seed):

@@ -371,7 +371,6 @@ def test_lf_names_with_commas_and_quotes_roundtrip(tmp_path):
 
 
 _FA = dict(w=[1.0], c=[0.0], psi=[1.0])
-_ONE_LF = LabelMatrix(values=[[1], [0]], lf_names=("a",))
 
 
 # float() parses "1.0", so each of these numeric strings was accepted as a number
@@ -386,11 +385,10 @@ _ONE_LF = LabelMatrix(values=[[1], [0]], lf_names=("a",))
         (lambda: falabel.fit_fa_vi([["1"], ["0"]]), "data"),
         (lambda: falabel.posterior_moments(falabel.FAParams(**_FA), [["1"]]), "data"),
         (lambda: falabel.log_likelihood(falabel.FAParams(**_FA), [["1"]]), "data"),
-        (lambda: falabel.orient_factor(["0.1", "0.9"], _ONE_LF), "factor vector"),
         (lambda: falabel.youden_threshold(["0.1", "0.9"], [0, 1]), "scores"),
     ],
     ids=["FAParams", "CIParams", "SyntheticSpec-prior", "SyntheticSpec-vector", "fit_fa_em", "fit_fa_vi",
-         "posterior_moments", "log_likelihood", "orient_factor", "youden_threshold"],
+         "posterior_moments", "log_likelihood", "youden_threshold"],
 )
 def test_numeric_strings_are_not_numbers(run, what):
     with pytest.raises(ValidationError, match=f"^{what} must be a rectangular array of numbers$"):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -55,12 +56,14 @@ def reference_generate(spec: SyntheticSpec):
 def reference_oracle(spec: SyntheticSpec, matrix: LabelMatrix) -> np.ndarray:
     """``bayes_oracle`` as first written, with the vote terms from two nested ``np.where``."""
     acc = np.asarray(spec.accuracies)
-    log_odds_vote = np.log(acc) - np.log1p(-acc)
     values = matrix.values
-    contrib = np.where(
-        values == 1, log_odds_vote[None, :], np.where(values == 0, -log_odds_vote[None, :], 0.0)
-    )
-    log_odds = np.log(spec.class_prior) - np.log1p(-spec.class_prior) + contrib.sum(axis=1)
+    # an accuracy of 1 has infinite log-odds, and two of them that disagree sum to nan, a tie
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_odds_vote = np.log(acc) - np.log1p(-acc)
+        contrib = np.where(
+            values == 1, log_odds_vote[None, :], np.where(values == 0, -log_odds_vote[None, :], 0.0)
+        )
+        log_odds = np.log(spec.class_prior) - np.log1p(-spec.class_prior) + contrib.sum(axis=1)
     return (log_odds > 0).astype(np.int64)
 
 
@@ -219,11 +222,25 @@ class TestBayesOracle:
                 bayes_oracle(spec, matrix), enumeration_oracle(spec, matrix)
             )
 
-    @pytest.mark.filterwarnings("ignore:divide by zero")  # an accuracy of 1 has infinite log-odds
     @given(small_specs())
     def test_matches_the_reference_oracle(self, spec):
         matrix, _ = generate(spec)
         np.testing.assert_array_equal(bayes_oracle(spec, matrix), reference_oracle(spec, matrix))
+
+    def test_a_vote_of_an_accuracy_1_lf_decides_its_row_without_a_warning(self):
+        spec = SyntheticSpec(n=6, m=4, class_prior=0.5, accuracies=(1.0, 1.0, 0.9, 0.9), propensities=(1.0,) * 4)
+        rows = [
+            [1, -1, 0, 0],  # a sure positive vote outweighs any finite votes
+            [0, -1, 1, 1],  # and so does a sure negative one
+            [-1, 1, 0, -1],
+            [1, 0, 1, 1],  # the sure LFs disagree: probability 0 under the spec, an exact tie
+            [1, 1, 0, 0],
+            [-1, -1, 1, 0],  # no sure vote: the finite terms cancel, a tie
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # log1p(-1) divides by zero, and inf - inf is nan
+            labels = bayes_oracle(spec, LabelMatrix(values=rows, lf_names=spec.lf_names))
+        np.testing.assert_array_equal(labels, [1, 0, 1, 0, 1, 0])
 
     def test_dimension_mismatch(self):
         spec = SyntheticSpec(
