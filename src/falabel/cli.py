@@ -43,12 +43,12 @@ def _parse_per_lf(text: str, m: int, what: str) -> tuple[float, ...]:
 
 
 def _load_model_file(path):
-    """Return (LabelModel, predict) or (CIParams, ci_predict), by the JSON keys;
-    only the modules that kind of model needs are imported."""
+    """Return (LabelModel, predict) for a JSON with ``version`` or ``threshold_kind``, else
+    (CIParams, ci_predict); only the modules that kind of model needs are imported."""
     from .labelling import _read_json
 
     payload = _read_json(path, "model")
-    if "threshold_kind" in payload:
+    if "version" in payload or "threshold_kind" in payload:
         from .label_model import label_model_from_dict, predict
 
         return label_model_from_dict(payload), predict
@@ -138,16 +138,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .labelling import _write_csv, load_gold_labels, load_label_matrix
+    from .labelling import _check_split, _write_csv, load_gold_labels, load_label_matrix
     from .metrics_eval import METHODS, evaluate
 
     train = load_label_matrix(args.train)
     test = load_label_matrix(args.test)
     gold = load_gold_labels(args.gold)
-    if gold.n != test.n:
-        raise ValidationError(
-            f"gold labels have {gold.n} rows but the test matrix has {test.n}"
-        )
+    _check_split(train, test, gold, "test")
     cfg = _fit_config(args)
     threshold_kind = THRESHOLD_FLAGS[args.threshold]
     dev = _dev_split(args)

@@ -32,6 +32,7 @@ array, read as given.  A label matrix's votes are read signed: abstain 0,
 negative -1 and positive 1, the coding of data programming (Ratner et al.
 2016).  Then loadings that sum to >= 0 point to the positive class, and that
 one rule fixes the factor's sign, at the start and in ``build_label_model``.
+This module reads and writes no file: the model file is ``label_model``'s.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .labelling import LabelMatrix, _check_count, _fields, _float_array, _json_int, _json_number
+from .labelling import LabelMatrix, _check_count, _float_array
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 PSI_FLOOR = 1e-6  # clamps the noise variances at every update, so constant columns keep psi > 0
@@ -304,13 +305,17 @@ def _fit_loop(step, state, cfg: FitConfig, route: str) -> list:
 
 
 def _reduce_rows(data) -> tuple[np.ndarray, np.ndarray, int]:
-    """Check the rows and reduce them to (c, S, n)."""
+    """Check the rows and reduce them to (c, S, n), which must be finite."""
     X = _as_float_matrix(data)
     n = len(X)
     if n < 2:
         raise ValidationError(f"fitting requires n >= 2 rows, got {n}")
-    c = X.mean(axis=0)
-    return c, _second_moment(X, c), n
+    with np.errstate(all="ignore"):  # an overflow is raised below, once
+        c = X.mean(axis=0)
+        S = _second_moment(X, c)
+    if not (np.isfinite(c).all() and np.isfinite(S).all()):
+        raise NumericalError("column means c or second moment S of the rows not finite")
+    return c, S, n
 
 
 def _fit_fa_batch(datas, cfg: FitConfig, route: str) -> list:
@@ -403,27 +408,3 @@ def log_likelihood(params: FAParams, data) -> float:
     X = _as_float_matrix(data, params.m)
     S = _second_moment(X, params.c)
     return float(len(X) * _row_log_likelihood(S, *_estep(S, params.w, params.psi)))
-
-
-def params_to_dict(params: FAParams) -> dict:
-    """The JSON fields of the parameters, floats at full precision: ``k`` is always
-    1, and ``W`` holds the loadings as m one-element lists."""
-    return {
-        "k": 1,
-        "m": params.m,
-        "W": params.w[:, None].tolist(),
-        "c": params.c.tolist(),
-        "psi": params.psi.tolist(),
-    }
-
-
-def params_from_dict(payload: dict) -> FAParams:
-    with _fields("model file"):
-        if _json_int(payload, "k") != 1:
-            raise ValidationError(f"field 'k' must be 1 (the model has one factor), got {payload['k']}")
-        m, W = _json_int(payload, "m"), _json_number(payload, "W", 2)
-        c, psi = _json_number(payload, "c", 1), _json_number(payload, "psi", 1)
-        for key, arr, shape in (("W", W, (m, 1)), ("c", c, (m,)), ("psi", psi, (m,))):
-            if arr.shape != shape:
-                raise ValidationError(f"field {key!r} must have shape {shape} as field 'm' is {m}, got {arr.shape}")
-        return FAParams(w=W[:, 0], c=c, psi=psi)

@@ -7,9 +7,10 @@ split.  The factor's sign is arbitrary; under the signed vote coding that
 ``fa_core`` reads, loadings that sum to >= 0 point to the positive class,
 so the model takes the fit's own sign rule (``fa_core._sum_nonnegative``).
 
-A model file carries ``"version": 2``.  A file written under the older vote
-coding, which scored abstain as -1 and a negative vote as 0, has no version;
-its W and cut would label rows wrongly under this coding, so it is refused.
+The model file is this module's alone, and a bad field is an error of the
+"label model file".  It carries ``"version": 2``.  A file written under the
+older vote coding, which scored abstain as -1 and a negative vote as 0, has no
+version; its W and cut would label rows wrongly under this coding, so it is refused.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fa_core import FAParams, FitConfig, _sum_nonnegative, fit_fa_em, params_from_dict, params_to_dict, posterior_moments
+from .fa_core import FAParams, FitConfig, _sum_nonnegative, fit_fa_em, posterior_moments
 from .labelling import (
     GoldLabels,
     LabelMatrix,
+    _check_split,
     _dump_json,
     _fields,
     _float_array,
     _int_cells,
+    _json_int,
     _json_number,
     _read_csv,
     _read_input,
@@ -139,8 +142,7 @@ def build_label_model(
     params = FAParams(w=_sum_nonnegative(params.w), c=params.c, psi=params.psi)
     if threshold_kind == "cdf_youden":
         dev_matrix, dev_gold = dev
-        if dev_gold.n != dev_matrix.n:
-            raise ValidationError("dev gold labels must match the dev matrix row count")
+        _check_split(train, dev_matrix, dev_gold, "dev")
         threshold_value, _ = youden_threshold(posterior_moments(params, dev_matrix).mean, dev_gold.values)
     else:
         threshold_value = _latent_threshold(threshold_kind, posterior_moments(params, train).mean)
@@ -174,10 +176,15 @@ def _load_prediction_labels(path) -> np.ndarray:
 
 
 def save_label_model(model: LabelModel, path) -> None:
-    """Serialize as the factor-parameter JSON plus the decision-rule fields."""
+    """Serialize as JSON, floats at full precision: the version, the factor parameters
+    (``k`` is always 1, and ``W`` holds the loadings as m one-element lists), then the rule."""
     payload = {
         "version": MODEL_VERSION,
-        **params_to_dict(model.params),
+        "k": 1,
+        "m": model.params.m,
+        "W": model.params.w[:, None].tolist(),
+        "c": model.params.c.tolist(),
+        "psi": model.params.psi.tolist(),
         "threshold_kind": model.threshold_kind,
         "threshold_value": float(model.threshold_value),
     }
@@ -193,9 +200,15 @@ def label_model_from_dict(payload: dict) -> LabelModel:
             f"label model file is not version {MODEL_VERSION} (its field 'version' is {found}); files before"
             f" version {MODEL_VERSION} were fitted to votes coded abstain -1 and negative 0: refit it with falabel fit"
         )
-    params = params_from_dict(payload)
     with _fields("label model file"):
-        return LabelModel(params, payload["threshold_kind"], _json_number(payload, "threshold_value"))
+        if _json_int(payload, "k") != 1:
+            raise ValidationError(f"field 'k' must be 1 (the model has one factor), got {payload['k']}")
+        m, W = _json_int(payload, "m"), _json_number(payload, "W", 2)
+        c, psi = _json_number(payload, "c", 1), _json_number(payload, "psi", 1)
+        for key, arr, shape in (("W", W, (m, 1)), ("c", c, (m,)), ("psi", psi, (m,))):
+            if arr.shape != shape:
+                raise ValidationError(f"field {key!r} must have shape {shape} as field 'm' is {m}, got {arr.shape}")
+        return LabelModel(FAParams(W[:, 0], c, psi), payload["threshold_kind"], _json_number(payload, "threshold_value"))
 
 
 def load_label_model(path) -> LabelModel:

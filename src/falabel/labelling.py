@@ -113,9 +113,9 @@ class LabelMatrix:
             raise ValidationError(
                 f"{m} columns but {len(self.lf_names)} LF names"
             )
-        for name in self.lf_names:  # the CSV readers strip header names, so these would not round-trip
-            if not isinstance(name, str) or name != name.strip():
-                raise ValidationError(f"LF name {name!r} must be a string without surrounding spaces")
+        for name in self.lf_names:  # the CSV readers strip names, and the writer leaves a lone "\r" unquoted
+            if not isinstance(name, str) or name != name.strip() or "\r" in name:
+                raise ValidationError(f"LF name {name!r} must be a string without surrounding spaces or a carriage return")
         if len(set(self.lf_names)) != m:
             dupes = sorted({x for x in self.lf_names if self.lf_names.count(x) > 1})
             raise ValidationError(f"duplicate LF names: {dupes}")
@@ -278,6 +278,15 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_split(train: LabelMatrix, matrix: LabelMatrix, gold: GoldLabels, split: str) -> None:
+    """A ValidationError unless the ``split`` matrix has the training LFs, in order, and ``gold`` a label per row."""
+    if matrix.lf_names != train.lf_names:
+        names = f"LFs {list(matrix.lf_names)} but the training matrix has {list(train.lf_names)}"
+        raise ValidationError(f"the {split} matrix has {names}")
+    if gold.n != matrix.n:
+        raise ValidationError(f"{split} gold labels have {gold.n} rows but the {split} matrix has {matrix.n}")
 
 
 def _json_int(payload: dict, key: str) -> int:

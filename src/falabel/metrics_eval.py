@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ValidationError
 from .fa_core import FitConfig, FitReport, _fit_fa_batch, fit_fa_em, fit_fa_vi
 from .label_model import build_label_model, predict
-from .labelling import GoldLabels, LabelMatrix, _check_count, _dump_json, _frozen_array, _within, _write_csv
+from .labelling import GoldLabels, LabelMatrix, _check_count, _check_split, _dump_json, _frozen_array, _within, _write_csv
 
 DEFAULT_SWEEP_SIZES = (10, 20, 30, 40, 50, 60)
 
@@ -215,8 +215,7 @@ def robustness_sweep(
     for method in methods:
         if method not in METHODS:
             raise ValidationError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
-    if gold_test.n != test.n:
-        raise ValidationError("test gold labels must match the test matrix row count")
+    _check_split(train, test, gold_test, "test")
 
     # one subsample per cell, in (size, repeat) order, from a seed spawned from cfg.seed
     subs = []

@@ -37,7 +37,7 @@ from falabel import (
     train_label_model,
 )
 from falabel.cli import main as cli_main
-from falabel.fa_core import _estep, _update
+from falabel.fa_core import _estep, _reduce_rows, _update
 
 MASTER_SEED = 123
 
@@ -140,8 +140,7 @@ def test_criterion_02_em_monotone_and_stationary():
         diffs = np.diff(rep.ll_trace)
         if diffs.size:
             worst_drop = max(worst_drop, float(-diffs.min()))
-        Xc = matrix.values.astype(float) - params.c
-        S = Xc.T @ Xc / matrix.n
+        _, S, _ = _reduce_rows(matrix)  # the S the fit saw: the votes read signed
         (w2, psi2, *_), _ = _update(S, matrix.n, *_estep(S, params.w, params.psi), "fa-em")
         extra = FAParams(w=w2, c=params.c, psi=psi2)
         improvement = log_likelihood(extra, matrix) - log_likelihood(params, matrix)

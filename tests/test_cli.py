@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from falabel import generate, load_label_matrix, save_gold_labels, save_label_matrix
+from falabel import LabelMatrix, generate, load_label_matrix, save_gold_labels, save_label_matrix
 from falabel.cli import main
 from falabel.synthetic import SyntheticSpec
 
@@ -354,6 +354,20 @@ class TestApplyLFs:
         assert "LF name ' buy'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_apply_lfs_rejects_a_name_holding_a_carriage_return(self, tmp_path, capsys):
+        # the writer left the "\r" unquoted, so every reader of the matrix saw a line break there
+        records = tmp_path / "records.txt"
+        records.write_text("buy now\n")
+        specs = tmp_path / "lfs.json"
+        specs.write_text(json.dumps([{"name": "a\rb", "kind": "keyword", "pattern": "buy", "vote_on_match": 1},
+                                     {"name": "c", "kind": "keyword", "pattern": "now", "vote_on_match": 0}]))
+        out = tmp_path / "matrix.csv"
+        assert main(["apply-lfs", str(records), str(specs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: LF name 'a\\rb' must be a string without surrounding spaces or a carriage return\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content, rows",
         [
@@ -522,6 +536,94 @@ def test_a_model_file_whose_m_disagrees_with_w_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     assert "field 'W' must have shape (4, 1) as field 'm' is 4, got (3, 1)" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [({k: v for k, v in SAVED_MODEL.items() if k != "psi"}, "psi"),
+     ({k: v for k, v in SAVED_MODEL.items() if k != "threshold_kind"}, "threshold_kind")],
+    ids=["no-psi", "version-2-without-threshold-kind"],
+)
+def test_a_model_file_missing_a_field_exits_2_naming_it(tmp_path, capsys, payload, field):
+    # one reader owns the file: psi was a "model file" field, and a file with no
+    # threshold_kind was "not a label-model or CI-model file"
+    (tmp_path / "m.csv").write_text(SAVED_MATRIX)
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: label model file missing field '{field}'\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
+def write_split(tmp_path, name, m, n, seed, lf_names=None):
+    """A synthetic matrix of m LFs and its gold labels, as <name>.csv and <name>_gold.csv."""
+    spec = SyntheticSpec(n=n, m=m, class_prior=0.5, accuracies=(0.8,) * m, propensities=(0.9,) * m, seed=seed)
+    matrix, gold = generate(spec)
+    if lf_names is not None:
+        matrix = LabelMatrix(values=matrix.values, lf_names=lf_names)
+    save_label_matrix(matrix, tmp_path / f"{name}.csv")
+    save_gold_labels(gold, tmp_path / f"{name}_gold.csv")
+    return str(tmp_path / f"{name}.csv"), str(tmp_path / f"{name}_gold.csv")
+
+
+def test_sweep_on_a_test_matrix_of_other_lfs_exits_2(tmp_path, capsys):
+    # majority vote fits nothing, so a 3-LF test matrix was scored against 5-LF training rows
+    train, _ = write_split(tmp_path, "train", 5, 100, 1)
+    test, gold = write_split(tmp_path, "test", 3, 50, 2)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", train, test, gold, "--methods", "majority", "--sizes", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the test matrix has LFs ['lf1', 'lf2', 'lf3'] but the training matrix has"
+        " ['lf1', 'lf2', 'lf3', 'lf4', 'lf5']\n"
+    )
+    assert not out.exists()
+
+
+def test_compare_with_renamed_training_lfs_exits_2_before_any_fit(tmp_path, capsys, monkeypatch):
+    from falabel import metrics_eval
+
+    fits = []  # each method is replaced by a recorder of its call
+    recorders = {name: (lambda *args, name=name: fits.append(name)) for name in metrics_eval.METHODS}
+    monkeypatch.setattr(metrics_eval, "METHODS", recorders)
+    train, _ = write_split(tmp_path, "train", 4, 100, 1, lf_names=("a", "b", "c", "d"))
+    test, gold = write_split(tmp_path, "test", 4, 50, 2)
+    out = tmp_path / "table.csv"
+    assert main(["compare", train, test, gold, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the test matrix has LFs ['lf1', 'lf2', 'lf3', 'lf4'] but the training matrix has ['a', 'b', 'c', 'd']\n"
+    )
+    assert fits == [] and not out.exists()
+
+
+def test_cdf_youden_fit_on_a_dev_split_of_other_lfs_exits_2_naming_it(tmp_path, capsys):
+    # this failed as "matrix has 3 columns but the model expects 5", after the fit
+    train, _ = write_split(tmp_path, "train", 5, 100, 1)
+    dev, dev_gold = write_split(tmp_path, "dev", 3, 50, 3)
+    out = tmp_path / "model.json"
+    argv = ["fit", train, "--threshold", "cdf-youden", "--dev-matrix", dev, "--dev-gold", dev_gold, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the dev matrix has LFs ['lf1', 'lf2', 'lf3'] but the training matrix has"
+        " ['lf1', 'lf2', 'lf3', 'lf4', 'lf5']\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep", "fit"])
+def test_a_gold_file_of_another_length_exits_2_naming_the_split(tmp_path, capsys, command):
+    train, _ = write_split(tmp_path, "train", 4, 100, 1)
+    test, _ = write_split(tmp_path, "test", 4, 50, 2)
+    _, short_gold = write_split(tmp_path, "short", 4, 40, 3)
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "compare": ["compare", train, test, short_gold, *out],
+        "sweep": ["sweep", train, test, short_gold, "--sizes", "10", *out],
+        "fit": ["fit", train, "--threshold", "cdf-youden", "--dev-matrix", test, "--dev-gold", short_gold, *out],
+    }[command]
+    split = "dev" if command == "fit" else "test"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {split} gold labels have 40 rows but the {split} matrix has 50\n"
+    assert not (tmp_path / "out").exists()
 
 
 def run_with_flag(world, command, *flag):
@@ -839,6 +941,17 @@ def test_stats_quotes_lf_names(tmp_path, capsys):
     assert rows[0] == ["metric", "lf", "value"]
     assert all(len(row) == 3 for row in rows)
     assert [row[1] for row in rows if row[0] == "count_abstain"] == ["kw,buy", 'say "hi"']
+
+
+@pytest.mark.parametrize("command", ["stats", "cov"])
+def test_a_quoted_header_name_holding_a_carriage_return_exits_2(tmp_path, capsys, command):
+    # it was read as the name "a\rb", which no writer can give back
+    path = tmp_path / "m.csv"
+    path.write_bytes(b'"a\rb",c\n1,0\n0,1\n')
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: LF name 'a\\rb' must be a string without surrounding spaces or a carriage return\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -33,10 +33,10 @@ from falabel.fa_core import (
     _fit_fa_batch,
     _fit_loop,
     _init_params,
+    _reduce_rows,
     _update,
-    params_from_dict,
-    params_to_dict,
 )
+from falabel.label_model import LabelModel, label_model_from_dict, save_label_model
 
 
 def quadrature_posterior(params: FAParams, row: np.ndarray) -> tuple[float, float]:
@@ -241,8 +241,7 @@ class TestFitEM:
         cfg = FitConfig(tol=1e-6, max_iter=20000)
         params, report = fit_fa_em(m, cfg)
         assert report.converged
-        Xc = m.values.astype(float) - params.c
-        S = Xc.T @ Xc / m.n
+        _, S, _ = _reduce_rows(m)  # the S the fit saw: the votes read signed
         (w2, psi2, *_), _ = _update(S, m.n, *_estep(S, params.w, params.psi), "fa-em")
         extra = FAParams(w=w2, c=params.c, psi=psi2)
         before = log_likelihood(params, m)
@@ -267,10 +266,12 @@ class TestFitEM:
 
     @pytest.mark.parametrize("fit", [fit_fa_em, fit_fa_vi])
     def test_overflowing_second_moment_raises_numerical_error(self, fit):
-        # finite rows whose squares overflow: S holds inf
-        X = np.array([[1e200, 0.0, 1.0], [-1e200, 0.0, 1.0], [1e200, 1.0, 0.0], [-1e200, 0.0, 0.0]])
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            fit(X, FitConfig())
+        # finite rows whose squares overflow: S holds inf.  The fits warned, then failed
+        # at iteration 1 (m <= 3) or in the eigensolver (m >= 4); warnings are errors here
+        for m in range(1, 9):
+            with pytest.raises(NumericalError) as info:
+                fit(OVERFLOWING[:, np.arange(m) % 3], FitConfig())
+            assert str(info.value) == "column means c or second moment S of the rows not finite"
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
@@ -362,45 +363,54 @@ class TestFitVI:
         assert report.route == "fa-vi"
 
 
+# The FA parameters' fields of the model file, which label_model alone reads and writes.
+RULE = {"version": 2, "threshold_kind": "median", "threshold_value": 0.0}
+
+
+def roundtrip(params: FAParams, tmp_path) -> LabelModel:
+    save_label_model(LabelModel(params, "median", 0.0), tmp_path / "model.json")
+    return label_model_from_dict(json.loads((tmp_path / "model.json").read_text()))
+
+
 class TestParamsIO:
-    def test_roundtrip_bit_exact(self):
+    def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
         params = random_params(rng, 4)
-        loaded = params_from_dict(json.loads(json.dumps(params_to_dict(params))))
+        loaded = roundtrip(params, tmp_path).params
         np.testing.assert_array_equal(loaded.w, params.w)
         np.testing.assert_array_equal(loaded.c, params.c)
         np.testing.assert_array_equal(loaded.psi, params.psi)
         assert loaded.m == params.m
 
     def test_negative_psi_rejected(self):
-        text = json.dumps({"k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [-0.5]})
-        with pytest.raises(ValidationError):
-            params_from_dict(json.loads(text))
+        text = json.dumps({**RULE, "k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [-0.5]})
+        with pytest.raises(ValidationError, match="psi entries must be > 0"):
+            label_model_from_dict(json.loads(text))
 
     def test_k_above_m_rejected(self):
-        text = json.dumps({"k": 2, "m": 1, "W": [[1.0, 0.0]], "c": [0.0], "psi": [1.0]})
-        with pytest.raises(ValidationError):
-            params_from_dict(json.loads(text))
+        text = json.dumps({**RULE, "k": 2, "m": 1, "W": [[1.0, 0.0]], "c": [0.0], "psi": [1.0]})
+        with pytest.raises(ValidationError, match="field 'k' must be 1"):
+            label_model_from_dict(json.loads(text))
 
     @pytest.mark.parametrize("m", [2, np.int64(2)])
-    def test_integer_m_roundtrips(self, m):
+    def test_integer_m_roundtrips(self, m, tmp_path):
         # the file's m is a JSON integer however the vectors' length was given
         params = FAParams(w=np.ones(m), c=np.zeros(m), psi=np.ones(m))
-        assert params_from_dict(json.loads(json.dumps(params_to_dict(params)))).m == 2
+        assert roundtrip(params, tmp_path).params.m == 2
 
     @pytest.mark.parametrize("m", [2.0, True, 0])
     def test_m_that_is_not_a_positive_integer_rejected(self, m):
         # the file's m must be a JSON integer, and the length of W, c and psi
         with pytest.raises(ValidationError, match="field 'm'"):
-            params_from_dict({"k": 1, "m": m, "W": [[1.0], [0.5]], "c": [0.0, 0.0], "psi": [1.0, 1.0]})
+            label_model_from_dict({**RULE, "k": 1, "m": m, "W": [[1.0], [0.5]], "c": [0.0, 0.0], "psi": [1.0, 1.0]})
 
     @pytest.mark.parametrize(
         "field, value", [("m", 3), ("W", [[1.0], [0.5], [0.2]]), ("c", [0.0]), ("psi", [1.0, 1.0, 1.0])]
     )
     def test_m_that_disagrees_with_w_c_or_psi_rejected(self, field, value):
-        payload = {"k": 1, "m": 2, "W": [[1.0], [0.5]], "c": [0.0, 0.0], "psi": [1.0, 1.0], field: value}
+        payload = {**RULE, "k": 1, "m": 2, "W": [[1.0], [0.5]], "c": [0.0, 0.0], "psi": [1.0, 1.0], field: value}
         with pytest.raises(ValidationError, match="field 'm' is "):
-            params_from_dict(payload)
+            label_model_from_dict(payload)
 
     @pytest.mark.parametrize("field", ["w", "c", "psi"])
     @pytest.mark.parametrize("value", [[1.0], [[1.0], [0.5]], []])

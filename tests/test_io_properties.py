@@ -153,6 +153,19 @@ def outcome(load, path):
     return loaded.values.tolist() if isinstance(loaded, GoldLabels) else loaded
 
 
+@example(["a\rb"], 1)  # the writer left the "\r" unquoted, so the header read back as two lines
+@given(
+    st.lists(st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from(',"\r\n '))), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+def test_every_lf_name_a_matrix_accepts_round_trips(names, n):
+    try:
+        matrix = LabelMatrix(values=np.zeros((n, len(names)), np.int64), lf_names=tuple(names))
+    except ValidationError:
+        return
+    assert roundtrip(matrix, save_label_matrix, load_label_matrix) == matrix
+
+
 @st.composite
 def vote_tables(draw):
     names = draw(
