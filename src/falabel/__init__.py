@@ -49,17 +49,15 @@ _EXPORTS = {
         "ABSTAIN",
         "GoldLabels",
         "LabelMatrix",
-        "LFSpec",
         "MatrixStats",
-        "apply_lfs",
         "covariance_matrix",
         "load_gold_labels",
         "load_label_matrix",
-        "load_lf_specs",
         "matrix_stats",
         "save_gold_labels",
         "save_label_matrix",
     ),
+    "lf_engine": ("LFSpec", "apply_lfs", "load_lf_specs"),
     "metrics_eval": (
         "MetricsReport",
         "SweepRecord",

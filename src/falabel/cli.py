@@ -77,8 +77,9 @@ def _warn_unconverged(method: str, cap: int, reports, cells: bool = False) -> No
         print(f"warning: {method} stopped at max_iter={cap} without converging{where}", file=sys.stderr)
 
 
-def _dev_split(args):
-    from .labelling import load_gold_labels, load_label_matrix
+def _dev_split(args, train):
+    """The dev split of the flags, checked against the ``train`` matrix before any fit, or None."""
+    from .labelling import _check_split, load_gold_labels, load_label_matrix
 
     if args.dev_matrix is None and args.dev_gold is None:
         return None
@@ -86,14 +87,16 @@ def _dev_split(args):
         raise ValidationError("--dev-matrix and --dev-gold are read only with --threshold cdf-youden")
     if args.dev_matrix is None or args.dev_gold is None:
         raise ValidationError("--dev-matrix and --dev-gold must be given together")
-    return load_label_matrix(args.dev_matrix), load_gold_labels(args.dev_gold)
+    dev = load_label_matrix(args.dev_matrix), load_gold_labels(args.dev_gold)
+    _check_split(train, *dev, "dev")
+    return dev
 
 
 def cmd_fit(args) -> int:
     from dataclasses import asdict
 
+    from .label_model import METHODS
     from .labelling import _dump_json, load_label_matrix
-    from .metrics_eval import METHODS
 
     if args.route not in METHODS:
         raise ValidationError(f"unknown route {args.route!r}, expected one of {tuple(METHODS)}")
@@ -103,9 +106,9 @@ def cmd_fit(args) -> int:
         raise ValidationError(
             f"--threshold {args.threshold} is read only by the FA routes; route 'ci-em' labels by its posterior"
         )
-    model, report, _ = METHODS[args.route](
-        load_label_matrix(args.matrix), _fit_config(args), THRESHOLD_FLAGS[args.threshold], _dev_split(args)
-    )
+    train = load_label_matrix(args.matrix)
+    dev = _dev_split(args, train)
+    model, report, _ = METHODS[args.route](train, _fit_config(args), THRESHOLD_FLAGS[args.threshold], dev)
     if args.route == "ci-em":
         from .ci_baseline import save_ci_params as save
     else:
@@ -138,8 +141,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .label_model import METHODS
     from .labelling import _check_split, _write_csv, load_gold_labels, load_label_matrix
-    from .metrics_eval import METHODS, evaluate
+    from .metrics_eval import evaluate
 
     train = load_label_matrix(args.train)
     test = load_label_matrix(args.test)
@@ -147,7 +151,7 @@ def cmd_compare(args) -> int:
     _check_split(train, test, gold, "test")
     cfg = _fit_config(args)
     threshold_kind = THRESHOLD_FLAGS[args.threshold]
-    dev = _dev_split(args)
+    dev = _dev_split(args, train)
     rows = [("method", "accuracy", "precision", "recall", "f1", "tp", "fp", "tn", "fn", "n")]
     reports = {}
     for method, fit in METHODS.items():
@@ -234,7 +238,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_apply_lfs(args) -> int:
-    from .labelling import _read_input, _text_mode, apply_lfs, load_lf_specs, save_label_matrix
+    from .labelling import _read_input, _text_mode, save_label_matrix
+    from .lf_engine import apply_lfs, load_lf_specs
 
     # a record ends only at "\r\n", "\r" or "\n"; splitlines() would also split at U+2028
     lines = _text_mode(_read_input(args.records, "records")).split("\n")
@@ -258,14 +263,7 @@ def _add_fit_flags(p: argparse.ArgumentParser, thresholds=tuple(THRESHOLD_FLAGS)
         p.add_argument("--dev-gold", default=None, help="dev gold labels (cdf-youden only)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="falabel",
-        description="Weak-supervision label models over labelling-matrix CSVs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit a label model on a labelling matrix")
+def _args_fit(p: argparse.ArgumentParser) -> None:
     p.add_argument("matrix", help="training labelling-matrix CSV")
     p.add_argument(
         "--route", default="fa-em", help="label method (default fa-em); see the README's table"
@@ -273,50 +271,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--report", default=None, help="optional fit-report JSON")
     _add_fit_flags(p)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="predict labels with a saved model")
+
+def _args_predict(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", help="model JSON from fit")
     p.add_argument("matrix", help="labelling-matrix CSV to score")
     p.add_argument("--out", required=True, help="output predictions CSV")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score predictions against gold labels")
+
+def _args_evaluate(p: argparse.ArgumentParser) -> None:
     p.add_argument("predictions", help="predictions CSV from predict")
     p.add_argument("gold", help="gold labels CSV (header 'y')")
     p.add_argument("--out", default=None, help="output report JSON (default stdout)")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="run all methods on one train/test split")
+
+def _args_split(p: argparse.ArgumentParser) -> None:
     p.add_argument("train", help="training labelling-matrix CSV")
     p.add_argument("test", help="test labelling-matrix CSV")
     p.add_argument("gold", help="test gold labels CSV")
+
+
+def _args_compare(p: argparse.ArgumentParser) -> None:
+    _args_split(p)
     p.add_argument("--out", required=True, help="output table CSV")
     _add_fit_flags(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep", help="training-size robustness sweep")
-    p.add_argument("train", help="training labelling-matrix CSV")
-    p.add_argument("test", help="test labelling-matrix CSV")
-    p.add_argument("gold", help="test gold labels CSV")
+
+def _args_sweep(p: argparse.ArgumentParser) -> None:
+    _args_split(p)
     p.add_argument("--sizes", default="10,20,30,40,50,60", help="comma list of subsample sizes")
     p.add_argument("--repeats", type=int, default=5, help="repeats per size (default 5)")
     p.add_argument("--methods", default="fa-em,ci-em,majority", help="comma list of methods")
     p.add_argument("--out", required=True, help="output sweep CSV")
     _add_fit_flags(p, ("median", "mean"))  # the sweep has no dev split
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("stats", help="labelling-matrix summary statistics")
+
+def _args_matrix(p: argparse.ArgumentParser) -> None:
     p.add_argument("matrix", help="labelling-matrix CSV")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("cov", help="column covariance matrix of a labelling matrix")
-    p.add_argument("matrix", help="labelling-matrix CSV")
-    p.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_cov)
 
-    p = sub.add_parser("synth", help="generate a synthetic matrix with gold labels")
+def _args_synth(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", default=None, help="synthetic spec JSON (overrides flags)")
     p.add_argument("--n", type=int, default=1000, help="rows (default 1000)")
     p.add_argument("--m", type=int, default=5, help="labelling functions (default 5)")
@@ -334,25 +329,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=123, help="random seed (default 123)")
     p.add_argument("--out-matrix", required=True, help="output labelling-matrix CSV")
     p.add_argument("--out-gold", required=True, help="output gold labels CSV")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("apply-lfs", help="apply keyword/regex LFs to text records")
+
+def _args_apply_lfs(p: argparse.ArgumentParser) -> None:
     p.add_argument("records", help="UTF-8 text file, one record per line")
     p.add_argument("specs", help="JSON array of LF specs")
     p.add_argument("--out", required=True, help="output labelling-matrix CSV")
-    p.set_defaults(func=cmd_apply_lfs)
 
+
+# Each subcommand's help line, the function adding its arguments, and its handler.
+COMMANDS = {
+    "fit": ("fit a label model on a labelling matrix", _args_fit, cmd_fit),
+    "predict": ("predict labels with a saved model", _args_predict, cmd_predict),
+    "evaluate": ("score predictions against gold labels", _args_evaluate, cmd_evaluate),
+    "compare": ("run all methods on one train/test split", _args_compare, cmd_compare),
+    "sweep": ("training-size robustness sweep", _args_sweep, cmd_sweep),
+    "stats": ("labelling-matrix summary statistics", _args_matrix, cmd_stats),
+    "cov": ("column covariance matrix of a labelling matrix", _args_matrix, cmd_cov),
+    "synth": ("generate a synthetic matrix with gold labels", _args_synth, cmd_synth),
+    "apply-lfs": ("apply keyword/regex LFs to text records", _args_apply_lfs, cmd_apply_lfs),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Every subcommand is listed, but when ``command`` names one
+    only that one gets its arguments, which is all a parse of its argv reads."""
+    parser = argparse.ArgumentParser(
+        prog="falabel",
+        description="Weak-supervision label models over labelling-matrix CSVs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command not in COMMANDS or command == name:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return COMMANDS[args.command][2](args)
     except (ValidationError, OSError) as exc:  # bad input, or an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,17 +11,21 @@ The model file is this module's alone, and a bad field is an error of the
 "label model file".  It carries ``"version": 2``.  A file written under the
 older vote coding, which scored abstain as -1 and a negative vote as 0, has no
 version; its W and cut would label rows wrongly under this coding, so it is refused.
+
+The table of label methods, ``METHODS``, is here too: ``fit``, ``compare`` and
+``sweep`` share it, and ``fit`` loads no evaluation code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .fa_core import FAParams, FitConfig, _sum_nonnegative, fit_fa_em, posterior_moments
+from .fa_core import FAParams, FitConfig, _sum_nonnegative, fit_fa_em, fit_fa_vi, posterior_moments
 from .labelling import (
     GoldLabels,
     LabelMatrix,
@@ -35,7 +39,6 @@ from .labelling import (
     _read_csv,
     _read_input,
     _read_json,
-    _write_csv,
 )
 
 THRESHOLD_KINDS = ("median", "mean", "cdf_youden")
@@ -161,18 +164,119 @@ def predict(model: LabelModel, matrix: LabelMatrix) -> Predictions:
     return Predictions(labels=(scores > model.threshold_value).astype(np.int64), scores=scores)
 
 
+# Each method fits on a training matrix and returns (model, fit report,
+# labeller), where the labeller maps a matrix to 0/1 labels.  Fitters and
+# predictors are looked up by their global names when a method runs, so
+# replacing one (to trace or patch it) takes effect: the FA ones in this
+# module, the CI ones in ci_baseline, which is imported only by the methods
+# that run it, so an FA fit or an FA prediction never loads it.
+def _fit_fa_em(train, cfg, threshold_kind, dev):
+    return _fa_labeller(*fit_fa_em(train, cfg), train, threshold_kind, dev)
+
+
+def _fit_fa_vi(train, cfg, threshold_kind, dev):
+    return _fa_labeller(*fit_fa_vi(train, cfg), train, threshold_kind, dev)
+
+
+def _fa_labeller(params, report, train, threshold_kind, dev):
+    model = build_label_model(params, train, threshold_kind=threshold_kind, dev=dev)
+    return model, report, lambda matrix: predict(model, matrix).labels
+
+
+def _fit_ci_em(train, cfg, threshold_kind, dev):
+    from .ci_baseline import ci_predict, fit_ci_em
+
+    params, report = fit_ci_em(train, cfg)
+    return params, report, lambda matrix: ci_predict(params, matrix).labels
+
+
+def _majority(train, cfg, threshold_kind, dev):
+    from .ci_baseline import majority_vote
+
+    return None, None, majority_vote
+
+
+METHODS = {"fa-em": _fit_fa_em, "fa-vi": _fit_fa_vi, "ci-em": _fit_ci_em, "majority": _majority}
+
+
 def save_predictions(preds: Predictions, path) -> None:
-    """Predictions CSV: columns index,score,label."""
-    rows = zip(range(len(preds.labels)), preds.scores.tolist(), preds.labels.tolist())
-    _write_csv([("index", "score", "label"), *rows], path)
+    """Predictions CSV: columns index,score,label, each score spelled as ``repr``
+    spells it; the bytes the csv module's writer gives."""
+    rows = enumerate(zip(preds.scores.tolist(), preds.labels.tolist()))
+    lines = "".join([f"{i},{score!r},{label}\n" for i, (score, label) in rows])
+    Path(path).write_text(_PREDICTIONS_HEADER + lines, encoding="utf-8")
+
+
+_PREDICTIONS_HEADER = "index,score,label\n"
+
+
+def _canonical_predictions(text: str) -> np.ndarray | None:
+    """The labels of ``text``, the content of a predictions CSV, when it is in the form
+    :func:`save_predictions` writes; else None, and ``_read_predictions`` reads it.
+
+    That form is the header, then for row i the line ``i,score,label\n``: the index
+    spelled as ``str(i)``, a finite score spelled as ``repr(float)`` spells it and a
+    label of 0 or 1.  The lines are split and the indexes and labels decoded with
+    numpy; the scores are parsed by numpy and compared with their reprs.
+    """
+    if not text.startswith(_PREDICTIONS_HEADER) or not text.isascii():
+        return None
+    body = text[len(_PREDICTIONS_HEADER) :]
+    chars = np.frombuffer(body.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    commas = np.flatnonzero(chars == ord(","))
+    n = ends.size
+    if n == 0 or chars[-1] != ord("\n") or commas.size != 2 * n:
+        return None
+    # each line holds two commas, the second just before a one-byte label, and
+    # before the first the index: line i's as many bytes as str(i) has, then its digits
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    rows, width = np.arange(n), commas[0::2] - starts
+    if (commas[1::2] != ends - 2).any() or (width != np.searchsorted(10 ** np.arange(1, 19), rows, "right") + 1).any():
+        return None
+    for d in range(width[-1]):  # the d-th digit from the left, where the index has one
+        digit = rows // 10 ** np.maximum(width - 1 - d, 0) % 10 + ord("0")
+        if (chars[starts + d] != digit)[d < width].any():
+            return None
+    labels = chars[ends - 1] - np.uint8(ord("0"))
+    if (labels > 1).any():
+        return None
+    scores = body.split(",")[1::2]  # the fields alternate: index (after a label), score
+    try:
+        values = np.array(scores, float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or list(map(repr, values.tolist())) != scores:
+        return None
+    return labels.astype(np.int64)
+
+
+def _read_predictions(path, text: str) -> np.ndarray:
+    """The labels of ``text``, the content of the predictions CSV ``path``, by the
+    general CSV reader; any content but the form of ``save_predictions`` is a ValidationError."""
+    header, rows = _read_csv(path, text)
+    if header != ["index", "score", "label"]:
+        raise ValidationError(f"{Path(path)}: expected header 'index,score,label'")
+    labels = _int_cells(path, [row[2:] for row in rows], (0, 1), "label")[:, 0]
+    for i, (index, score, _) in enumerate(rows):
+        if index != str(i):
+            raise ValidationError(f"{Path(path)}: index {index!r} at line {i + 2}, expected {i}")
+        try:
+            value = float(score)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and repr(value) == score):
+            raise ValidationError(
+                f"{Path(path)}: score {score!r} at line {i + 2} is not a finite number spelled as repr(float) spells it"
+            )
+    return labels
 
 
 def _load_prediction_labels(path) -> np.ndarray:
     """The label column, each in {0, 1}, of a CSV written by :func:`save_predictions`."""
-    header, rows = _read_csv(path, _read_input(path, "predictions"))
-    if header != ["index", "score", "label"]:
-        raise ValidationError(f"{Path(path)}: expected header 'index,score,label'")
-    return _int_cells(path, [row[2:] for row in rows], (0, 1), "label")[:, 0]
+    text = _read_input(path, "predictions")
+    labels = _canonical_predictions(text)
+    return _read_predictions(path, text) if labels is None else labels
 
 
 def save_label_model(model: LabelModel, path) -> None:

@@ -1,5 +1,5 @@
-"""The table of label methods, binary classification metrics, the
-class-imbalance index, and the training-size robustness sweep."""
+"""Binary classification metrics, the class-imbalance index, and the
+training-size robustness sweep."""
 
 from __future__ import annotations
 
@@ -9,46 +9,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fa_core import FitConfig, FitReport, _fit_fa_batch, fit_fa_em, fit_fa_vi
-from .label_model import build_label_model, predict
+from .fa_core import FitConfig, FitReport, _fit_fa_batch
+from .label_model import METHODS, _fa_labeller
 from .labelling import GoldLabels, LabelMatrix, _check_count, _check_split, _dump_json, _frozen_array, _within, _write_csv
 
 DEFAULT_SWEEP_SIZES = (10, 20, 30, 40, 50, 60)
-
-
-# Each method fits on a training matrix and returns (model, fit report,
-# labeller), where the labeller maps a matrix to 0/1 labels.  Fitters and
-# predictors are looked up by their global names when a method runs, so
-# replacing one (to trace or patch it) takes effect: the FA ones in this
-# module, the CI ones in ci_baseline, which is imported only by the methods
-# that run it, so an FA fit or an evaluation never loads it.
-def _fit_fa_em(train, cfg, threshold_kind, dev):
-    return _fa_labeller(*fit_fa_em(train, cfg), train, threshold_kind, dev)
-
-
-def _fit_fa_vi(train, cfg, threshold_kind, dev):
-    return _fa_labeller(*fit_fa_vi(train, cfg), train, threshold_kind, dev)
-
-
-def _fa_labeller(params, report, train, threshold_kind, dev):
-    model = build_label_model(params, train, threshold_kind=threshold_kind, dev=dev)
-    return model, report, lambda matrix: predict(model, matrix).labels
-
-
-def _fit_ci_em(train, cfg, threshold_kind, dev):
-    from .ci_baseline import ci_predict, fit_ci_em
-
-    params, report = fit_ci_em(train, cfg)
-    return params, report, lambda matrix: ci_predict(params, matrix).labels
-
-
-def _majority(train, cfg, threshold_kind, dev):
-    from .ci_baseline import majority_vote
-
-    return None, None, majority_vote
-
-
-METHODS = {"fa-em": _fit_fa_em, "fa-vi": _fit_fa_vi, "ci-em": _fit_ci_em, "majority": _majority}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from falabel import LabelMatrix, generate, load_label_matrix, save_gold_labels, save_label_matrix
-from falabel.cli import main
+from falabel.cli import COMMANDS, build_parser, main
 from falabel.synthetic import SyntheticSpec
 
 
@@ -114,7 +114,7 @@ class TestFit:
 
     def test_numerical_failure_exits_3(self, world, capsys, monkeypatch):
         from falabel import NumericalError
-        import falabel.metrics_eval as methods_mod
+        import falabel.label_model as methods_mod
 
         def boom(*args, **kwargs):
             raise NumericalError("synthetic breakdown at iteration 3")
@@ -580,11 +580,11 @@ def test_sweep_on_a_test_matrix_of_other_lfs_exits_2(tmp_path, capsys):
 
 
 def test_compare_with_renamed_training_lfs_exits_2_before_any_fit(tmp_path, capsys, monkeypatch):
-    from falabel import metrics_eval
+    from falabel import label_model
 
     fits = []  # each method is replaced by a recorder of its call
-    recorders = {name: (lambda *args, name=name: fits.append(name)) for name in metrics_eval.METHODS}
-    monkeypatch.setattr(metrics_eval, "METHODS", recorders)
+    recorders = {name: (lambda *args, name=name: fits.append(name)) for name in label_model.METHODS}
+    monkeypatch.setattr(label_model, "METHODS", recorders)
     train, _ = write_split(tmp_path, "train", 4, 100, 1, lf_names=("a", "b", "c", "d"))
     test, gold = write_split(tmp_path, "test", 4, 50, 2)
     out = tmp_path / "table.csv"
@@ -607,6 +607,26 @@ def test_cdf_youden_fit_on_a_dev_split_of_other_lfs_exits_2_naming_it(tmp_path, 
         " ['lf1', 'lf2', 'lf3', 'lf4', 'lf5']\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_a_dev_split_of_other_lfs_exits_2_before_any_fit(tmp_path, capsys, monkeypatch, command):
+    # the dev split was checked inside build_label_model, after a whole fa-em fit
+    from falabel import fa_core
+
+    fits, fit_loop = [], fa_core._fit_loop
+    monkeypatch.setattr(fa_core, "_fit_loop", lambda *args: fits.append(args[-1]) or fit_loop(*args))
+    train, _ = write_split(tmp_path, "train", 5, 100, 1)
+    test, gold = write_split(tmp_path, "test", 5, 50, 2)
+    dev, dev_gold = write_split(tmp_path, "dev", 3, 50, 3)
+    inputs = [train] if command == "fit" else [train, test, gold]
+    dev_flags = ["--threshold", "cdf-youden", "--dev-matrix", dev, "--dev-gold", dev_gold]
+    assert main([command, *inputs, *dev_flags, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: the dev matrix has LFs ['lf1', 'lf2', 'lf3'] but the training matrix has"
+        " ['lf1', 'lf2', 'lf3', 'lf4', 'lf5']\n"
+    )
+    assert fits == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep", "fit"])
@@ -783,7 +803,7 @@ def test_default_commands_leave_scipy_unloaded(tmp_path):
 
     script = """
 import sys
-from falabel.cli import main
+from falabel.cli import COMMANDS, build_parser, main
 
 d = sys.argv[1]
 commands = [
@@ -823,7 +843,7 @@ def test_cdf_youden_fit_and_predict_leave_scipy_unloaded(world):
     tmp, paths = world
     script = """
 import sys
-from falabel.cli import main
+from falabel.cli import COMMANDS, build_parser, main
 
 train, train_gold, test, d = sys.argv[1:]
 assert main(["fit", train, "--threshold", "cdf-youden", "--dev-matrix", train,
@@ -895,20 +915,64 @@ def test_each_command_imports_only_the_modules_it_runs(world):
         "synth": {"numpy.random"},
         "sweep": {"numpy.random"},
     }
-    fa = {"labelling", "fa_core", "label_model", "metrics_eval"}
-    fitters = fa | {"ci_baseline"}
+    # the method table lives in label_model, so a fit loads no metrics_eval,
+    # and only apply-lfs loads the LF engine
+    fa = {"labelling", "fa_core", "label_model"}
+    fitters = fa | {"metrics_eval", "ci_baseline"}
     assert loaded == {
         "synth": {"labelling", "synthetic"},
-        "apply-lfs": {"labelling"},
+        "apply-lfs": {"labelling", "lf_engine"},
         "stats": {"labelling"},
         "cov": {"labelling"},
-        "predict.fa": {"labelling", "fa_core", "label_model"},
-        "predict.ci": {"labelling", "fa_core", "label_model", "ci_baseline"},
-        "evaluate": fa,
+        "predict.fa": fa,
+        "predict.ci": fa | {"ci_baseline"},
+        "evaluate": fa | {"metrics_eval"},
         "fit": fa,
         "compare": fitters,
         "sweep": fitters,
     }
+
+
+def perfbench_argvs() -> list[list[str]]:
+    """The argv of each command of perfbench's cycle, on each of its workloads."""
+    import importlib.util
+    import sys
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # a dataclass looks its module up while it is built
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [list(cmd.args) for w in workloads.WORKLOADS.values() for cmd in workloads.commands(w, 7)]
+
+
+MORE_ARGVS = [
+    ["stats", "m.csv"],
+    ["stats", "m.csv", "--out", "s.csv"],
+    ["cov", "m.csv", "--out", "c.csv"],
+    ["synth", "--n", "20", "--m", "3", "--accuracy", "0.6:0.9", "--out-matrix", "m.csv", "--out-gold", "y.csv"],
+    ["fit", "m.csv", "--out", "f.json", "--tol", "1e-6", "--max-iter", "5", "--threshold", "mean"],
+    ["sweep", "a.csv", "b.csv", "y.csv", "--out", "s.csv"],
+]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_the_one_command_parser_reads_as_the_full_parser(command, capsys):
+    # main adds arguments only to the subcommand named first
+    one, full = build_parser(command), build_parser()
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    argvs = [argv for argv in perfbench_argvs() + MORE_ARGVS if argv[0] == command]
+    assert argvs
+    for argv in argvs:
+        assert one.parse_args(argv) == full.parse_args(argv)
 
 
 def test_unknown_route_exits_2_naming_the_routes(world, capsys):
@@ -973,6 +1037,28 @@ def test_malformed_predictions_exit_2(tmp_path, capsys, content, message):
     assert main(["evaluate", str(pred), str(gold)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("index,score,label\n5,abc,1\n1,0.2,0\n", "index '5' at line 2, expected 0"),
+        ("index,score,label\n0,0.2,1\n0,0.2,0\n", "index '0' at line 3, expected 1"),
+        ("index,score,label\n0,abc,1\n1,0.2,0\n", "score 'abc' at line 2 is not a finite number"),
+        ("index,score,label\n0,0.2,1\n1,nan,0\n", "score 'nan' at line 3 is not a finite number"),
+        ("index,score,label\n0,0.2,1\n1,5,0\n", "score '5' at line 3 is not a finite number spelled as repr"),
+    ],
+    ids=["index-5", "repeated-index", "score-abc", "score-nan", "score-5"],
+)
+def test_predictions_with_a_bad_index_or_score_exit_2(tmp_path, capsys, content, message):
+    # the reader checked the label column only, so each of these was evaluated
+    pred = tmp_path / "pred.csv"
+    pred.write_text(content)
+    gold = tmp_path / "gold.csv"
+    gold.write_text("y\n1\n0\n")
+    assert main(["evaluate", str(pred), str(gold)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pred}: ") and message in err
 
 
 @pytest.mark.parametrize(

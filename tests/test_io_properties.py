@@ -36,7 +36,7 @@ from falabel import (
 )
 from falabel import labelling
 from falabel.cli import main
-from falabel.label_model import _load_prediction_labels
+from falabel.label_model import _canonical_predictions, _load_prediction_labels, _read_predictions
 from falabel.labelling import (
     VALID_ENTRIES,
     _WRITE_BLOCK,
@@ -391,20 +391,107 @@ def test_predictions_csv_roundtrip(labels, data):
     np.testing.assert_array_equal(roundtrip(preds, save_predictions, _load_prediction_labels), labels)
 
 
+@given(
+    arrays(np.int64, st.integers(1, 30), elements=st.sampled_from([0, 1])),
+    st.data(),
+)
+def test_written_predictions_take_the_fast_path(labels, data):
+    scores = data.draw(arrays(float, labels.shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pred.csv"
+        save_predictions(Predictions(labels=labels, scores=scores), path)
+        text = _read_input(path, "predictions")
+    np.testing.assert_array_equal(_canonical_predictions(text), labels)
+    np.testing.assert_array_equal(_read_predictions(path, text), labels)
+
+
+PREDICTION_FIELDS = [
+    "0", "1", "2", "5", "-0", "-0.0", "0.5", "0.50", ".5", "5.", "1e5", "1e-05", "1e+16", "1e16", "1E+16",
+    "nan", "inf", "-inf", "1e400", "1e-400", " 1.5", "1.5 ", "1_0", "\u0661", "+1", "01", "", "a", '"0.5"', "0,5",
+    "1\n", "0.1\r", "0.30000000000000004", "0.30000000000000001", "9007199254740993", "5e-324", "[1.0]", "true",
+]
+
+
+@st.composite
+def prediction_texts(draw):
+    """The text ``save_predictions`` writes for random labels and scores, mutated or not."""
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=12))
+    scores = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(labels), max_size=len(labels)))
+    rows = [[str(i), repr(score), str(label)] for i, (score, label) in enumerate(zip(scores, labels))]
+    kind = draw(st.sampled_from(["none", "field", "field", "swap", "repeat", "drop", "crlf", "no final newline"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "field":
+        rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from(PREDICTION_FIELDS) | st.text(max_size=4))
+    elif kind == "swap":
+        j = draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "repeat":
+        rows.insert(i, list(rows[i]))
+    elif kind == "drop" and len(rows) > 1:
+        del rows[i]
+    text = "index,score,label\n" + "".join(",".join(row) + "\n" for row in rows)
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    return text[:-1] if kind == "no final newline" else text
+
+
+def fast_and_general(text):
+    """What the predictions fast path gives for ``text`` (None when it leaves the
+    text to the general reader), what the general reader gives and what the
+    loader gives: the labels as a list, or the message of the ValidationError."""
+
+    def labels_or_error(read, *args):
+        try:
+            return read(*args).tolist()
+        except ValidationError as exc:
+            return str(exc)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pred.csv"
+        path.write_bytes(text.encode("utf-8"))
+        general = labels_or_error(_read_predictions, path, text)
+        loaded = labels_or_error(_load_prediction_labels, path)
+    fast = _canonical_predictions(text)
+    return None if fast is None else fast.tolist(), general, loaded
+
+
+@example("index,score,label\n5,abc,1\n1,0.2,0\n")  # read as labels [1, 0] by a reader of the label column alone
+@example("index,score,label\n0,0.2,1\n0,0.2,0\n")
+@given(prediction_texts() | st.text(st.characters(codec="utf-8")))
+def test_the_predictions_fast_path_reads_as_the_general_reader(text):
+    fast, general, loaded = fast_and_general(text)
+    assert loaded == general
+    assert fast is None or fast == general
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["index", "score", "label"])
+@pytest.mark.parametrize("field", PREDICTION_FIELDS)
+def test_a_predictions_field_reads_as_the_general_reader_reads_it(field, column):
+    rows = [["0", "0.25", "1"], ["1", "-1.5", "0"], ["2", "3e-05", "1"]]
+    rows[1][column] = field
+    text = "index,score,label\n" + "".join(",".join(row) + "\n" for row in rows)
+    fast, general, loaded = fast_and_general(text)
+    assert loaded == general
+    assert fast is None or fast == general
+    if column == 1 and field in ("0.5", "-0.0", "1e-05", "1e+16", "0.30000000000000004", "5e-324"):
+        assert fast == general == [1, 0, 1]  # the spelling of repr(float) is read, by the fast path
+
+
 @pytest.mark.parametrize("cell, expected", [("\u0661", None), ("0_1", None), (" 01 ", 1), ("+1", 1)])
 @pytest.mark.parametrize(
     "header, prefix, load",
     [
         ("a", "", lambda path: load_label_matrix(path).values[:, 0].tolist()),
         ("y", "", lambda path: load_gold_labels(path).values.tolist()),
-        ("index,score,label", "0,0.5,", lambda path: _load_prediction_labels(path).tolist()),
+        ("index,score,label", "{},0.5,", lambda path: _load_prediction_labels(path).tolist()),
     ],
     ids=["matrix", "gold", "predictions"],
 )
 def test_a_cell_is_an_ascii_integer(tmp_path, cell, expected, header, prefix, load):
-    # int() alone read the Arabic-Indic digit one and "0_1" as votes of 1
+    # int() alone read the Arabic-Indic digit one and "0_1" as votes of 1; a
+    # prediction row's prefix holds its index
     path = tmp_path / "f.csv"
-    path.write_text(f"{header}\n{prefix}0\n{prefix}{cell}\n", encoding="utf-8")
+    path.write_text(f"{header}\n{prefix.format(0)}0\n{prefix.format(1)}{cell}\n", encoding="utf-8")
     if expected is None:
         with pytest.raises(ValidationError, match=f"non-integer [a-z]+ {re.escape(repr(cell))} at "):
             load(path)

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import falabel.metrics_eval as metrics_eval
+from falabel.label_model import METHODS
 from falabel import (
     FitConfig,
     GoldLabels,
@@ -328,8 +329,8 @@ def log_fits(monkeypatch, fail_at=None):
     monkeypatch.setattr(
         metrics_eval, "_fit_fa_batch", logged(metrics_eval._fit_fa_batch, lambda datas, route: ("batch", route, len(datas)))
     )
-    for method, fit in list(metrics_eval.METHODS.items()):
-        monkeypatch.setitem(metrics_eval.METHODS, method, logged(fit, lambda train, *_, method=method: (method, train.n)))
+    for method, fit in list(METHODS.items()):
+        monkeypatch.setitem(METHODS, method, logged(fit, lambda train, *_, method=method: (method, train.n)))
     return calls
 
 
@@ -338,7 +339,7 @@ def test_sweep_master_seed_is_cfg_seed():
     train, test, gold = small_world(seed=12)
     world = dict(
         train=train, test=test, gold_test=gold, sizes=(10, 20), repeats=2,
-        methods=tuple(metrics_eval.METHODS), cfg=FitConfig(seed=7), threshold_kind="median",
+        methods=tuple(METHODS), cfg=FitConfig(seed=7), threshold_kind="median",
     )
     result = robustness_sweep(**world)
     assert result.seed == 7
@@ -362,7 +363,7 @@ def one_cell_at_a_time(train, test, gold_test, sizes, repeats, methods, cfg, thr
             for rep in range(repeats):
                 idx, cell_seed = subsamples[(size, rep)]
                 sub = LabelMatrix(values=train.values[idx], lf_names=train.lf_names)
-                fit = metrics_eval.METHODS[method]
+                fit = METHODS[method]
                 _, _, labeller = fit(sub, replace(cfg, seed=cell_seed), threshold_kind, None)
                 m = evaluate(labeller(test), gold_test)
                 rows.append((method, size, rep, m.accuracy, m.precision, m.recall, m.f1))
@@ -384,7 +385,7 @@ def sweep_worlds(draw):
     sizes = tuple(draw(st.lists(st.integers(2, train.n), min_size=1, max_size=3, unique=True)))
     return dict(
         train=train, test=test, gold_test=gold, sizes=sizes, repeats=draw(st.integers(1, 3)),
-        methods=tuple(draw(st.permutations(list(metrics_eval.METHODS)))),
+        methods=tuple(draw(st.permutations(list(METHODS)))),
         cfg=FitConfig(seed=draw(st.integers(0, 2**16))), threshold_kind=draw(st.sampled_from(["median", "mean"])),
     )
 
