@@ -19,9 +19,7 @@ _EXPORTS = {
         "CIParams",
         "ci_posterior",
         "fit_ci_em",
-        "load_ci_params",
         "majority_vote",
-        "save_ci_params",
     ),
     "errors": ("FalabelError", "NumericalError", "ValidationError"),
     "fa_core": (
@@ -38,9 +36,9 @@ _EXPORTS = {
         "LabelModel",
         "Predictions",
         "build_label_model",
-        "load_label_model",
+        "load_model",
         "predict",
-        "save_label_model",
+        "save_model",
         "save_predictions",
         "train_label_model",
         "youden_threshold",

@@ -5,7 +5,8 @@ generates each LF's output independently through a per-LF categorical
 over the three emissions (-1 abstain, 0 negative, 1 positive).  It is
 fit by EM on the count-weighted distinct rows of the unlabelled matrix
 (at most 3^m of them); the exact Bayes posterior over y then scores
-each row.  Majority vote needs no fitting.
+each row.  Majority vote needs no fitting.  ``label_model.save_model`` and
+``load_model`` write and read a fitted ``CIParams`` in the one model file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .fa_core import FitConfig, FitReport, _fit_loop
 from .label_model import Predictions
-from .labelling import LabelMatrix, _dump_json, _fields, _float_array, _json_number, _read_json
+from .labelling import LabelMatrix, _float_array
 
 EMISSION_VALUES = (-1, 0, 1)
 PROB_FLOOR = 1e-6
@@ -146,28 +147,3 @@ def majority_vote(matrix: LabelMatrix) -> np.ndarray:
     pos = (matrix.values == 1).sum(axis=1)
     neg = (matrix.values == 0).sum(axis=1)
     return (pos > neg).astype(np.int64)
-
-
-def save_ci_params(params: CIParams, path) -> None:
-    """JSON with the explicit emission tables, ordered abstain/negative/positive."""
-    payload = {
-        "class_prior": float(params.class_prior),
-        "emission_values": list(EMISSION_VALUES),
-        "emissions": params.emissions.tolist(),
-    }
-    _dump_json(payload, path)
-
-
-def ci_params_from_dict(payload: dict) -> CIParams:
-    with _fields("CI model file"):
-        values = payload.get("emission_values", list(EMISSION_VALUES))
-        if values != list(EMISSION_VALUES) or any(type(v) is not int for v in values):
-            raise ValidationError(f"emission_values must be {list(EMISSION_VALUES)}")
-        return CIParams(
-            class_prior=_json_number(payload, "class_prior"),
-            emissions=_json_number(payload, "emissions", 3),
-        )
-
-
-def load_ci_params(path) -> CIParams:
-    return ci_params_from_dict(_read_json(path, "CI model"))

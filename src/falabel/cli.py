@@ -42,23 +42,6 @@ def _parse_per_lf(text: str, m: int, what: str) -> tuple[float, ...]:
     return values
 
 
-def _load_model_file(path):
-    """Return (LabelModel, predict) for a JSON with ``version`` or ``threshold_kind``, else
-    (CIParams, ci_predict); only the modules that kind of model needs are imported."""
-    from .labelling import _read_json
-
-    payload = _read_json(path, "model")
-    if "version" in payload or "threshold_kind" in payload:
-        from .label_model import label_model_from_dict, predict
-
-        return label_model_from_dict(payload), predict
-    if "emissions" in payload:
-        from .ci_baseline import ci_params_from_dict, ci_predict
-
-        return ci_params_from_dict(payload), ci_predict
-    raise ValidationError(f"{path}: not a label-model or CI-model file")
-
-
 def _emit(text: str, out) -> None:
     """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
     if out is None:
@@ -95,7 +78,7 @@ def _dev_split(args, train):
 def cmd_fit(args) -> int:
     from dataclasses import asdict
 
-    from .label_model import METHODS
+    from .label_model import METHODS, save_model
     from .labelling import _dump_json, load_label_matrix
 
     if args.route not in METHODS:
@@ -109,11 +92,7 @@ def cmd_fit(args) -> int:
     train = load_label_matrix(args.matrix)
     dev = _dev_split(args, train)
     model, report, _ = METHODS[args.route](train, _fit_config(args), THRESHOLD_FLAGS[args.threshold], dev)
-    if args.route == "ci-em":
-        from .ci_baseline import save_ci_params as save
-    else:
-        from .label_model import save_label_model as save
-    save(model, args.out)
+    save_model(args.out, args.route, train.lf_names, model)
     _warn_unconverged(args.route, args.max_iter, [report])
     if args.report is not None:
         _dump_json(asdict(report), args.report)
@@ -121,11 +100,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .label_model import save_predictions
-    from .labelling import load_label_matrix
+    from .label_model import load_model, predict, save_predictions
+    from .labelling import _check_lf_names, load_label_matrix
 
-    model, predictor = _load_model_file(args.model)
-    save_predictions(predictor(model, load_label_matrix(args.matrix)), args.out)
+    method, lf_names, model = load_model(args.model)
+    matrix = load_label_matrix(args.matrix)
+    _check_lf_names(lf_names, matrix, "scored", "the model")
+    if method == "ci-em":
+        from .ci_baseline import ci_predict as predict
+    save_predictions(predict(model, matrix), args.out)
     return 0
 
 

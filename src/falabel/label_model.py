@@ -1,4 +1,4 @@
-"""Binary pseudo-labeling from a fitted factor model.
+"""Binary pseudo-labeling from a fitted factor model, and the one model file.
 
 The first latent factor scores every row, and a row is positive when its
 score is above a threshold: the median (the default) or mean of the
@@ -7,10 +7,13 @@ split.  The factor's sign is arbitrary; under the signed vote coding that
 ``fa_core`` reads, loadings that sum to >= 0 point to the positive class,
 so the model takes the fit's own sign rule (``fa_core._sum_nonnegative``).
 
-The model file is this module's alone, and a bad field is an error of the
-"label model file".  It carries ``"version": 2``.  A file written under the
-older vote coding, which scored abstain as -1 and a negative vote as 0, has no
-version; its W and cut would label rows wrongly under this coding, so it is refused.
+The model file of every method is this module's alone: ``save_model`` writes
+it and ``load_model`` reads it, and a bad field is an error of the "label
+model file".  It carries ``"version": 3``, the ``method`` that fitted it and
+the ``lf_names`` of its training matrix, so a matrix of other or permuted
+LFs can be refused; the method's own fields sit beside them.  Older files
+are refused: a version-2 file names no LFs, and a file with no version was
+an FA file under the older vote coding (abstain -1, negative 0) or a CI file.
 
 The table of label methods, ``METHODS``, is here too: ``fit``, ``compare`` and
 ``sweep`` share it, and ``fit`` loads no evaluation code.
@@ -34,7 +37,6 @@ from .labelling import (
     _fields,
     _float_array,
     _int_cells,
-    _json_int,
     _json_number,
     _read_csv,
     _read_input,
@@ -42,7 +44,8 @@ from .labelling import (
 )
 
 THRESHOLD_KINDS = ("median", "mean", "cdf_youden")
-MODEL_VERSION = 2  # the model file's version: 2 scores signed votes
+MODEL_VERSION = 3  # the model file's version: 2 scored signed votes, 3 names the method and the LFs
+MODEL_METHODS = ("fa-em", "fa-vi", "ci-em")  # the methods whose fit a model file holds
 
 
 @dataclass(frozen=True)
@@ -204,57 +207,13 @@ def save_predictions(preds: Predictions, path) -> None:
     spells it; the bytes the csv module's writer gives."""
     rows = enumerate(zip(preds.scores.tolist(), preds.labels.tolist()))
     lines = "".join([f"{i},{score!r},{label}\n" for i, (score, label) in rows])
-    Path(path).write_text(_PREDICTIONS_HEADER + lines, encoding="utf-8")
+    Path(path).write_text("index,score,label\n" + lines, encoding="utf-8")
 
 
-_PREDICTIONS_HEADER = "index,score,label\n"
-
-
-def _canonical_predictions(text: str) -> np.ndarray | None:
-    """The labels of ``text``, the content of a predictions CSV, when it is in the form
-    :func:`save_predictions` writes; else None, and ``_read_predictions`` reads it.
-
-    That form is the header, then for row i the line ``i,score,label\n``: the index
-    spelled as ``str(i)``, a finite score spelled as ``repr(float)`` spells it and a
-    label of 0 or 1.  The lines are split and the indexes and labels decoded with
-    numpy; the scores are parsed by numpy and compared with their reprs.
-    """
-    if not text.startswith(_PREDICTIONS_HEADER) or not text.isascii():
-        return None
-    body = text[len(_PREDICTIONS_HEADER) :]
-    chars = np.frombuffer(body.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(chars == ord("\n"))
-    commas = np.flatnonzero(chars == ord(","))
-    n = ends.size
-    if n == 0 or chars[-1] != ord("\n") or commas.size != 2 * n:
-        return None
-    # each line holds two commas, the second just before a one-byte label, and
-    # before the first the index: line i's as many bytes as str(i) has, then its digits
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    rows, width = np.arange(n), commas[0::2] - starts
-    if (commas[1::2] != ends - 2).any() or (width != np.searchsorted(10 ** np.arange(1, 19), rows, "right") + 1).any():
-        return None
-    for d in range(width[-1]):  # the d-th digit from the left, where the index has one
-        digit = rows // 10 ** np.maximum(width - 1 - d, 0) % 10 + ord("0")
-        if (chars[starts + d] != digit)[d < width].any():
-            return None
-    labels = chars[ends - 1] - np.uint8(ord("0"))
-    if (labels > 1).any():
-        return None
-    scores = body.split(",")[1::2]  # the fields alternate: index (after a label), score
-    try:
-        values = np.array(scores, float)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all() or list(map(repr, values.tolist())) != scores:
-        return None
-    return labels.astype(np.int64)
-
-
-def _read_predictions(path, text: str) -> np.ndarray:
-    """The labels of ``text``, the content of the predictions CSV ``path``, by the
-    general CSV reader; any content but the form of ``save_predictions`` is a ValidationError."""
-    header, rows = _read_csv(path, text)
+def _load_prediction_labels(path) -> np.ndarray:
+    """The label column of a CSV written by :func:`save_predictions`; any content
+    but that form is a ValidationError naming its first bad line."""
+    header, rows = _read_csv(path, _read_input(path, "predictions"))
     if header != ["index", "score", "label"]:
         raise ValidationError(f"{Path(path)}: expected header 'index,score,label'")
     labels = _int_cells(path, [row[2:] for row in rows], (0, 1), "label")[:, 0]
@@ -272,48 +231,55 @@ def _read_predictions(path, text: str) -> np.ndarray:
     return labels
 
 
-def _load_prediction_labels(path) -> np.ndarray:
-    """The label column, each in {0, 1}, of a CSV written by :func:`save_predictions`."""
-    text = _read_input(path, "predictions")
-    labels = _canonical_predictions(text)
-    return _read_predictions(path, text) if labels is None else labels
+def save_model(path, method: str, lf_names, model) -> None:
+    """Write the model file of ``model``, fitted by ``method`` to a matrix of the LFs
+    ``lf_names``: the version, the method and the LF names, then the method's fields,
+    floats at full precision.  An FA method writes its oriented loadings ``w``, ``c``,
+    ``psi`` and its rule; ``ci-em`` its ``class_prior`` and ``emissions``, each LF's
+    per-class distributions over the votes -1 (abstain), 0 and 1."""
+    if method == "ci-em":
+        fields = {"class_prior": float(model.class_prior), "emissions": model.emissions.tolist()}
+    elif method in ("fa-em", "fa-vi"):
+        fields = {
+            "w": model.params.w.tolist(),
+            "c": model.params.c.tolist(),
+            "psi": model.params.psi.tolist(),
+            "threshold_kind": model.threshold_kind,
+            "threshold_value": float(model.threshold_value),
+        }
+    else:
+        raise ValidationError(f"method {method!r} has no model file; expected one of {MODEL_METHODS}")
+    _dump_json({"version": MODEL_VERSION, "method": method, "lf_names": list(lf_names), **fields}, path)
 
 
-def save_label_model(model: LabelModel, path) -> None:
-    """Serialize as JSON, floats at full precision: the version, the factor parameters
-    (``k`` is always 1, and ``W`` holds the loadings as m one-element lists), then the rule."""
-    payload = {
-        "version": MODEL_VERSION,
-        "k": 1,
-        "m": model.params.m,
-        "W": model.params.w[:, None].tolist(),
-        "c": model.params.c.tolist(),
-        "psi": model.params.psi.tolist(),
-        "threshold_kind": model.threshold_kind,
-        "threshold_value": float(model.threshold_value),
-    }
-    _dump_json(payload, path)
-
-
-def label_model_from_dict(payload: dict) -> LabelModel:
-    """A model from its JSON fields; a file of another version than ``MODEL_VERSION``
-    (one with none was written under the older vote coding) is a ValidationError."""
+def load_model(path) -> tuple[str, tuple[str, ...], object]:
+    """The method, the LF names and the model of the model file ``path``: a ``LabelModel``
+    for an FA method, or a ``CIParams`` for ``ci-em``, the one method that imports
+    ``ci_baseline``.  A file of another version than ``MODEL_VERSION`` asks for a refit;
+    a bad field is a ValidationError naming it, and other fields are ignored."""
+    payload = _read_json(path, "model")
     if type(payload.get("version")) is not int or payload["version"] != MODEL_VERSION:
         found = repr(payload["version"]) if "version" in payload else "missing"
         raise ValidationError(
-            f"label model file is not version {MODEL_VERSION} (its field 'version' is {found}); files before"
-            f" version {MODEL_VERSION} were fitted to votes coded abstain -1 and negative 0: refit it with falabel fit"
+            f"label model file is not version {MODEL_VERSION} (its field 'version' is {found}); older files do not"
+            " name their LFs, and those before version 2 score votes coded abstain -1 and negative 0:"
+            " refit it with falabel fit"
         )
     with _fields("label model file"):
-        if _json_int(payload, "k") != 1:
-            raise ValidationError(f"field 'k' must be 1 (the model has one factor), got {payload['k']}")
-        m, W = _json_int(payload, "m"), _json_number(payload, "W", 2)
-        c, psi = _json_number(payload, "c", 1), _json_number(payload, "psi", 1)
-        for key, arr, shape in (("W", W, (m, 1)), ("c", c, (m,)), ("psi", psi, (m,))):
-            if arr.shape != shape:
-                raise ValidationError(f"field {key!r} must have shape {shape} as field 'm' is {m}, got {arr.shape}")
-        return LabelModel(FAParams(W[:, 0], c, psi), payload["threshold_kind"], _json_number(payload, "threshold_value"))
+        method, lf_names = payload["method"], payload["lf_names"]
+        if method not in MODEL_METHODS:
+            raise ValidationError(f"field 'method' must be one of {MODEL_METHODS}, got {method!r}")
+        if type(lf_names) is not list or any(type(n) is not str for n in lf_names) or len(set(lf_names)) < len(lf_names):
+            raise ValidationError(f"field 'lf_names' must be a list of distinct strings, got {lf_names!r}")
+        if method == "ci-em":
+            from .ci_baseline import CIParams
 
-
-def load_label_model(path) -> LabelModel:
-    return label_model_from_dict(_read_json(path, "label model"))
+            model = CIParams(_json_number(payload, "class_prior"), _json_number(payload, "emissions", 3))
+            key, m = "emissions", model.m
+        else:
+            w, c, psi = (_json_number(payload, name, 1) for name in ("w", "c", "psi"))
+            model = LabelModel(FAParams(w, c, psi), payload["threshold_kind"], _json_number(payload, "threshold_value"))
+            key, m = "w", model.params.m
+        if m != len(lf_names):
+            raise ValidationError(f"field 'lf_names' names {len(lf_names)} LFs but field {key!r} has {m}")
+    return method, tuple(lf_names), model

@@ -198,11 +198,15 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_lf_names(lf_names, matrix: LabelMatrix, split: str, owner: str = "the training matrix") -> None:
+    """A ValidationError, naming both lists, unless the ``split`` matrix has the LFs ``lf_names`` of ``owner``, in order."""
+    if matrix.lf_names != tuple(lf_names):
+        raise ValidationError(f"the {split} matrix has LFs {list(matrix.lf_names)} but {owner} has {list(lf_names)}")
+
+
 def _check_split(train: LabelMatrix, matrix: LabelMatrix, gold: GoldLabels, split: str) -> None:
     """A ValidationError unless the ``split`` matrix has the training LFs, in order, and ``gold`` a label per row."""
-    if matrix.lf_names != train.lf_names:
-        names = f"LFs {list(matrix.lf_names)} but the training matrix has {list(train.lf_names)}"
-        raise ValidationError(f"the {split} matrix has {names}")
+    _check_lf_names(train.lf_names, matrix, split)
     if gold.n != matrix.n:
         raise ValidationError(f"{split} gold labels have {gold.n} rows but the {split} matrix has {matrix.n}")
 

@@ -11,9 +11,9 @@ from falabel import (
     ValidationError,
     ci_posterior,
     fit_ci_em,
-    load_ci_params,
+    load_model,
     majority_vote,
-    save_ci_params,
+    save_model,
 )
 from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR, ci_predict
 from falabel.fa_core import _fit_loop
@@ -236,16 +236,18 @@ class TestCIParamsIO:
             class_prior=0.42, emissions=raw / raw.sum(axis=2, keepdims=True)
         )
         p = tmp_path / "ci.json"
-        save_ci_params(params, p)
-        loaded = load_ci_params(p)
+        save_model(p, "ci-em", ["a", "b", "c"], params)
+        method, lf_names, loaded = load_model(p)
+        assert (method, lf_names) == ("ci-em", ("a", "b", "c"))
         assert loaded.class_prior == params.class_prior
         np.testing.assert_array_equal(loaded.emissions, params.emissions)
 
     def test_rejects_bad_tables(self, tmp_path):
         p = tmp_path / "ci.json"
-        p.write_text('{"class_prior": 0.5, "emissions": [[[0.5, 0.5, 0.5], [0.4, 0.3, 0.3]]]}')
-        with pytest.raises(ValidationError):
-            load_ci_params(p)
+        p.write_text('{"version": 3, "method": "ci-em", "lf_names": ["a"], "class_prior": 0.5,'
+                     ' "emissions": [[[0.5, 0.5, 0.5], [0.4, 0.3, 0.3]]]}')
+        with pytest.raises(ValidationError, match="each emission distribution must sum to 1"):
+            load_model(p)
 
 
 @pytest.mark.parametrize("max_iter", [2, 3, 5])
@@ -360,8 +362,8 @@ def test_fit_does_not_depend_on_row_order(tmp_path_factory, matrix, seed):
     shuffled = lf_matrix(matrix.values[np.random.default_rng(seed).permutation(matrix.n)])
     (p1, r1), (p2, r2) = fit_ci_em(matrix), fit_ci_em(shuffled)
     directory = tmp_path_factory.mktemp("fits")
-    save_ci_params(p1, directory / "rows.json")
-    save_ci_params(p2, directory / "shuffled.json")
+    save_model(directory / "rows.json", "ci-em", matrix.lf_names, p1)
+    save_model(directory / "shuffled.json", "ci-em", matrix.lf_names, p2)
     assert (directory / "rows.json").read_bytes() == (directory / "shuffled.json").read_bytes()
     assert r1 == r2
 

@@ -46,9 +46,10 @@ class TestFit:
             ["fit", str(paths["train"]), "--out", str(model_path), "--report", str(report_path)]
         )
         assert code == 0
-        from falabel import load_label_model
+        from falabel import load_model
 
-        model = load_label_model(model_path)
+        method, lf_names, model = load_model(model_path)
+        assert (method, lf_names) == ("fa-em", ("lf1", "lf2", "lf3", "lf4"))
         assert model.params.m == 4
         report = json.loads(report_path.read_text())
         assert report["route"] == "fa-em" and report["converged"]
@@ -401,15 +402,14 @@ class TestApplyLFs:
     [
         ("fa-em", "threshold_value", "abc"),
         ("fa-em", "threshold_value", None),
-        ("ci-em", "emission_values", 5),
-        # emission_values compared with ==, which took booleans and floats for the integers
-        ("ci-em", "emission_values", [-1, False, True]),
-        ("ci-em", "emission_values", [-1.0, 0.0, 1.0]),
+        ("ci-em", "class_prior", 1.5),
+        ("ci-em", "class_prior", True),
+        ("fa-em", "psi", [-1.0] * 4),
         ("fa-em", "threshold_kind", None),
         ("fa-em", "threshold_kind", "x"),
         ("fa-em", "threshold_value", float("inf")),
-        ("fa-em", "m", 0),
-        ("fa-em", "W", [[float("nan")]] * 4),
+        ("ci-em", "emissions", [[[0.5, 0.5, 0.5]] * 2] * 4),
+        ("fa-em", "w", [float("nan")] * 4),
         ("fa-em", "c", [0.0] * 3),
         ("fa-em", "psi", [1.0] * 3),
         ("ci-em", "emissions", [[[float("nan"), 0.5, 0.5]] * 2] * 4),
@@ -429,21 +429,22 @@ def test_malformed_model_field_exits_2(world, capsys, route, field, value):
 
 
 def test_predict_on_a_json_of_neither_model_kind_exits_2(world, capsys):
+    # one reader takes every JSON object as a model file, and this one has no version
     tmp, paths = world
     model_path = tmp / "model.json"
     model_path.write_text('{"k": 1}')
     assert main(["predict", str(model_path), str(paths["test"]), "--out", str(tmp / "p.csv")]) == 2
-    assert capsys.readouterr().err == f"error: {model_path}: not a label-model or CI-model file\n"
+    assert capsys.readouterr().err == REFIT.format("missing")
 
 
-# A fitted model file in the format that falabel writes: "version" is 2, "k" is 1
-# and W holds m one-element lists.  PREDICTIONS is what predict wrote for it.
+# A fitted model file in the format that falabel writes: "version" 3, the method,
+# the LF names and the FA fields.  PREDICTIONS is what predict wrote for it.
 SAVED_MATRIX = "a,b,c\n1,1,0\n1,-1,1\n0,0,-1\n1,1,1\n0,1,0\n-1,0,0\n"
 SAVED_MODEL = {
-    "version": 2,
-    "k": 1,
-    "m": 3,
-    "W": [[0.8638835139799281], [0.3469215420925324], [0.41231654959848796]],
+    "version": 3,
+    "method": "fa-em",
+    "lf_names": ["a", "b", "c"],
+    "w": [0.8638835139799281, 0.3469215420925324, 0.41231654959848796],
     "c": [0.16666666666666666, 0.16666666666666666, -0.16666666666666666],
     "psi": [0.057110230245077664, 0.684854173128291, 0.635060714783354],
     "threshold_kind": "median",
@@ -463,6 +464,27 @@ def test_a_saved_one_factor_model_loads_and_predicts(tmp_path):
     assert (tmp_path / "p.csv").read_text() == SAVED_PREDICTIONS
 
 
+# The same model as a version-2 file, which named neither its method nor its LFs:
+# "k" was 1 and W held m one-element lists.
+VERSION_2_MODEL = {
+    "version": 2,
+    "k": 1,
+    "m": 3,
+    "W": [[w] for w in SAVED_MODEL["w"]],
+    **{key: SAVED_MODEL[key] for key in ("c", "psi", "threshold_kind", "threshold_value")},
+}
+# A CI model of the same matrix as the CI file was written before version 3, with no version.
+UNVERSIONED_CI_MODEL = {
+    "class_prior": 0.5000181808792997,
+    "emission_values": [-1, 0, 1],
+    "emissions": [
+        [[0.3333454543231617, 0.6666529869515722, 1.5587252661881973e-06],
+         [1.0000007501091035e-06, 3.791901127377546e-05, 0.9999610809879762]],
+        [[1e-06, 0.6666899086470736, 0.33330909135292647], [0.33332121322420377, 1.000000750275174e-06, 0.6666777867750461]],
+        [[0.33334545432391177, 0.666653545675669, 1.0000004191601831e-06],
+         [1.0000000001660705e-06, 0.3333575735520114, 0.6666414264479885]],
+    ],
+}
 # A model of the same matrix written by an older falabel, which read abstain as -1
 # and a negative vote as 0; it carries no version.  Files of that age with
 # "orientation" -1 stored W and the cut negated.
@@ -479,8 +501,8 @@ OLDER_MODEL = {
     "train_std": 0.8913372376702323,
 }
 REFIT = (
-    "error: label model file is not version 2 (its field 'version' is {}); files before version 2 were"
-    " fitted to votes coded abstain -1 and negative 0: refit it with falabel fit\n"
+    "error: label model file is not version 3 (its field 'version' is {}); older files do not name their LFs,"
+    " and those before version 2 score votes coded abstain -1 and negative 0: refit it with falabel fit\n"
 )
 
 
@@ -495,9 +517,13 @@ REFIT = (
         ({**SAVED_MODEL, "version": 2.0}, "2.0"),
         ({**SAVED_MODEL, "version": True}, "True"),
         ({**SAVED_MODEL, "version": "2"}, "'2'"),
+        (VERSION_2_MODEL, "2"),
+        (UNVERSIONED_CI_MODEL, "missing"),
+        ({**SAVED_MODEL, "version": 3.0}, "3.0"),
+        ({**SAVED_MODEL, "version": "3"}, "'3'"),
     ],
     ids=["no-version", "orientation-1", "orientation-minus-1", "version-1", "version-2.0", "version-true",
-         "version-string-2"],
+         "version-string-2", "version-2-fa-file", "unversioned-ci-file", "version-3.0", "version-string-3"],
 )
 def test_an_older_model_file_exits_2_asking_for_a_refit(tmp_path, capsys, payload, found):
     (tmp_path / "m.csv").write_text(SAVED_MATRIX)
@@ -519,40 +545,67 @@ def test_an_older_cdf_youden_model_file_exits_2_asking_for_a_refit(tmp_path, cap
     assert not (tmp_path / "p.csv").exists()
 
 
-def test_a_two_factor_model_file_exits_2_naming_k(tmp_path, capsys):
-    (tmp_path / "m.csv").write_text(SAVED_MATRIX)
-    payload = {**SAVED_MODEL, "k": 2, "W": [[w, 0.1] for (w,) in SAVED_MODEL["W"]]}
-    (tmp_path / "model.json").write_text(json.dumps(payload))
-    argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
-    assert main(argv) == 2
-    assert "field 'k' must be 1 (the model has one factor), got 2" in capsys.readouterr().err
-    assert not (tmp_path / "p.csv").exists()
-
-
-def test_a_model_file_whose_m_disagrees_with_w_exits_2(tmp_path, capsys):
-    (tmp_path / "m.csv").write_text(SAVED_MATRIX)
-    (tmp_path / "model.json").write_text(json.dumps({**SAVED_MODEL, "m": 4}))
-    argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
-    assert main(argv) == 2
-    assert "field 'W' must have shape (4, 1) as field 'm' is 4, got (3, 1)" in capsys.readouterr().err
-    assert not (tmp_path / "p.csv").exists()
-
-
 @pytest.mark.parametrize(
     "payload, field",
     [({k: v for k, v in SAVED_MODEL.items() if k != "psi"}, "psi"),
-     ({k: v for k, v in SAVED_MODEL.items() if k != "threshold_kind"}, "threshold_kind")],
-    ids=["no-psi", "version-2-without-threshold-kind"],
+     ({k: v for k, v in SAVED_MODEL.items() if k != "threshold_kind"}, "threshold_kind"),
+     ({k: v for k, v in SAVED_MODEL.items() if k != "method"}, "method"),
+     ({k: v for k, v in SAVED_MODEL.items() if k != "lf_names"}, "lf_names")],
+    ids=["no-psi", "without-threshold-kind", "no-method", "no-lf-names"],
 )
 def test_a_model_file_missing_a_field_exits_2_naming_it(tmp_path, capsys, payload, field):
-    # one reader owns the file: psi was a "model file" field, and a file with no
-    # threshold_kind was "not a label-model or CI-model file"
+    # one reader owns the file: psi was a "model file" field, and a version-2 file
+    # with no threshold_kind was "not a label-model or CI-model file"
     (tmp_path / "m.csv").write_text(SAVED_MATRIX)
     (tmp_path / "model.json").write_text(json.dumps(payload))
     argv = ["predict", str(tmp_path / "model.json"), str(tmp_path / "m.csv"), "--out", str(tmp_path / "p.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: label model file missing field '{field}'\n"
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "route, field, value, message",
+    [
+        ("fa-em", "method", "majority", "must be one of ('fa-em', 'fa-vi', 'ci-em'), got 'majority'"),
+        ("ci-em", "method", None, "must be one of ('fa-em', 'fa-vi', 'ci-em'), got None"),
+        ("fa-em", "lf_names", "lf1,lf2,lf3,lf4", "must be a list of distinct strings"),
+        ("fa-em", "lf_names", [1, 2, 3, 4], "must be a list of distinct strings"),
+        ("ci-em", "lf_names", ["lf1", "lf2", "lf2", "lf4"], "must be a list of distinct strings"),
+        ("fa-em", "lf_names", ["lf1", "lf2", "lf3"], "names 3 LFs but field 'w' has 4"),
+        ("ci-em", "lf_names", ["lf1", "lf2", "lf3", "lf4", "lf5"], "names 5 LFs but field 'emissions' has 4"),
+    ],
+    ids=["method-majority", "method-null", "lf_names-string", "lf_names-numbers", "lf_names-repeated",
+         "lf_names-fewer-than-w", "lf_names-more-than-emissions"],
+)
+def test_a_model_file_of_an_unknown_method_or_bad_lf_names_exits_2_naming_the_field(
+    world, capsys, route, field, value, message
+):
+    tmp, paths = world
+    model_path = tmp / "model.json"
+    assert main(["fit", str(paths["train"]), "--route", route, "--out", str(model_path)]) == 0
+    model_path.write_text(json.dumps({**json.loads(model_path.read_text()), field: value}))
+    pred = tmp / "p.csv"
+    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed label model file: field '{field}' {message}")
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("header", ["lf4,lf3,lf2,lf1", "lf1,lf2,lf3,x"], ids=["permuted", "renamed"])
+@pytest.mark.parametrize("route", ["fa-em", "ci-em"])
+def test_predict_on_a_matrix_of_other_lfs_exits_2_naming_both_lists(world, capsys, route, header):
+    # neither model file named its LFs, so a matrix of the right width was scored
+    tmp, paths = world
+    model_path, pred = tmp / "model.json", tmp / "p.csv"
+    assert main(["fit", str(paths["train"]), "--route", route, "--out", str(model_path)]) == 0
+    test = paths["test"].read_text().split("\n", 1)[1]
+    (tmp / "other.csv").write_text(f"{header}\n{test}")
+    assert main(["predict", str(model_path), str(tmp / "other.csv"), "--out", str(pred)]) == 2
+    names = header.split(",")
+    assert capsys.readouterr().err == (
+        f"error: the scored matrix has LFs {names} but the model has ['lf1', 'lf2', 'lf3', 'lf4']\n"
+    )
+    assert not pred.exists()
 
 
 def write_split(tmp_path, name, m, n, seed, lf_names=None):
@@ -1129,13 +1182,13 @@ def test_sweep_with_duplicate_sizes_or_methods_exits_2(world, capsys, extra):
     assert not (tmp / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("field, value", [("psi", 1e-320), ("W", 1e200)])
+@pytest.mark.parametrize("field, value", [("psi", 1e-320), ("w", 1e200)])
 def test_predict_with_degenerate_model_exits_3(world, capsys, field, value):
     tmp, paths = world
     model_path = tmp / "model.json"
     assert main(["fit", str(paths["train"]), "--out", str(model_path)]) == 0
     payload = json.loads(model_path.read_text())
-    payload[field] = [[value]] * 4 if field == "W" else [value] * 4
+    payload[field] = [value] * 4
     model_path.write_text(json.dumps(payload))
     pred = tmp / "p.csv"
     with warnings.catch_warnings():
@@ -1169,23 +1222,6 @@ def test_malformed_lf_spec_exits_2(tmp_path, capsys, field, value, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("k", 1.5), ("m", "4")],
-)
-def test_model_file_with_a_non_integer_count_exits_2(world, capsys, field, value):
-    tmp, paths = world
-    model_path = tmp / "model.json"
-    assert main(["fit", str(paths["train"]), "--out", str(model_path)]) == 0
-    payload = json.loads(model_path.read_text())
-    payload[field] = value
-    model_path.write_text(json.dumps(payload))
-    pred = tmp / "p.csv"
-    assert main(["predict", str(model_path), str(paths["test"]), "--out", str(pred)]) == 2
-    assert f"field '{field}' must be an integer, got {value!r}" in capsys.readouterr().err
-    assert not pred.exists()
-
-
 @pytest.mark.parametrize("field, value", [("n", 40.5), ("m", 3.0), ("seed", 12.7), ("seed", False)])
 def test_synthetic_spec_with_a_non_integer_field_exits_2(tmp_path, capsys, field, value):
     spec = {"n": 40, "m": 3, "class_prior": 0.5, "accuracies": [0.9, 0.8, 0.7],
@@ -1208,7 +1244,7 @@ def as_strings(value):
     "route, field, value",
     [
         ("fa-em", "threshold_value", as_strings),
-        ("fa-em", "W", as_strings),
+        ("fa-em", "w", as_strings),
         ("fa-em", "psi", lambda psi: [True] + psi[1:]),
         ("ci-em", "class_prior", lambda prior: "0.4"),
         ("ci-em", "emissions", as_strings),
@@ -1254,11 +1290,11 @@ SPEC = {"n": 40, "m": 3, "class_prior": 0.5, "accuracies": [0.9, 0.8, 0.7], "pro
         ("spec", "accuracies", lambda accuracies: 0.7),
         ("spec", "class_prior", lambda prior: [0.5]),
         ("fa-em", "threshold_value", lambda threshold: [0.1]),
-        ("fa-em", "W", lambda W: [W[0] + [0.1], *W[1:]]),
+        ("fa-em", "w", lambda w: [[w[0], 0.1], *w[1:]]),
         ("ci-em", "class_prior", lambda prior: [0.4]),
         ("ci-em", "emissions", lambda emissions: [emissions[0][:1], *emissions[1:]]),
     ],
-    ids=["spec-accuracies", "spec-class_prior", "fa-threshold_value", "fa-W-ragged", "ci-class_prior",
+    ids=["spec-accuracies", "spec-class_prior", "fa-threshold_value", "fa-w-ragged", "ci-class_prior",
          "ci-emissions-ragged"],
 )
 def test_json_field_of_the_wrong_shape_exits_2_naming_it(world, capsys, kind, field, value):

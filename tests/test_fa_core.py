@@ -21,7 +21,7 @@ from falabel import (
     fit_fa_em,
     fit_fa_vi,
     generate,
-    load_label_model,
+    load_model,
     log_likelihood,
     posterior_moments,
 )
@@ -36,7 +36,7 @@ from falabel.fa_core import (
     _reduce_rows,
     _update,
 )
-from falabel.label_model import LabelModel, label_model_from_dict, save_label_model
+from falabel.label_model import LabelModel, save_model
 
 
 def quadrature_posterior(params: FAParams, row: np.ndarray) -> tuple[float, float]:
@@ -363,13 +363,18 @@ class TestFitVI:
         assert report.route == "fa-vi"
 
 
-# The FA parameters' fields of the model file, which label_model alone reads and writes.
-RULE = {"version": 2, "threshold_kind": "median", "threshold_value": 0.0}
+# The fields of an FA model file, which label_model alone reads and writes.
+RULE = {"version": 3, "method": "fa-em", "threshold_kind": "median", "threshold_value": 0.0}
+
+
+def load_payload(payload: dict, tmp_path) -> LabelModel:
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    return load_model(tmp_path / "model.json")[2]
 
 
 def roundtrip(params: FAParams, tmp_path) -> LabelModel:
-    save_label_model(LabelModel(params, "median", 0.0), tmp_path / "model.json")
-    return label_model_from_dict(json.loads((tmp_path / "model.json").read_text()))
+    save_model(tmp_path / "model.json", "fa-em", [f"lf{j}" for j in range(params.m)], LabelModel(params, "median", 0.0))
+    return load_model(tmp_path / "model.json")[2]
 
 
 class TestParamsIO:
@@ -382,35 +387,28 @@ class TestParamsIO:
         np.testing.assert_array_equal(loaded.psi, params.psi)
         assert loaded.m == params.m
 
-    def test_negative_psi_rejected(self):
-        text = json.dumps({**RULE, "k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [-0.5]})
+    def test_negative_psi_rejected(self, tmp_path):
+        payload = {**RULE, "lf_names": ["a"], "w": [1.0], "c": [0.0], "psi": [-0.5]}
         with pytest.raises(ValidationError, match="psi entries must be > 0"):
-            label_model_from_dict(json.loads(text))
+            load_payload(payload, tmp_path)
 
-    def test_k_above_m_rejected(self):
-        text = json.dumps({**RULE, "k": 2, "m": 1, "W": [[1.0, 0.0]], "c": [0.0], "psi": [1.0]})
-        with pytest.raises(ValidationError, match="field 'k' must be 1"):
-            label_model_from_dict(json.loads(text))
+    def test_k_above_m_rejected(self, tmp_path):
+        # two factors' loadings for one LF: the file holds one loading per LF
+        payload = {**RULE, "lf_names": ["a"], "w": [[1.0, 0.0]], "c": [0.0], "psi": [1.0]}
+        with pytest.raises(ValidationError, match="field 'w' must be a rectangular 1-d array of numbers, got a 2-d"):
+            load_payload(payload, tmp_path)
 
     @pytest.mark.parametrize("m", [2, np.int64(2)])
     def test_integer_m_roundtrips(self, m, tmp_path):
-        # the file's m is a JSON integer however the vectors' length was given
+        # the file's LF count is that of its LF names, however the vectors' length was given
         params = FAParams(w=np.ones(m), c=np.zeros(m), psi=np.ones(m))
         assert roundtrip(params, tmp_path).params.m == 2
 
-    @pytest.mark.parametrize("m", [2.0, True, 0])
-    def test_m_that_is_not_a_positive_integer_rejected(self, m):
-        # the file's m must be a JSON integer, and the length of W, c and psi
-        with pytest.raises(ValidationError, match="field 'm'"):
-            label_model_from_dict({**RULE, "k": 1, "m": m, "W": [[1.0], [0.5]], "c": [0.0, 0.0], "psi": [1.0, 1.0]})
-
-    @pytest.mark.parametrize(
-        "field, value", [("m", 3), ("W", [[1.0], [0.5], [0.2]]), ("c", [0.0]), ("psi", [1.0, 1.0, 1.0])]
-    )
-    def test_m_that_disagrees_with_w_c_or_psi_rejected(self, field, value):
-        payload = {**RULE, "k": 1, "m": 2, "W": [[1.0], [0.5]], "c": [0.0, 0.0], "psi": [1.0, 1.0], field: value}
-        with pytest.raises(ValidationError, match="field 'm' is "):
-            label_model_from_dict(payload)
+    @pytest.mark.parametrize("lf_names", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
+    def test_lf_names_that_disagree_with_w_c_and_psi_rejected(self, lf_names, tmp_path):
+        payload = {**RULE, "lf_names": lf_names, "w": [1.0, 0.5], "c": [0.0, 0.0], "psi": [1.0, 1.0]}
+        with pytest.raises(ValidationError, match=f"field 'lf_names' names {len(lf_names)} LFs but field 'w' has 2"):
+            load_payload(payload, tmp_path)
 
     @pytest.mark.parametrize("field", ["w", "c", "psi"])
     @pytest.mark.parametrize("value", [[1.0], [[1.0], [0.5]], []])
@@ -423,7 +421,7 @@ class TestParamsIO:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         with pytest.raises(ValidationError, match="invalid JSON"):
-            load_label_model(p)
+            load_model(p)
 
 
 # Reference: the row-wise EM and VI steps, bound and likelihood, which keep the

@@ -1,6 +1,7 @@
 """Round-trip properties for every file format the package reads and writes."""
 
 import csv
+import dataclasses
 import itertools
 import re
 import tempfile
@@ -22,21 +23,19 @@ from falabel import (
     Predictions,
     SyntheticSpec,
     ValidationError,
-    load_ci_params,
     load_gold_labels,
     load_label_matrix,
-    load_label_model,
+    load_model,
     load_spec,
-    save_ci_params,
     save_gold_labels,
     save_label_matrix,
-    save_label_model,
+    save_model,
     save_predictions,
     save_spec,
 )
 from falabel import labelling
 from falabel.cli import main
-from falabel.label_model import _canonical_predictions, _load_prediction_labels, _read_predictions
+from falabel.label_model import _load_prediction_labels
 from falabel.labelling import (
     VALID_ENTRIES,
     _WRITE_BLOCK,
@@ -78,8 +77,7 @@ def label_matrices(draw):
 
 
 @st.composite
-def label_models(draw):
-    m = draw(st.integers(1, 4))
+def label_models(draw, m):
     params = FAParams(
         w=draw(arrays(float, m, elements=finite)),
         c=draw(arrays(float, m, elements=finite)),
@@ -93,13 +91,32 @@ def label_models(draw):
 
 
 @st.composite
-def ci_params(draw):
-    m = draw(st.integers(1, 4))
+def ci_params(draw, m):
     raw = draw(arrays(float, (m, 2, 3), elements=st.floats(0.01, 1.0)))
     return CIParams(
         class_prior=draw(st.floats(1e-3, 1 - 1e-3)),
         emissions=raw / raw.sum(axis=2, keepdims=True),
     )
+
+
+@st.composite
+def model_files(draw):
+    """(method, LF names, model): one of the methods a model file holds, and its model of as many LFs."""
+    method = draw(st.sampled_from(["fa-em", "fa-vi", "ci-em"]))
+    names = tuple(draw(lf_names))
+    return method, names, draw((ci_params if method == "ci-em" else label_models)(len(names)))
+
+
+def model_fields(model) -> dict:
+    """Every field of a model, those of a nested dataclass flattened, each number as its shape and float bytes."""
+    fields = {}
+    for field in dataclasses.fields(model):
+        value = getattr(model, field.name)
+        if dataclasses.is_dataclass(value):
+            fields.update(model_fields(value))
+        else:
+            fields[field.name] = value if isinstance(value, str) else (np.shape(value), np.asarray(value, float).tobytes())
+    return fields
 
 
 @st.composite
@@ -359,21 +376,12 @@ def test_int_cells_matches_the_two_pass_reference(n, m, allowed, data):
     assert result(_int_cells) == result(two_pass_int_cells)
 
 
-@given(label_models())
-def test_label_model_json_roundtrip(model):
-    loaded = roundtrip(model, save_label_model, load_label_model)
-    for name in ("w", "c", "psi"):
-        np.testing.assert_array_equal(getattr(loaded.params, name), getattr(model.params, name))
-    assert loaded.params.m == model.params.m
-    for name in ("threshold_kind", "threshold_value"):
-        assert getattr(loaded, name) == getattr(model, name)
-
-
-@given(ci_params())
-def test_ci_params_json_roundtrip(params):
-    loaded = roundtrip(params, save_ci_params, load_ci_params)
-    assert loaded.class_prior == params.class_prior
-    np.testing.assert_array_equal(loaded.emissions, params.emissions)
+@given(model_files())
+def test_model_json_roundtrip(file):
+    method, names, model = file
+    loaded = roundtrip(file, lambda file, path: save_model(path, *file), load_model)
+    assert loaded[:2] == (method, names)
+    assert type(loaded[2]) is type(model) and model_fields(loaded[2]) == model_fields(model)
 
 
 @given(specs())
@@ -391,20 +399,6 @@ def test_predictions_csv_roundtrip(labels, data):
     np.testing.assert_array_equal(roundtrip(preds, save_predictions, _load_prediction_labels), labels)
 
 
-@given(
-    arrays(np.int64, st.integers(1, 30), elements=st.sampled_from([0, 1])),
-    st.data(),
-)
-def test_written_predictions_take_the_fast_path(labels, data):
-    scores = data.draw(arrays(float, labels.shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "pred.csv"
-        save_predictions(Predictions(labels=labels, scores=scores), path)
-        text = _read_input(path, "predictions")
-    np.testing.assert_array_equal(_canonical_predictions(text), labels)
-    np.testing.assert_array_equal(_read_predictions(path, text), labels)
-
-
 PREDICTION_FIELDS = [
     "0", "1", "2", "5", "-0", "-0.0", "0.5", "0.50", ".5", "5.", "1e5", "1e-05", "1e+16", "1e16", "1E+16",
     "nan", "inf", "-inf", "1e400", "1e-400", " 1.5", "1.5 ", "1_0", "\u0661", "+1", "01", "", "a", '"0.5"', "0,5",
@@ -412,69 +406,29 @@ PREDICTION_FIELDS = [
 ]
 
 
-@st.composite
-def prediction_texts(draw):
-    """The text ``save_predictions`` writes for random labels and scores, mutated or not."""
-    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=12))
-    scores = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(labels), max_size=len(labels)))
-    rows = [[str(i), repr(score), str(label)] for i, (score, label) in enumerate(zip(scores, labels))]
-    kind = draw(st.sampled_from(["none", "field", "field", "swap", "repeat", "drop", "crlf", "no final newline"]))
-    i = draw(st.integers(0, len(rows) - 1))
-    if kind == "field":
-        rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from(PREDICTION_FIELDS) | st.text(max_size=4))
-    elif kind == "swap":
-        j = draw(st.integers(0, len(rows) - 1))
-        rows[i], rows[j] = rows[j], rows[i]
-    elif kind == "repeat":
-        rows.insert(i, list(rows[i]))
-    elif kind == "drop" and len(rows) > 1:
-        del rows[i]
-    text = "index,score,label\n" + "".join(",".join(row) + "\n" for row in rows)
-    if kind == "crlf":
-        text = text.replace("\n", "\r\n")
-    return text[:-1] if kind == "no final newline" else text
+# The fields PREDICTION_FIELDS holds that row 1 of a predictions CSV accepts in
+# each column, and the label each gives: its index, a score spelled as repr(float)
+# spells it (quoted too, as the csv module reads a quoted field), or an ASCII
+# integer label in {0, 1}.
+ACCEPTED_FIELDS = {
+    "index": {"1": 0},
+    "score": dict.fromkeys(["0.5", '"0.5"', "-0.0", "1e-05", "1e+16", "0.30000000000000004", "5e-324"], 0),
+    "label": {"0": 0, "-0": 0, "1": 1, "+1": 1, "01": 1},
+}
 
 
-def fast_and_general(text):
-    """What the predictions fast path gives for ``text`` (None when it leaves the
-    text to the general reader), what the general reader gives and what the
-    loader gives: the labels as a list, or the message of the ValidationError."""
-
-    def labels_or_error(read, *args):
-        try:
-            return read(*args).tolist()
-        except ValidationError as exc:
-            return str(exc)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "pred.csv"
-        path.write_bytes(text.encode("utf-8"))
-        general = labels_or_error(_read_predictions, path, text)
-        loaded = labels_or_error(_load_prediction_labels, path)
-    fast = _canonical_predictions(text)
-    return None if fast is None else fast.tolist(), general, loaded
-
-
-@example("index,score,label\n5,abc,1\n1,0.2,0\n")  # read as labels [1, 0] by a reader of the label column alone
-@example("index,score,label\n0,0.2,1\n0,0.2,0\n")
-@given(prediction_texts() | st.text(st.characters(codec="utf-8")))
-def test_the_predictions_fast_path_reads_as_the_general_reader(text):
-    fast, general, loaded = fast_and_general(text)
-    assert loaded == general
-    assert fast is None or fast == general
-
-
-@pytest.mark.parametrize("column", [0, 1, 2], ids=["index", "score", "label"])
+@pytest.mark.parametrize("column", ["index", "score", "label"])
 @pytest.mark.parametrize("field", PREDICTION_FIELDS)
-def test_a_predictions_field_reads_as_the_general_reader_reads_it(field, column):
+def test_a_predictions_field_reads_as_the_general_reader_reads_it(tmp_path, field, column):
     rows = [["0", "0.25", "1"], ["1", "-1.5", "0"], ["2", "3e-05", "1"]]
-    rows[1][column] = field
-    text = "index,score,label\n" + "".join(",".join(row) + "\n" for row in rows)
-    fast, general, loaded = fast_and_general(text)
-    assert loaded == general
-    assert fast is None or fast == general
-    if column == 1 and field in ("0.5", "-0.0", "1e-05", "1e+16", "0.30000000000000004", "5e-324"):
-        assert fast == general == [1, 0, 1]  # the spelling of repr(float) is read, by the fast path
+    rows[1][["index", "score", "label"].index(column)] = field
+    path = tmp_path / "pred.csv"
+    path.write_bytes(("index,score,label\n" + "".join(",".join(row) + "\n" for row in rows)).encode("utf-8"))
+    if field in ACCEPTED_FIELDS[column]:
+        assert _load_prediction_labels(path).tolist() == [1, ACCEPTED_FIELDS[column][field], 1]
+    else:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+            _load_prediction_labels(path)
 
 
 @pytest.mark.parametrize("cell, expected", [("\u0661", None), ("0_1", None), (" 01 ", 1), ("+1", 1)])

@@ -17,10 +17,10 @@ from falabel import (
     fit_fa_em,
     fit_fa_vi,
     generate,
-    load_label_model,
+    load_model,
     posterior_moments,
     predict,
-    save_label_model,
+    save_model,
     train_label_model,
     youden_threshold,
 )
@@ -264,8 +264,9 @@ class TestLabelModelIO:
         train, _ = generate(balanced_spec(seed=19))
         model = train_label_model(train)
         p = tmp_path / "model.json"
-        save_label_model(model, p)
-        loaded = load_label_model(p)
+        save_model(p, "fa-em", train.lf_names, model)
+        method, lf_names, loaded = load_model(p)
+        assert (method, lf_names) == ("fa-em", train.lf_names)
         np.testing.assert_array_equal(loaded.params.w, model.params.w)
         assert loaded.threshold_kind == model.threshold_kind
         assert loaded.threshold_value == model.threshold_value
@@ -276,9 +277,9 @@ class TestLabelModelIO:
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "model.json"
-        p.write_text('{"version": 2, "k": 1, "m": 1, "W": [[1.0]], "c": [0.0], "psi": [1.0]}')
-        with pytest.raises(ValidationError, match="missing field"):
-            load_label_model(p)
+        p.write_text('{"version": 3, "method": "fa-em", "lf_names": ["a"], "w": [1.0], "c": [0.0], "psi": [1.0]}')
+        with pytest.raises(ValidationError, match="missing field 'threshold_kind'"):
+            load_model(p)
 
 
 def youden_by_scan(scores, gold):
