@@ -15,7 +15,7 @@ from falabel import (
     majority_vote,
     save_model,
 )
-from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR, ci_predict
+from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR, _patterns, ci_predict
 from falabel.fa_core import _fit_loop
 
 
@@ -32,6 +32,17 @@ def brute_force_posterior(params: CIParams, matrix: LabelMatrix) -> np.ndarray:
             joint[y] = p
         out[i] = joint[1] / (joint[0] + joint[1])
     return out
+
+
+def _one_hot(values: np.ndarray) -> np.ndarray:
+    """Dense reference: (n, 3m) indicator, column 3j + v is 1 where LF j emits EMISSION_VALUES[v]."""
+    return (values[:, :, None] == np.array(EMISSION_VALUES)).reshape(len(values), -1).astype(float)
+
+
+def _log_class_scores(E: np.ndarray, class_prior: float, emissions: np.ndarray) -> np.ndarray:
+    """Dense reference: (n, 2) log P(y) + log P(row | y) for the rows one-hot coded in E."""
+    log_em = np.log(emissions).transpose(0, 2, 1).reshape(-1, 2)  # (3m, 2), rows as in E
+    return E @ log_em + np.log([1.0 - class_prior, class_prior])
 
 
 def uniform_params(m: int, class_prior: float = 0.5) -> CIParams:
@@ -151,9 +162,6 @@ class TestFitCIEM:
         )
 
         def data_ll(p):
-            from falabel.ci_baseline import _log_class_scores, _one_hot
-            from scipy.special import logsumexp
-
             scores = _log_class_scores(_one_hot(matrix.values), p.class_prior, p.emissions)
             return float(logsumexp(scores, axis=1).sum())
 
@@ -252,10 +260,6 @@ class TestCIParamsIO:
 
 @pytest.mark.parametrize("max_iter", [2, 3, 5])
 def test_capped_fit_reports_likelihood_of_returned_params(max_iter):
-    from scipy.special import logsumexp
-
-    from falabel.ci_baseline import _log_class_scores, _one_hot
-
     matrix = LabelMatrix(
         values=np.random.default_rng(8).integers(-1, 2, size=(500, 5)),
         lf_names=tuple(f"lf{i}" for i in range(5)),
@@ -366,6 +370,18 @@ def test_fit_does_not_depend_on_row_order(tmp_path_factory, matrix, seed):
     save_model(directory / "shuffled.json", "ci-em", matrix.lf_names, p2)
     assert (directory / "rows.json").read_bytes() == (directory / "shuffled.json").read_bytes()
     assert r1 == r2
+
+
+@given(st.one_of(st.integers(1, 8), st.integers(38, 41)), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_patterns_are_the_sorted_distinct_rows_with_their_counts(m, n, seed):
+    # up to m = 39 a row's key is a base-3 number in int64; 3**40 overflows it, so m >= 40 keys by bytes
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-1, 2, size=(int(rng.integers(1, 20)), m))
+    values = pool[rng.integers(0, len(pool), size=n)]
+    patterns, counts = _patterns(values)
+    expected_patterns, expected_counts = np.unique(values, axis=0, return_counts=True)
+    np.testing.assert_array_equal(patterns, expected_patterns)
+    np.testing.assert_array_equal(counts, expected_counts)
 
 
 class TestStartThatDrawsNothing:

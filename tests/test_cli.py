@@ -986,6 +986,43 @@ def test_each_command_imports_only_the_modules_it_runs(world):
     }
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # BLAS may split a sum over many rows across threads, and so add it in another
+    # order at each thread count: every sum over rows must have a fixed order
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import falabel
+
+    matrix = str(tmp_path / "train.csv")
+    assert main(["synth", "--n", "200000", "--m", "10", "--class-prior", "0.3", "--accuracy", "0.6:0.9",
+                 "--propensity", "0.4", "--seed", "11", "--out-matrix", matrix,
+                 "--out-gold", str(tmp_path / "gold.csv")]) == 0
+    script = (
+        "import sys\n"
+        "from falabel.cli import main\n"
+        "matrix, d = sys.argv[1:]\n"
+        "for route in ('fa-em', 'fa-vi', 'ci-em'):\n"
+        "    assert main(['fit', matrix, '--route', route, '--out', f'{d}/{route}.json']) == 0\n"
+        "    assert main(['predict', f'{d}/{route}.json', matrix, '--out', f'{d}/{route}.csv']) == 0\n"
+    )
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(falabel.__file__).parent.parent),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, matrix, str(out)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(outputs["1"]) == 6
+    assert [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]] == []
+
+
 def perfbench_argvs() -> list[list[str]]:
     """The argv of each command of perfbench's cycle, on each of its workloads."""
     import importlib.util
