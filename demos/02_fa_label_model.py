@@ -8,13 +8,10 @@ against majority vote, the conditionally-independent EM baseline, and the
 Bayes oracle.
 """
 
-import numpy as np
-
 from falabel import (
     FitConfig,
     SyntheticSpec,
     bayes_oracle,
-    ci_posterior,
     evaluate,
     fit_ci_em,
     fit_fa_em,
@@ -64,8 +61,7 @@ rows = [
     ("factor model (median split)", preds.labels),
     ("majority vote", majority_vote(test)),
 ]
-ci_params, _ = fit_ci_em(train, cfg)
-rows.append(("CI-EM baseline", (ci_posterior(ci_params, test) > 0.5).astype(np.int64)))
+rows.append(("CI-EM baseline", predict(fit_ci_em(train, cfg)[0], test).labels))
 rows.append(("Bayes oracle (true params)", bayes_oracle(spec_test, test)))
 
 print(f"\n{'method':<28} {'acc':>6} {'prec':>6} {'rec':>6} {'f1':>6}")

@@ -15,7 +15,6 @@ from falabel import (
     FitConfig,
     SyntheticSpec,
     bayes_oracle,
-    ci_posterior,
     evaluate,
     fit_ci_em,
     generate,
@@ -41,8 +40,7 @@ for prior in (0.5, 0.3, 0.2, 0.1):
 
     fa = predict(train_label_model(train), test).labels
     mv = majority_vote(test)
-    ci_params, _ = fit_ci_em(train, FitConfig(seed=123))
-    ci = (ci_posterior(ci_params, test) > 0.5).astype(np.int64)
+    ci = predict(fit_ci_em(train, FitConfig(seed=123))[0], test).labels
     oracle = bayes_oracle(spec_test, test)
 
     accs = [evaluate(x, gold).accuracy for x in (fa, mv, ci, oracle)]

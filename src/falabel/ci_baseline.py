@@ -9,8 +9,8 @@ each row.  Both write a row's likelihood as an all-abstain row's times a
 factor for each voted cell, so their cost follows the voted cells; every
 sum over rows runs through ``np.bincount`` or a numpy reduction, in a
 fixed order and never through BLAS, so no output depends on the BLAS
-thread count.  Majority vote needs no fitting.  ``label_model.save_model`` and
-``load_model`` write and read a fitted ``CIParams`` in the one model file.
+thread count.  Majority vote needs no fitting.  ``label_model`` saves, loads
+and labels with a fitted ``CIParams``; this module imports nothing from it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .fa_core import FitConfig, FitReport, _fit_loop
-from .label_model import Predictions
 from .labelling import LabelMatrix, _float_array
 
 EMISSION_VALUES = (-1, 0, 1)
@@ -194,15 +193,6 @@ def ci_posterior(params: CIParams, matrix: LabelMatrix) -> np.ndarray:
     log_em = np.log(params.emissions).transpose(1, 0, 2)
     d = _log_odds(log_em, params.class_prior, *_voted_cells(matrix.values), matrix.n)
     return np.exp(d - _softplus(d))
-
-
-def ci_predict(params: CIParams, matrix: LabelMatrix) -> Predictions:
-    """The CI decision rule: label 1 where P(y=1 | row) exceeds one half.
-
-    The posterior itself is the score.
-    """
-    posterior = ci_posterior(params, matrix)
-    return Predictions(labels=(posterior > 0.5).astype(np.int64), scores=posterior)
 
 
 def majority_vote(matrix: LabelMatrix) -> np.ndarray:

@@ -61,10 +61,12 @@ def _warn_unconverged(method: str, cap: int, reports, cells: bool = False) -> No
 
 
 def _dev_split(args, train):
-    """The dev split of the flags, checked against the ``train`` matrix before any fit, or None."""
+    """The dev split of the flags, checked against ``train`` before any fit; None unless cdf-youden."""
     from .labelling import _check_split, load_gold_labels, load_label_matrix
 
     if args.dev_matrix is None and args.dev_gold is None:
+        if args.threshold == "cdf-youden":
+            raise ValidationError("--threshold cdf-youden requires --dev-matrix and --dev-gold")
         return None
     if args.threshold != "cdf-youden":
         raise ValidationError("--dev-matrix and --dev-gold are read only with --threshold cdf-youden")
@@ -103,11 +105,9 @@ def cmd_predict(args) -> int:
     from .label_model import load_model, predict, save_predictions
     from .labelling import _check_lf_names, load_label_matrix
 
-    method, lf_names, model = load_model(args.model)
+    _, lf_names, model = load_model(args.model)
     matrix = load_label_matrix(args.matrix)
     _check_lf_names(lf_names, matrix, "scored", "the model")
-    if method == "ci-em":
-        from .ci_baseline import ci_predict as predict
     save_predictions(predict(model, matrix), args.out)
     return 0
 

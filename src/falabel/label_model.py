@@ -1,11 +1,11 @@
-"""Binary pseudo-labeling from a fitted factor model, and the one model file.
+"""Binary pseudo-labels from a fitted model, and the one model file.
 
-The first latent factor scores every row, and a row is positive when its
-score is above a threshold: the median (the default) or mean of the
-training scores, or a Youden-optimal cut of the scores of a labelled dev
-split.  The factor's sign is arbitrary; under the signed vote coding that
-``fa_core`` reads, loadings that sum to >= 0 point to the positive class,
-so the model takes the fit's own sign rule (``fa_core._sum_nonnegative``).
+``predict`` labels a row 1 when its score is above a threshold.  A CI-EM model
+scores a row by its posterior, cut at one half; the FA label model by the first
+latent factor, cut at the median (the default) or mean of the training scores,
+or at a Youden-optimal cut of a labelled dev split's scores.  The factor's sign
+is arbitrary; under the signed vote coding that ``fa_core`` reads, loadings that
+sum to >= 0 point to the positive class (``fa_core._sum_nonnegative``).
 
 The model file of every method is this module's alone: ``save_model`` writes
 it and ``load_model`` reads it, and a bad field is an error of the "label
@@ -72,10 +72,10 @@ class LabelModel:
 
 @dataclass(frozen=True)
 class Predictions:
-    """Binary labels plus the oriented factor scores that produced them."""
+    """Binary labels plus the scores that produced them."""
 
     labels: np.ndarray  # (n,) in {0, 1}
-    scores: np.ndarray  # (n,) oriented first-factor values
+    scores: np.ndarray  # (n,) oriented first-factor values, or CI posteriors P(y=1 | row)
 
 
 def _latent_threshold(kind: str, scores: np.ndarray) -> float:
@@ -160,19 +160,25 @@ def train_label_model(train: LabelMatrix, cfg: FitConfig = FitConfig()) -> Label
     return build_label_model(fit_fa_em(train, cfg)[0], train)
 
 
-def predict(model: LabelModel, matrix: LabelMatrix) -> Predictions:
-    """Score rows with the oriented first factor: a row is positive when its
-    score is above the threshold, so ties at the threshold resolve to label 0."""
-    scores = posterior_moments(model.params, matrix).mean
-    return Predictions(labels=(scores > model.threshold_value).astype(np.int64), scores=scores)
+def predict(model, matrix: LabelMatrix) -> Predictions:
+    """Label the rows with a model of ``load_model``: 1 where a row's score is above the
+    threshold, so a tie labels 0.  A ``LabelModel`` scores by the oriented first factor
+    against ``threshold_value``, a ``CIParams`` by the posterior P(y=1 | row) against 0.5."""
+    if isinstance(model, LabelModel):
+        scores, threshold = posterior_moments(model.params, matrix).mean, model.threshold_value
+    else:
+        from .ci_baseline import ci_posterior
+
+        scores, threshold = ci_posterior(model, matrix), 0.5
+    return Predictions(labels=(scores > threshold).astype(np.int64), scores=scores)
 
 
 # Each method fits on a training matrix and returns (model, fit report,
-# labeller), where the labeller maps a matrix to 0/1 labels.  Fitters and
-# predictors are looked up by their global names when a method runs, so
-# replacing one (to trace or patch it) takes effect: the FA ones in this
-# module, the CI ones in ci_baseline, which is imported only by the methods
-# that run it, so an FA fit or an FA prediction never loads it.
+# labeller), where the labeller maps a matrix to 0/1 labels through
+# ``predict``.  Fitters and ``predict`` are looked up by their global names
+# when a method runs, so replacing one (to trace or patch it) takes effect:
+# the FA fitters in this module, the CI ones in ci_baseline, which is imported
+# only by the methods that run it, so an FA fit or an FA prediction never loads it.
 def _fit_fa_em(train, cfg, threshold_kind, dev):
     return _fa_labeller(*fit_fa_em(train, cfg), train, threshold_kind, dev)
 
@@ -182,15 +188,17 @@ def _fit_fa_vi(train, cfg, threshold_kind, dev):
 
 
 def _fa_labeller(params, report, train, threshold_kind, dev):
-    model = build_label_model(params, train, threshold_kind=threshold_kind, dev=dev)
-    return model, report, lambda matrix: predict(model, matrix).labels
+    return _labeller(build_label_model(params, train, threshold_kind=threshold_kind, dev=dev), report)
 
 
 def _fit_ci_em(train, cfg, threshold_kind, dev):
-    from .ci_baseline import ci_predict, fit_ci_em
+    from .ci_baseline import fit_ci_em
 
-    params, report = fit_ci_em(train, cfg)
-    return params, report, lambda matrix: ci_predict(params, matrix).labels
+    return _labeller(*fit_ci_em(train, cfg))
+
+
+def _labeller(model, report):
+    return model, report, lambda matrix: predict(model, matrix).labels
 
 
 def _majority(train, cfg, threshold_kind, dev):

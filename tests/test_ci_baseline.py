@@ -13,9 +13,10 @@ from falabel import (
     fit_ci_em,
     load_model,
     majority_vote,
+    predict,
     save_model,
 )
-from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR, _patterns, ci_predict
+from falabel.ci_baseline import EMISSION_VALUES, PROB_FLOOR, _patterns
 from falabel.fa_core import _fit_loop
 
 
@@ -192,7 +193,7 @@ class TestFitCIEM:
         assert p1.class_prior == pytest.approx(p2.class_prior, abs=1e-9)
         np.testing.assert_allclose(p1.emissions, p2.emissions, rtol=0.0, atol=1e-9)
         np.testing.assert_array_equal(
-            ci_predict(p1, interleaved).labels, ci_predict(p2, interleaved).labels
+            predict(p1, interleaved).labels, predict(p2, interleaved).labels
         )
 
     def test_rejects_single_row(self):
@@ -392,7 +393,7 @@ class TestStartThatDrawsNothing:
         rows = [[1, -1], [-1, 1]]
         params, _ = fit_ci_em(lf_matrix(np.tile(rows, (20, 1))))
         assert params.class_prior == pytest.approx(0.5, abs=1e-9)
-        assert ci_predict(params, lf_matrix(rows)).labels.tolist() == [1, 0]
+        assert predict(params, lf_matrix(rows)).labels.tolist() == [1, 0]
 
     def test_rows_with_the_same_majority_vote_separate(self):
         rows = [[1, 1, 1, 1], [1, 1, 1, 0], [1, -1, -1, -1], [-1, 1, -1, -1]]
@@ -400,7 +401,7 @@ class TestStartThatDrawsNothing:
         assert (majority_vote(matrix) == 1).all()
         params, _ = fit_ci_em(matrix)
         assert params.class_prior == pytest.approx(0.5, abs=1e-9)
-        assert ci_predict(params, lf_matrix(rows)).labels.tolist() == [1, 1, 0, 0]
+        assert predict(params, lf_matrix(rows)).labels.tolist() == [1, 1, 0, 0]
 
     def test_the_seed_does_not_change_the_fit(self):
         matrix = lf_matrix(np.random.default_rng(15).integers(-1, 2, size=(40, 3)))

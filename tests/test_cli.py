@@ -187,6 +187,23 @@ class TestPredictEvaluate:
         assert main(["predict", str(model_path), str(paths["test"]), "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("route", ["fa-em", "fa-vi", "ci-em"])
+    def test_the_library_labels_every_model_file_as_the_cli_does(self, world, route):
+        # the library's predict raised AttributeError on the CIParams of a ci-em file
+        from falabel import FitConfig, load_model, predict, save_predictions
+        from falabel.label_model import METHODS
+
+        tmp, paths = world
+        model_path, cli_out, library_out = tmp / "model.json", tmp / "cli.csv", tmp / "library.csv"
+        assert main(["fit", str(paths["train"]), "--route", route, "--out", str(model_path)]) == 0
+        assert main(["predict", str(model_path), str(paths["test"]), "--out", str(cli_out)]) == 0
+        test = load_label_matrix(paths["test"])
+        preds = predict(load_model(model_path)[2], test)
+        save_predictions(preds, library_out)
+        assert library_out.read_bytes() == cli_out.read_bytes()
+        _, _, labeller = METHODS[route](load_label_matrix(paths["train"]), FitConfig(), "median", None)
+        np.testing.assert_array_equal(preds.labels, labeller(test))
+
 
 class TestCompare:
     def test_four_method_rows(self, world):
@@ -680,6 +697,19 @@ def test_a_dev_split_of_other_lfs_exits_2_before_any_fit(tmp_path, capsys, monke
         " ['lf1', 'lf2', 'lf3', 'lf4', 'lf5']\n"
     )
     assert fits == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_cdf_youden_without_a_dev_split_exits_2_before_any_fit(world, capsys, monkeypatch, command):
+    # build_label_model refused the missing dev split, after a whole fa-em fit
+    from falabel import label_model
+
+    def no_fit(*args):
+        raise AssertionError("fit_fa_em ran")
+
+    monkeypatch.setattr(label_model, "fit_fa_em", no_fit)
+    assert run_with_flag(world, command, "--threshold", "cdf-youden") == 2
+    assert capsys.readouterr().err == "error: --threshold cdf-youden requires --dev-matrix and --dev-gold\n"
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep", "fit"])

@@ -1,5 +1,5 @@
-"""The package surface: the public names, no import left without a use, and
-no private function left without a caller."""
+"""The package surface: the public names, no import left without a use, no
+private function left without a caller, and no import cycle between modules."""
 
 import ast
 import inspect
@@ -42,6 +42,22 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def relative_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports by ``from .x import``, at module
+    level or inside a function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_the_module_import_graph_has_no_cycle():
+    # ci_baseline imported label_model for Predictions, and label_model imported ci_baseline back
+    reach = {path.stem: relative_imports(path) for path in SRC.glob("*.py")}
+    for _ in reach:  # after as many passes as modules, reach holds every module a module reaches
+        for module, reached in reach.items():
+            reached |= set().union(*(reach[other] for other in reached))
+    assert [module for module in sorted(reach) if module in reach[module]] == []
 
 
 def names_read(node: ast.AST) -> Counter:
