@@ -7,7 +7,6 @@ set -euo pipefail
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-echo "working in $work"
 
 falabel synth --n 2000 --m 6 --class-prior 0.5 \
     --accuracy 0.7:0.9 --propensity 0.8 --seed 123 \

@@ -16,30 +16,26 @@ and labels with a fitted ``CIParams``; this module imports nothing from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .fa_core import FitConfig, FitReport, _fit_loop
-from .labelling import LabelMatrix, _float_array
+from .labelling import LabelMatrix, _Frozen, _float_array
 
 EMISSION_VALUES = (-1, 0, 1)
 PROB_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class CIParams:
+class CIParams(_Frozen):
     """Mixture parameters: class prior and per-LF emission tables.
 
     ``emissions[j, y, v]`` is P(LF j emits EMISSION_VALUES[v] | class y).
     Every (j, y) slice sums to 1 and no probability sits below PROB_FLOOR.
     """
 
-    class_prior: float
-    emissions: np.ndarray  # (m, 2, 3)
-
-    def __post_init__(self):
+    def __init__(self, class_prior: float, emissions: np.ndarray):  # emissions: (m, 2, 3)
+        self.__dict__.update(class_prior=class_prior, emissions=emissions)
         class_prior = _float_array(self.class_prior, "class_prior")
         if class_prior.ndim or not 0.0 < class_prior < 1.0:
             raise ValidationError(f"class_prior must be in (0, 1), got {self.class_prior}")

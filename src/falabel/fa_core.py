@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .labelling import LabelMatrix, _check_count, _float_array
+from .labelling import LabelMatrix, _Frozen, _check_count, _float_array
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 PSI_FLOOR = 1e-6  # clamps the noise variances at every update, so constant columns keep psi > 0
@@ -80,8 +80,7 @@ class FitConfig:
         _check_count("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
-class FAParams:
+class FAParams(_Frozen):
     """Fitted one-factor parameters: three vectors of one length, the LF count
     ``m`` (a property, ``len(c)``).
 
@@ -95,11 +94,8 @@ class FAParams:
         Diagonal noise variances, all strictly positive.
     """
 
-    w: np.ndarray
-    c: np.ndarray
-    psi: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, w: np.ndarray, c: np.ndarray, psi: np.ndarray):
+        self.__dict__.update(w=w, c=c, psi=psi)
         for name in ("c", "w", "psi"):  # c first: w and psi must take its shape
             arr = _float_array(getattr(self, name), name).copy()
             if arr.ndim != 1 or not arr.size or arr.shape != np.shape(self.c):
@@ -121,12 +117,11 @@ class FAParams:
         return np.outer(self.w, self.w) + np.diag(self.psi)
 
 
-@dataclass(frozen=True)
-class PosteriorMoments:
+class PosteriorMoments(_Frozen):
     """Posterior factor moments: per-row means and the shared variance G."""
 
-    mean: np.ndarray  # (n,)
-    var: float
+    def __init__(self, mean: np.ndarray, var: float):  # mean: (n,)
+        self.__dict__.update(mean=mean, var=var)
 
 
 @dataclass(frozen=True)

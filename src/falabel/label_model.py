@@ -22,7 +22,6 @@ The table of label methods, ``METHODS``, is here too: ``fit``, ``compare`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from .fa_core import FAParams, FitConfig, _sum_nonnegative, fit_fa_em, fit_fa_vi
 from .labelling import (
     GoldLabels,
     LabelMatrix,
+    _Frozen,
     _check_split,
     _dump_json,
     _fields,
@@ -48,8 +48,7 @@ MODEL_VERSION = 3  # the model file's version: 2 scored signed votes, 3 names th
 MODEL_METHODS = ("fa-em", "fa-vi", "ci-em")  # the methods whose fit a model file holds
 
 
-@dataclass(frozen=True)
-class LabelModel:
+class LabelModel(_Frozen):
     """A deployable pseudo-labeler: oriented factor model + threshold.
 
     ``params.w`` is oriented, so a higher score means the positive class, and
@@ -57,11 +56,8 @@ class LabelModel:
     when its score is above it.
     """
 
-    params: FAParams
-    threshold_kind: str
-    threshold_value: float
-
-    def __post_init__(self):
+    def __init__(self, params: FAParams, threshold_kind: str, threshold_value: float):
+        self.__dict__.update(params=params, threshold_kind=threshold_kind, threshold_value=threshold_value)
         if self.threshold_kind not in THRESHOLD_KINDS:
             raise ValidationError(
                 f"threshold_kind must be one of {THRESHOLD_KINDS}, got {self.threshold_kind!r}"
@@ -70,12 +66,12 @@ class LabelModel:
             raise ValidationError("threshold_value must be finite")
 
 
-@dataclass(frozen=True)
-class Predictions:
-    """Binary labels plus the scores that produced them."""
+class Predictions(_Frozen):
+    """Binary labels, (n,) in {0, 1}, plus the scores that produced them: the
+    oriented first-factor values, or the CI posteriors P(y=1 | row)."""
 
-    labels: np.ndarray  # (n,) in {0, 1}
-    scores: np.ndarray  # (n,) oriented first-factor values, or CI posteriors P(y=1 | row)
+    def __init__(self, labels: np.ndarray, scores: np.ndarray):
+        self.__dict__.update(labels=labels, scores=scores)
 
 
 def _latent_threshold(kind: str, scores: np.ndarray) -> float:

@@ -16,7 +16,6 @@ import json
 import numbers
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,17 +61,28 @@ def _float_array(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a rectangular array of numbers") from None
 
 
-@dataclass(frozen=True)
-class LabelMatrix:
+class _Frozen:
+    """Base of the records that hold arrays: ``__init__`` fills ``__dict__``, and no
+    field can be set or deleted after.  A frozen dataclass compiles its generated
+    methods at every import, and its ``__eq__`` and ``__hash__`` raise on arrays;
+    these records compare and hash by identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class LabelMatrix(_Frozen):
     """n x m matrix of labelling-function votes with entries in {-1, 0, 1}."""
 
-    values: np.ndarray
-    lf_names: tuple[str, ...]
-
-    def __post_init__(self):
-        values = _frozen_array(self.values)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "lf_names", tuple(self.lf_names))
+    def __init__(self, values: np.ndarray, lf_names: tuple[str, ...]):
+        values = _frozen_array(values)
+        self.__dict__.update(values=values, lf_names=tuple(lf_names))
         if values.ndim != 2:
             raise ValidationError(f"label matrix must be 2-dimensional, got shape {values.shape}")
         n, m = values.shape
@@ -112,14 +122,11 @@ class LabelMatrix:
         return hash((self.lf_names, self.values.tobytes()))
 
 
-@dataclass(frozen=True)
-class GoldLabels:
+class GoldLabels(_Frozen):
     """Ground-truth binary labels, one per row, used only for evaluation."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _frozen_array(self.values)
+    def __init__(self, values: np.ndarray):
+        values = _frozen_array(values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValidationError("gold labels must be a non-empty 1-d vector")
@@ -132,16 +139,14 @@ class GoldLabels:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class MatrixStats:
-    """Per-LF vote counts and row-level abstention summary."""
+class MatrixStats(_Frozen):
+    """Per-LF vote counts and row-level abstention summary; ``counts`` is (m, 3):
+    abstain / negative / positive."""
 
-    n_rows: int
-    n_lfs: int
-    lf_names: tuple[str, ...]
-    counts: np.ndarray = field(repr=False)  # (m, 3): abstain / negative / positive
-    n_all_abstain_rows: int = 0
-    all_abstain_fraction: float = 0.0
+    def __init__(self, n_rows: int, n_lfs: int, lf_names: tuple[str, ...], counts: np.ndarray,
+                 n_all_abstain_rows: int = 0, all_abstain_fraction: float = 0.0):
+        self.__dict__.update(n_rows=n_rows, n_lfs=n_lfs, lf_names=lf_names, counts=counts,
+                             n_all_abstain_rows=n_all_abstain_rows, all_abstain_fraction=all_abstain_fraction)
 
 
 def _read_input(path, what: str) -> str:
@@ -280,22 +285,24 @@ def _int_cells(path, rows, allowed, noun: str, where=lambda i, j: f"line {i + 2}
 
     Else a ValidationError names the first bad cell in row-major order as the
     ``noun`` at ``where(i, j)`` (data row i, column j; by default its line).
+    Each distinct spelling is checked once, at its first occurrence.
     """
     allowed_text = "{" + ", ".join(map(str, allowed)) + "}"
-    values = []
+    values, known = [], {}  # each spelling accepted so far, and its value
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
-            text = cell.strip()
-            try:
-                if not _INTEGER.fullmatch(text):
-                    raise ValueError
-                values.append(int(text))  # raises too beyond int's digit limit
-            except ValueError:
-                raise ValidationError(f"{Path(path)}: non-integer {noun} {cell!r} at {where(i, j)}") from None
-            if values[-1] not in allowed:
-                raise ValidationError(
-                    f"{Path(path)}: {noun} {values[-1]} at {where(i, j)} is not in {allowed_text}"
-                )
+            if cell not in known:
+                text = cell.strip()
+                try:
+                    if not _INTEGER.fullmatch(text):
+                        raise ValueError
+                    value = int(text)  # raises too beyond int's digit limit
+                except ValueError:
+                    raise ValidationError(f"{Path(path)}: non-integer {noun} {cell!r} at {where(i, j)}") from None
+                if value not in allowed:
+                    raise ValidationError(f"{Path(path)}: {noun} {value} at {where(i, j)} is not in {allowed_text}")
+                known[cell] = value
+            values.append(known[cell])
     return np.array(values, np.int64).reshape(len(rows), len(rows[0]))
 
 

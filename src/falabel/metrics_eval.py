@@ -160,7 +160,8 @@ def robustness_sweep(
     fitting its cells one at a time, and any other method cell by cell
     through ``METHODS``.  A fit that fails raises its own error, so the
     first failing fit in that order ends the sweep.  The records are then
-    built in (size, method, repeat) order.
+    built in (size, method, repeat) order; a labeller that several cells
+    share, as majority vote's is, labels the test matrix once.
     """
     _check_count("repeats", repeats, 1)
     if not sizes:
@@ -195,11 +196,12 @@ def robustness_sweep(
         else:
             fits[method] = [METHODS[method](sub, cfg, threshold_kind, None) for sub in subs]
 
-    records = []
+    records, labels = [], {}  # the test labels per labeller: majority's one function labels once
     for si, size in enumerate(sizes):
         for method in methods:
             for rep in range(repeats):
                 _, report, labeller = fits[method][si * repeats + rep]
-                metrics = evaluate(labeller(test), gold_test)
-                records.append(SweepRecord(method, size, rep, metrics, report))
+                if labeller not in labels:
+                    labels[labeller] = labeller(test)
+                records.append(SweepRecord(method, size, rep, evaluate(labels[labeller], gold_test), report))
     return SweepResult(tuple(records), tuple(sizes), tuple(methods), repeats, cfg.seed)

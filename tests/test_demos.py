@@ -25,15 +25,20 @@ def test_demo_exits_0(demo, tmp_path):
 
 
 def test_cli_pipeline_demo_exits_0(tmp_path):
-    # the shell demo calls ``falabel``: a shim on PATH runs the CLI from ``src``
+    # the shell demo calls ``falabel``: a shim on PATH runs the CLI from ``src``;
+    # it is seeded and names no temporary path, so two runs print the same stdout
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     shim = bin_dir / "falabel"
     shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m falabel.cli "$@"\n')
     shim.chmod(0o755)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
-    proc = subprocess.run(
-        ["bash", str(ROOT / "demos" / "05_cli_pipeline.sh")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    stdouts = []
+    for _ in range(2):
+        proc = subprocess.run(
+            ["bash", str(ROOT / "demos" / "05_cli_pipeline.sh")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1]

@@ -1,7 +1,6 @@
 """Round-trip properties for every file format the package reads and writes."""
 
 import csv
-import dataclasses
 import itertools
 import re
 import tempfile
@@ -108,14 +107,13 @@ def model_files(draw):
 
 
 def model_fields(model) -> dict:
-    """Every field of a model, those of a nested dataclass flattened, each number as its shape and float bytes."""
+    """Every field of a model, those of a nested record flattened, each number as its shape and float bytes."""
     fields = {}
-    for field in dataclasses.fields(model):
-        value = getattr(model, field.name)
-        if dataclasses.is_dataclass(value):
+    for name, value in vars(model).items():
+        if isinstance(value, labelling._Frozen):
             fields.update(model_fields(value))
         else:
-            fields[field.name] = value if isinstance(value, str) else (np.shape(value), np.asarray(value, float).tobytes())
+            fields[name] = value if isinstance(value, str) else (np.shape(value), np.asarray(value, float).tobytes())
     return fields
 
 

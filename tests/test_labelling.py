@@ -433,3 +433,70 @@ def test_entry_checks_name_the_first_entry_an_isin_scan_finds(check, data):
         with pytest.raises(ValidationError) as exc:
             run(values)
         assert str(exc.value) == message(values, *bad[0])
+
+
+def _fa_params():
+    return falabel.FAParams(w=[0.5, 0.4], c=[0.1, 0.2], psi=[1.0, 0.5])
+
+
+# Each record that holds arrays, built small, and its fields in __init__'s order
+RECORDS = {
+    "LabelMatrix": (lambda: LabelMatrix(values=[[1, -1], [0, 1]], lf_names=("a", "b")), ("values", "lf_names")),
+    "GoldLabels": (lambda: GoldLabels(values=[0, 1, 1]), ("values",)),
+    "MatrixStats": (
+        lambda: matrix_stats(LabelMatrix(values=[[1, -1], [-1, -1]], lf_names=("a", "b"))),
+        ("n_rows", "n_lfs", "lf_names", "counts", "n_all_abstain_rows", "all_abstain_fraction"),
+    ),
+    "FAParams": (_fa_params, ("w", "c", "psi")),
+    "PosteriorMoments": (lambda: falabel.PosteriorMoments(mean=np.array([0.5, -0.5]), var=0.25), ("mean", "var")),
+    "LabelModel": (
+        lambda: falabel.LabelModel(params=_fa_params(), threshold_kind="median", threshold_value=0.0),
+        ("params", "threshold_kind", "threshold_value"),
+    ),
+    "Predictions": (lambda: falabel.Predictions(labels=np.array([0, 1]), scores=np.array([-1.0, 2.0])), ("labels", "scores")),
+    "CIParams": (lambda: falabel.CIParams(class_prior=0.3, emissions=np.full((2, 2, 3), 1 / 3)), ("class_prior", "emissions")),
+}
+
+
+def flat_fields(record) -> dict:
+    """Each field of a record, those of a nested record flattened, an array as its dtype, shape and bytes."""
+    fields = {}
+    for name, value in vars(record).items():
+        if isinstance(value, falabel.labelling._Frozen):
+            fields.update(flat_fields(value))
+        else:
+            fields[name] = (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+    return fields
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_array_records_are_frozen_and_survive_copy_and_pickle(name):
+    import copy
+    import inspect
+    import pickle
+
+    build, names = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    assert tuple(vars(record)) == names == tuple(inspect.signature(type(record)).parameters)
+    assert repr(record).startswith(f"{name}({names[0]}=")
+    for field in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    for field in names:
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert tuple(vars(record)) == names
+    for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and flat_fields(twin) == flat_fields(record)
+        assert twin == record if name == "LabelMatrix" else twin != record  # identity but for LabelMatrix's values
+    assert record == record and hash(record) == hash(record)
+
+
+def test_label_matrix_equality_and_hash_compare_values_and_names():
+    matrix = LabelMatrix(values=[[1, -1], [0, 1]], lf_names=("a", "b"))
+    same = LabelMatrix(values=np.array([[1, -1], [0, 1]]), lf_names=["a", "b"])
+    assert matrix == same and hash(matrix) == hash(same)
+    assert matrix != LabelMatrix(values=[[1, -1], [0, 0]], lf_names=("a", "b"))
+    assert matrix != LabelMatrix(values=[[1, -1], [0, 1]], lf_names=("a", "c"))
+    assert matrix != [[1, -1], [0, 1]]

@@ -347,6 +347,17 @@ def test_sweep_master_seed_is_cfg_seed():
     assert result.to_csv() != robustness_sweep(**{**world, "cfg": FitConfig()}).to_csv()
 
 
+def test_the_sweep_labels_the_test_matrix_once_per_labeller(monkeypatch):
+    # every majority cell gets the one majority_vote function, which labelled the test matrix once per cell
+    import falabel.ci_baseline as ci_baseline
+
+    calls, vote = [], ci_baseline.majority_vote
+    monkeypatch.setattr(ci_baseline, "majority_vote", lambda matrix: calls.append(matrix) or vote(matrix))
+    train, test, gold = small_world(seed=13)
+    result = robustness_sweep(train, test, gold, sizes=(10, 20, 30), repeats=4, cfg=FitConfig(seed=2), methods=("majority",))
+    assert len(result.records) == 12 and calls == [test]
+
+
 def one_cell_at_a_time(train, test, gold_test, sizes, repeats, methods, cfg, threshold_kind):
     """Reference: the sweep loop as it ran before the FA cells were batched,
     fitting every (size, method, repeat) cell alone through the method table."""
